@@ -16,6 +16,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -37,6 +38,25 @@ inline double cpuNow() {
   clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
   return static_cast<double>(ts.tv_sec) +
          1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// Cores the host gives the process right now: process CPU time over wall
+/// time while `threads` threads spin for `seconds`. Near `threads` when
+/// each spinner has a core of its own, near 1 when they share one.
+inline double spinThreads(unsigned threads, double seconds) {
+  const double c0 = cpuNow();
+  const double w0 = wallNow();
+  std::vector<std::thread> spinners;
+  for (unsigned i = 0; i < threads; ++i) {
+    spinners.emplace_back([w0, seconds] {
+      while (wallNow() - w0 < seconds) {
+      }
+    });
+  }
+  for (std::thread& t : spinners) {
+    t.join();
+  }
+  return (cpuNow() - c0) / (wallNow() - w0);
 }
 
 /// Resident-set high-water mark of the process in MB (Linux reports
@@ -72,7 +92,8 @@ class Fingerprint {
 };
 
 /// What a span measured. The tree is fixed: Setup and Stream are roots,
-/// every other layer nests inside a Campaign span.
+/// every other layer nests inside a Campaign span, except replay_session's
+/// Core and Divergence, which re-run the library's oracle after it.
 enum class Layer : std::uint8_t {
   Setup,
   Campaign,

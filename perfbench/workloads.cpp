@@ -11,7 +11,6 @@
 #include "analysis/cluster_scenario.hpp"
 #include "analysis/replay.hpp"
 #include "bench/flow_scenarios.hpp"
-#include "calciom/arbiter.hpp"
 #include "calciom/capture.hpp"
 #include "calciom/global_arbiter.hpp"
 #include "calciom/metrics.hpp"
@@ -72,6 +71,7 @@ const std::vector<LayerMetric> kLayerMetrics = {
     {"trace.stream_pct", "%"},
     {"trace.jobs", "count"},
     {"tracing.overhead_pct", "%"},
+    {"host.spin_threads", "threads"},
 };
 
 namespace {
@@ -117,13 +117,6 @@ struct LayerCounts {
   std::uint64_t portsDelivered = 0;
   std::uint64_t coreMessages = 0;
   std::uint64_t jobs = 0;
-
-  void addEngine(const sim::EngineStats& s) {
-    events += s.processedEvents;
-    batches += s.dispatchBatches;
-    maxQueueDepth = std::max<std::uint64_t>(maxQueueDepth, s.maxQueueDepth);
-    loopSeconds += s.wallSeconds;
-  }
 };
 
 /// Shard-local FlowNet counters: written only from the owning shard's loop
@@ -187,7 +180,12 @@ LayerValues layerValues(const LayerCounts& c, const SpanLog& spans,
   const double votes = spans.total(Layer::Vote);
   const double coreSeconds = spans.total(Layer::Core);
   const double divergence = spans.total(Layer::Divergence);
-  const double outside = wall - c.loopSeconds;
+  // Time outside the shard loops is wall minus the loop sum, which only
+  // holds while loops do not overlap. Once they run in parallel the sum can
+  // exceed the wall time; the remainders are then clamped to 0 rather than
+  // read as a negative (better-looking) figure.
+  const auto rest = [](double s) { return std::max(0.0, s); };
+  const double outside = rest(wall - c.loopSeconds);
   LayerValues v;
   v["sim.events"] = num(c.events);
   v["sim.batches"] = num(c.batches);
@@ -203,9 +201,9 @@ LayerValues layerValues(const LayerCounts& c, const SpanLog& spans,
   v["cluster.barriers_skipped"] = num(c.barriersSkipped);
   v["cluster.outside_loop_s"] = outside;
   v["cluster.us_per_step"] =
-      1e6 * per(outside - coreSeconds - divergence, num(c.horizonSteps));
+      1e6 * per(rest(outside - coreSeconds - divergence), num(c.horizonSteps));
   v["campaign.self_pct"] =
-      pct(outside - hooks - votes - coreSeconds - divergence);
+      pct(rest(outside - hooks - votes - coreSeconds - divergence));
   v["hook.storage_pct"] = pct(spans.total(Layer::HookStorage));
   v["hook.arbiter_pct"] = pct(spans.total(Layer::HookArbiter));
   v["hook.feeder_pct"] = pct(spans.total(Layer::HookFeeder));
@@ -437,14 +435,20 @@ class FlowsSharded final : public Workload {
 
     measure(k, spans, [&] { cl.run(workers); });
 
-    k.simSeconds = cl.maxShardClock();
     k.fingerprint = clusterFingerprint(cl);
     // Every flow crosses exactly one server resource (the first of each
     // {server, link, link} cluster), so the servers carry every byte.
+    // The simulated seconds are server-seconds: what each server needs at
+    // full capacity for the bytes it carried, summed over servers. Shard
+    // clocks are set by the rare worker whose flows are all rate-capped
+    // and move by 15 % from seed to seed; this sum follows only the bytes
+    // and capacities.
     double delivered = 0.0;
     for (std::size_t s = 0; s < shape_.shards; ++s) {
       for (std::size_t r = 0; r < res[s].size(); r += 3) {
-        delivered += cl.machine(s).net().deliveredThrough(res[s][r]);
+        const double b = cl.machine(s).net().deliveredThrough(res[s][r]);
+        delivered += b;
+        k.simSeconds += b / plans[s].capacities[r];
       }
     }
     if (!cl.empty()) {
@@ -468,8 +472,22 @@ class FlowsSharded final : public Workload {
 // io_shared: IOR applications on eight compute shards writing through
 // SharedStorageModel to one PFS, first uncoordinated, then under Dynamic.
 
-/// The campaign's applications, drawn from `seed`: mixed sizes and access
-/// patterns, staggered starts, several compute+write iterations each.
+/// Fisher–Yates shuffle driven by the workload's generator.
+template <class T>
+void shuffle(std::vector<T>& v, sim::Xoshiro256& rng) {
+  for (std::size_t i = v.size(); i > 1; --i) {
+    const auto j = static_cast<std::size_t>(
+        rng.uniformInt(0, static_cast<std::int64_t>(i) - 1));
+    std::swap(v[i - 1], v[j]);
+  }
+}
+
+/// The campaign's applications. Every campaign holds the same fixed set of
+/// shapes — each of 8/16/32/64 cores × contiguous/strided × 1–4 MiB once —
+/// and the same fixed slots, each a (start offset, compute time) pair
+/// staggered over 0–5 s and 2–10 s. `seed` only deals shapes to slots and
+/// slots to compute shards, so the total bytes, the total compute and the
+/// simulated span stay fixed while the contention pattern changes.
 ClusterScenarioConfig makeIoConfig(std::uint64_t seed, bool small) {
   ClusterScenarioConfig cfg;
   // The cached Nancy backend, so the storage servers run cache transitions.
@@ -479,19 +497,32 @@ ClusterScenarioConfig makeIoConfig(std::uint64_t seed, bool small) {
   cfg.shards = computeShards + 1;  // the last shard hosts the PFS
   cfg.syncHorizonSeconds = 0.1;
   cfg.workers = kWorkers;
+  const std::size_t count = computeShards * appsPerShard;
+  std::vector<std::size_t> shapes(count);
+  std::vector<std::size_t> slots(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    shapes[i] = i;
+    slots[i] = i;
+  }
   sim::Xoshiro256 rng(seed);
-  for (std::size_t i = 0; i < computeShards * appsPerShard; ++i) {
+  shuffle(shapes, rng);
+  shuffle(slots, rng);
+  const double last = static_cast<double>(std::max<std::size_t>(count, 2) - 1);
+  for (std::size_t i = 0; i < count; ++i) {
+    // Shape s: bits 0-1 the size, bit 2 the pattern, bits 3-4 the cores.
+    const std::size_t s = shapes[i] % 32;
+    const auto mib = static_cast<std::uint64_t>(1 + s % 4);
     workload::IorConfig app;
     app.name = "ior" + std::to_string(i);
-    app.processes = 8 << rng.uniformInt(0, 3);  // 8 to 64 cores
-    const bool strided = rng.uniform01() < 0.5;
-    const auto mib = static_cast<std::uint64_t>(rng.uniformInt(1, 4));
-    app.pattern = strided ? calciom::io::stridedPattern(
-                                1u << 20, static_cast<int>(mib))
-                          : calciom::io::contiguousPattern(mib << 20);
+    app.processes = 8 << (s / 8);  // 8 to 64 cores
+    app.pattern = (s / 4) % 2 == 1
+                      ? calciom::io::stridedPattern(1u << 20,
+                                                    static_cast<int>(mib))
+                      : calciom::io::contiguousPattern(mib << 20);
     app.iterations = small ? 2 : 6;
-    app.computeSeconds = rng.uniform(2.0, 10.0);
-    app.startOffset = rng.uniform(0.0, 5.0);
+    const double slot = static_cast<double>(slots[i]);
+    app.startOffset = 5.0 * slot / last;
+    app.computeSeconds = 2.0 + 8.0 * slot / last;
     cfg.apps.push_back(ClusterAppPlan{app, i % computeShards});
   }
   return cfg;
@@ -807,35 +838,6 @@ void launchJob(sim::Engine& eng, calciom::mpi::PortRegistry& ports,
   eng.spawn(traceJob(eng, std::move(session), cfg.io, job, totals));
 }
 
-/// The same-engine job feeder of replaySession: a chain of events, each
-/// launching one job at its start time and scheduling the next.
-struct SessionFeeder {
-  sim::Engine& eng;
-  calciom::mpi::PortRegistry& ports;
-  const replay::ReplayConfig& cfg;
-  workload::IntrepidStream stream;
-  core::EventLog log;
-  JobTotals totals;
-  std::uint64_t injected = 0;
-  double firstStart = 0.0;
-
-  void scheduleNext() {
-    std::optional<workload::SwfJob> job = stream.next();
-    if (!job.has_value()) {
-      return;
-    }
-    if (injected == 0) {
-      firstStart = job->startSeconds();
-    }
-    ++injected;
-    eng.scheduleAt(std::max(eng.now(), job->startSeconds()),
-                   [this, job = *job] {
-                     launchJob(eng, ports, cfg, job, &log, &totals);
-                     scheduleNext();
-                   });
-  }
-};
-
 /// The barrier-hook job feeder of replayCluster: at every barrier it
 /// injects, round-robin over the compute shards, every job starting inside
 /// the next round's window.
@@ -983,42 +985,20 @@ replay::ReplayResult tracedReplayCluster(const replay::ReplayConfig& cfg,
   return out;
 }
 
-/// replaySession assembled here: one engine, one port registry, the
-/// same-engine arbiter and the chained job feeder.
+/// replaySession through the library. The same-engine transport has no
+/// barrier hooks to probe, so the oracle and the divergence the call ends
+/// with are run once more on its output and timed as their spans; the
+/// engine counts come from the result.
 replay::ReplayResult tracedReplaySession(const replay::ReplayConfig& cfg,
                                          Campaign& k, SpanLog& spans,
                                          LayerCounts& counts) {
-  const double t0 = wallNow();
-  sim::Engine eng;
-  calciom::mpi::PortRegistry ports(eng, cfg.messageLatencySeconds);
-  core::Arbiter arbiter(
-      eng, ports, core::makePolicy(cfg.policy, nullptr, cfg.dynamicOptions));
-  SessionFeeder feeder{eng, ports, cfg, workload::IntrepidStream(cfg.model)};
-  feeder.scheduleNext();
-  endSetup(k, &spans, t0);
-
   replay::ReplayResult out;
-  measure(k, &spans, [&] {
-    eng.run();
-    out.decisions = arbiter.decisions();
-    out.grants = arbiter.core().grantLog();
-    out.grantsIssued = arbiter.grantsIssued();
-    out.pausesIssued = arbiter.pausesIssued();
-    out.cpuSecondsWaited = arbiter.core().cpuSecondsWaited();
-    out.captured = feeder.log.release();
-    out.jobs = feeder.injected;
-    out.engineEvents = eng.stats().processedEvents;
-    out.engineCpuSeconds = eng.stats().wallSeconds;
-    if (!out.captured.empty()) {
-      out.traceSpanSeconds = out.captured.back().time - feeder.firstStart;
-    }
-    finishOracle(out, cfg, spans);
-  });
-
-  counts.addEngine(eng.stats());
-  counts.portsDelivered += ports.messagesDelivered();
-  counts.arbiterDecisions += arbiter.decisions().size();
-  counts.arbiterPauses += arbiter.pausesIssued();
+  measure(k, &spans, [&] { out = replay::replaySession(cfg); });
+  finishOracle(out, cfg, spans);
+  counts.events += out.engineEvents;
+  counts.loopSeconds += out.engineCpuSeconds;
+  counts.arbiterDecisions += out.decisions.size();
+  counts.arbiterPauses += out.pausesIssued;
   counts.coreMessages += out.captured.size();
   counts.jobs += out.jobs;
   return out;
