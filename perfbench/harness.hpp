@@ -11,10 +11,14 @@
 
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <string>
 #include <thread>
 #include <utility>
@@ -58,6 +62,49 @@ inline double spinThreads(unsigned threads, double seconds) {
   }
   return (cpuNow() - c0) / (wallNow() - w0);
 }
+
+/// A fixed piece of host work that no change to the program can move: a
+/// small event loop (a binary heap of timestamps and a FIFO) driven by a
+/// xorshift generator through exp/log, close to the instruction mix of the
+/// simulator's scheduling loops. Its pass time tracks how fast the host runs
+/// such code at the moment.
+class HostGauge {
+ public:
+  /// Host seconds of one pass.
+  double pass() {
+    const double t0 = wallNow();
+    std::priority_queue<double, std::vector<double>, std::greater<>> heap;
+    std::deque<double> fifo;
+    double now = 0.0;
+    for (int i = 0; i < kSteps; ++i) {
+      const double u = 0x1.0p-53 * static_cast<double>(draw() >> 11);
+      if (heap.size() < 64 || u < 0.5) {
+        heap.push(now + std::exp(std::log1p(u) * 4.0));
+        fifo.push_back(u);
+      } else {
+        now = heap.top();
+        heap.pop();
+        if (!fifo.empty()) {
+          sink_ += fifo.front();
+          fifo.pop_front();
+        }
+      }
+    }
+    sink_ += now;
+    return wallNow() - t0;
+  }
+
+ private:
+  static constexpr int kSteps = 200000;
+  std::uint64_t draw() {
+    s_ ^= s_ << 13;
+    s_ ^= s_ >> 7;
+    s_ ^= s_ << 17;
+    return s_;
+  }
+  std::uint64_t s_ = 0x9E3779B97F4A7C15ULL;
+  double sink_ = 0.0;
+};
 
 /// Resident-set high-water mark of the process in MB (Linux reports
 /// ru_maxrss in KiB).

@@ -6,11 +6,12 @@
 //                     --trace <0|1> [--short] [--trace-out <file>]
 //
 // Every run measures untraced campaigns for --seconds (at least three),
-// then runs the 1-worker replica. --trace 0 reports the end-to-end metrics
-// of the untraced campaigns: host times as the fastest campaign, set-up as
-// the median (see campaignCost); --trace 1 adds one campaign
-// assembled with probes and reports the per-layer metrics, writing its
-// spans to --trace-out. Each campaign's fingerprint goes to standard error.
+// then runs the replica at the other worker count. --trace 0 reports the
+// end-to-end metrics of the untraced campaigns, each the median over the
+// run, host times scaled to the reference host speed (see hostSpeed
+// below); --trace 1 adds one campaign assembled with probes and reports
+// the per-layer metrics, writing its spans to --trace-out. Each campaign's
+// fingerprint goes to standard error.
 
 #include <algorithm>
 #include <cmath>
@@ -31,8 +32,8 @@ namespace {
 using namespace perfbench;
 
 /// The seed whose fingerprints are pinned below. Every other seed is held
-/// out: its campaigns must agree with each other and with the 1-worker
-/// replica instead.
+/// out: its campaigns must agree with each other and with the replica
+/// instead.
 constexpr std::uint64_t kDefaultSeed = 1;
 
 struct Pin {
@@ -42,8 +43,8 @@ struct Pin {
 constexpr Pin kPinned[] = {
     {"flows_sharded", 0xb480f4b407bfed48ULL},
     {"io_shared", 0x2beea7e8213a4e92ULL},
-    {"replay_cluster", 0x3fb7e8bcb95c4569ULL},
-    {"replay_session", 0x768ad29e8eb050aaULL},
+    {"replay_cluster", 0x9993e8f527cdad6fULL},
+    {"replay_session", 0xe6cb0af38eb3acf0ULL},
 };
 
 constexpr std::size_t kMinCampaigns = 3;
@@ -100,14 +101,9 @@ double median(std::vector<double> v) {
   return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-/// The cost of a campaign in host time. Every campaign of a run does the
-/// same deterministic work, and interference from other tenants of a shared
-/// host arrives in bursts of seconds that only ever add time, so the
-/// fastest campaign is the steadiest estimate of the program's own cost.
-/// The median over runs is taken by whoever runs the benchmark.
-double campaignCost(const std::vector<double>& v) {
-  return v.empty() ? 0.0 : *std::min_element(v.begin(), v.end());
-}
+/// HostGauge pass time at the reference host speed: about the fastest
+/// pass of the development host (a 4-vCPU VM on a 2.1 GHz Xeon).
+constexpr double kReferenceGaugeSeconds = 0.012;
 
 /// Runs one campaign; an escaped exception makes it a failed campaign.
 template <class Fn>
@@ -197,11 +193,14 @@ int main(int argc, char** argv) {
   std::vector<double> setup;
   double simSeconds = 0.0;
   double peakRss = 0.0;
+  HostGauge gauge;
+  std::vector<double> gaugeSeconds;
   const double start = wallNow();
   for (std::size_t n = 0;
        n < kMinCampaigns ||
        (n < kMaxCampaigns && wallNow() - start < args.seconds);
        ++n) {
+    gaugeSeconds.push_back(gauge.pass());
     const Campaign k = guarded([&] { return workload->run(); });
     if (n == 0) {
       // The workload's own high-water mark. Later campaigns only add heap
@@ -216,16 +215,30 @@ int main(int argc, char** argv) {
     }
   }
 
-  record(guarded([&] { return workload->replica(); }), "replica-1-worker");
+  record(guarded([&] { return workload->replica(); }), "replica");
+
+  // A shared host runs the same campaign at speeds that differ by up to a
+  // third from one minute to the next, and a whole run can fall into a
+  // slow or a fast phase. A gauge pass before every campaign measures that
+  // speed; host times are divided by it, so they read as seconds at the
+  // reference speed. Medians, not minima: the fastest campaign is whichever
+  // caught a short window of full speed.
+  const double hostSpeed = kReferenceGaugeSeconds / median(gaugeSeconds);
+  const double wallSeconds = hostSpeed * median(wall);
+  std::fprintf(stderr,
+               "host: median campaign %.4f s, median gauge pass %.5f s, "
+               "speed %.3f of the reference\n",
+               median(wall), median(gaugeSeconds), hostSpeed);
 
   std::string metrics = "{";
   bool finite = true;
   if (args.trace == 0) {
-    finite &= appendMetric(metrics, "wall_s", campaignCost(wall), "s");
-    finite &= appendMetric(metrics, "cpu_s", campaignCost(cpu), "s");
-    finite &= appendMetric(metrics, "sim_speedup",
-                           simSeconds / campaignCost(wall), "s/s");
-    finite &= appendMetric(metrics, "setup_s", median(setup), "s");
+    finite &= appendMetric(metrics, "wall_s", wallSeconds, "s");
+    finite &= appendMetric(metrics, "cpu_s", hostSpeed * median(cpu), "s");
+    finite &= appendMetric(metrics, "sim_speedup", simSeconds / wallSeconds,
+                           "s/s");
+    finite &= appendMetric(metrics, "setup_s", hostSpeed * median(setup),
+                           "s");
     finite &= appendMetric(metrics, "peak_rss_mb", peakRss, "MB");
   } else {
     SpanLog spans;
@@ -238,6 +251,7 @@ int main(int argc, char** argv) {
     // How many of the kWorkers threads can run at once on this host, to
     // tell executor.busy_threads apart from a lack of cores.
     layers["host.spin_threads"] = spinThreads(kWorkers, 0.25);
+    layers["host.speed"] = hostSpeed;
     if (!args.traceOut.empty() && !spans.write(args.traceOut)) {
       std::fprintf(stderr, "could not write %s\n", args.traceOut.c_str());
     }

@@ -11,8 +11,8 @@ JSON. Build logs and per-campaign fingerprints go to standard error.
 
 --self-test is the benchmark's own test: it runs every workload small,
 untraced and traced, and checks the result format, the metric names and
-units against BENCHMARK.json, and that the untraced, 1-worker replica and
-traced fingerprints agree.
+units against BENCHMARK.json, and that the untraced, replica (the other
+worker count) and traced fingerprints agree.
 """
 
 import argparse

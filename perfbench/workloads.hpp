@@ -44,10 +44,11 @@ using LayerValues = std::map<std::string, double>;
 class Workload {
  public:
   virtual ~Workload() = default;
-  /// One untraced campaign at kWorkers threads.
+  /// One untraced campaign at kWorkers threads (flows_sharded: one).
   virtual Campaign run() = 0;
-  /// The same inputs at one worker thread, through the library's one-call
-  /// runner where one exists; its fingerprint must equal run()'s.
+  /// The same inputs at one worker thread (flows_sharded: kWorkers),
+  /// through the library's one-call runner where one exists; its
+  /// fingerprint must equal run()'s.
   virtual Campaign replica() = 0;
   /// One campaign assembled with probes; fills `out` with every metric of
   /// kLayerMetrics except `tracing.overhead_pct`, which needs the untraced
