@@ -1,13 +1,17 @@
 // Substrate microbenchmarks (google-benchmark): cost of the discrete-event
 // engine, the weighted max-min allocator, coroutine scheduling, round
-// planning and trace synthesis. These bound how large a simulated campaign
-// can get; the figure benches above run thousands of flow events each.
+// planning, trace synthesis and one coordination message. These bound how
+// large a simulated campaign can get; the figure benches above run
+// thousands of flow events each.
 
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "calciom/arbiter_core.hpp"
+#include "calciom/descriptor.hpp"
 #include "io/writer.hpp"
+#include "mpi/info.hpp"
 #include "net/flow_net.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
@@ -148,6 +152,39 @@ void BM_Xoshiro(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Xoshiro);
+
+/// One Session-shaped Inform through its life: built from a descriptor and
+/// stamped like Session::sendToArbiter, copied once as the capture log
+/// does, then decoded by the arbiter's admission reads (type dispatch,
+/// incarnation, sequence, epoch) and IoDescriptor::fromInfo.
+void BM_CoordinationMessage(benchmark::State& state) {
+  const core::IoDescriptor desc{.appId = 4242,
+                                .appName = "job4242",
+                                .cores = 2048,
+                                .totalBytes = 3ull << 34,
+                                .files = 1,
+                                .roundsPerFile = 96,
+                                .bytesPerRound = 1ull << 29,
+                                .estAloneSeconds = 61.234567};
+  std::int64_t seq = 0;
+  for (auto _ : state) {
+    mpi::Info wire = desc.toInfo();
+    wire.set(core::msg::kType, core::msg::kInform);
+    wire.setInt(core::msg::kSeq, ++seq);
+    wire.setInt(core::msg::kEpoch, 3);
+    const mpi::Info captured = wire;
+    const auto type = captured.find(core::msg::kType);
+    const auto inc = captured.getIntOr(core::msg::kIncarnation, 0);
+    const auto s = captured.getIntOr(core::msg::kSeq, 0);
+    const auto epoch = captured.getIntOr(core::msg::kEpoch, 0);
+    const core::IoDescriptor back = core::IoDescriptor::fromInfo(captured);
+    benchmark::DoNotOptimize(type);
+    benchmark::DoNotOptimize(inc + s + epoch);
+    benchmark::DoNotOptimize(back.estAloneSeconds);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CoordinationMessage);
 
 }  // namespace
 

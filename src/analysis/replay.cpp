@@ -159,13 +159,15 @@ class TraceFeeder final : public sim::BarrierHook {
     return scheduled;
   }
 
-  [[nodiscard]] std::vector<core::CapturedEvent> mergedEvents() const {
-    std::vector<const core::EventLog*> logs;
+  /// Moves every shard's log into one merged stream; the logs are empty
+  /// afterwards.
+  [[nodiscard]] std::vector<core::CapturedEvent> releaseMerged() {
+    std::vector<std::vector<core::CapturedEvent>> logs;
     logs.reserve(logs_.size());
     for (const auto& log : logs_) {
-      logs.push_back(log.get());
+      logs.push_back(log->release());
     }
-    return core::mergeEventLogs(logs);
+    return core::mergeEventLogs(std::move(logs));
   }
 
   [[nodiscard]] Aggregates totals() const {
@@ -451,7 +453,7 @@ ReplayResult replayCluster(const ReplayConfig& cfg) {
   out.grantsIssued = run.grantsIssued;
   out.pausesIssued = run.pausesIssued;
   out.cpuSecondsWaited = run.cpuSecondsWaited;
-  out.captured = feeder.mergedEvents();
+  out.captured = feeder.releaseMerged();  // month-scale: move, don't copy
   out.jobs = feeder.injected();
   out.peakStreamBuffered = feeder.peakBuffered();
   out.syncRounds = run.syncRounds;

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdio>
 #include <set>
+#include <string_view>
 #include <utility>
 
 #include "sim/contracts.hpp"
@@ -74,7 +75,7 @@ ArbiterCore::ArbiterCore(std::unique_ptr<Policy> policy)
 
 void ArbiterCore::onMessage(sim::Time now, std::uint32_t from,
                             const mpi::Info& payload, Commands& out) {
-  const auto type = payload.get(msg::kType);
+  const auto type = payload.find(msg::kType);
   CALCIOM_EXPECTS(type.has_value());
   // Admission filters. Both are opt-in by key presence: messages without
   // kSeq / kIncarnation (legacy senders, hand-crafted test traffic) skip
@@ -146,7 +147,7 @@ PolicyContext ArbiterCore::buildContext(sim::Time now,
 
 void ArbiterCore::onInform(sim::Time now, std::uint32_t app,
                            const mpi::Info& payload, Commands& out) {
-  if (recovering_ && payload.get(msg::kSessionState).has_value()) {
+  if (recovering_ && payload.has(msg::kSessionState)) {
     // A session answering our Recover broadcast: its Inform carries the
     // full local view, including the protocol state it believes it is in.
     applyRecoveryReport(now, app, payload, out);
@@ -211,15 +212,20 @@ void ArbiterCore::onInform(sim::Time now, std::uint32_t app,
   }
 
   const PolicyContext ctx = buildContext(now, rec);
-  const Action action = policy_->decide(ctx);
   DecisionRecord record;
   record.time = now;
   record.requester = app;
   record.accessors = accessors_;
-  record.action = action;
   if (const auto* dynamic = dynamic_cast<const DynamicPolicy*>(policy_.get())) {
+    // Evaluated once: with accessors present, decide() is exactly the
+    // cheapest of these costs.
     record.costs = dynamic->evaluate(ctx);
+    CALCIOM_ENSURES(!record.costs.empty());
+    record.action = record.costs.front().action;
+  } else {
+    record.action = policy_->decide(ctx);
   }
+  const Action action = record.action;
   decisions_.push_back(std::move(record));
 
   switch (action) {
@@ -346,7 +352,7 @@ void ArbiterCore::onHeartbeat(sim::Time now, std::uint32_t app,
       std::clamp(payload.getDoubleOr(msg::kProgress, rec.progress), 0.0, 1.0);
   const auto epoch =
       static_cast<std::uint64_t>(payload.getIntOr(msg::kEpoch, 0));
-  const auto state = payload.get(msg::kSessionState);
+  const auto state = payload.find(msg::kSessionState);
   if (!state.has_value() || epoch == 0) {
     return;  // plain keepalive: renewal only
   }
@@ -588,7 +594,7 @@ void ArbiterCore::detachAccessor(sim::Time now, std::uint32_t app) {
 
 void ArbiterCore::applyRecoveryReport(sim::Time now, std::uint32_t app,
                                       const mpi::Info& payload, Commands& out) {
-  const std::string claim = *payload.get(msg::kSessionState);
+  const std::string_view claim = *payload.find(msg::kSessionState);
   const auto it = apps_.find(app);
   if (claim == "idle") {
     // The phase the restored record holds open already closed at the

@@ -20,6 +20,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include "mpi/info.hpp"
@@ -62,23 +64,37 @@ class EventLog {
 /// Deterministic multi-log merge: ascending emission time; ties break by
 /// position in `logs`, then by per-log arrival order. Each log must already
 /// be time-ordered (true for any log filled by one engine's sessions —
-/// engine clocks never run backwards).
+/// engine clocks never run backwards). Takes the logs by value so a caller
+/// done with them (`EventLog::release()`) hands the month over without a
+/// copy.
 [[nodiscard]] inline std::vector<CapturedEvent> mergeEventLogs(
-    const std::vector<const EventLog*>& logs) {
-  std::vector<CapturedEvent> merged;
+    std::vector<std::vector<CapturedEvent>> logs) {
   std::size_t total = 0;
-  for (const EventLog* log : logs) {
-    total += log->size();
+  for (const auto& log : logs) {
+    total += log.size();
   }
+  std::vector<CapturedEvent> merged;
   merged.reserve(total);
-  for (const EventLog* log : logs) {
-    merged.insert(merged.end(), log->events().begin(), log->events().end());
+  for (auto& log : logs) {
+    merged.insert(merged.end(), std::make_move_iterator(log.begin()),
+                  std::make_move_iterator(log.end()));
   }
   std::stable_sort(merged.begin(), merged.end(),
                    [](const CapturedEvent& a, const CapturedEvent& b) {
                      return a.time < b.time;
                    });
   return merged;
+}
+
+/// The same merge over logs that stay in use: copies every event.
+[[nodiscard]] inline std::vector<CapturedEvent> mergeEventLogs(
+    const std::vector<const EventLog*>& logs) {
+  std::vector<std::vector<CapturedEvent>> copies;
+  copies.reserve(logs.size());
+  for (const EventLog* log : logs) {
+    copies.push_back(log->events());
+  }
+  return mergeEventLogs(std::move(copies));
 }
 
 }  // namespace calciom::core

@@ -18,7 +18,7 @@ mpi::Info IoDescriptor::toInfo() const {
 IoDescriptor IoDescriptor::fromInfo(const mpi::Info& info) {
   IoDescriptor d;
   d.appId = static_cast<std::uint32_t>(info.getIntOr(kAppId, 0));
-  d.appName = info.get(kAppName).value_or("");
+  d.appName = info.find(kAppName).value_or("");
   d.cores = static_cast<int>(info.getIntOr(kCores, 1));
   d.totalBytes = static_cast<std::uint64_t>(info.getIntOr(kTotalBytes, 0));
   d.files = static_cast<int>(info.getIntOr(kFiles, 1));

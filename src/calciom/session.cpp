@@ -174,7 +174,7 @@ void Session::onMessage(std::uint32_t /*from*/, mpi::Info payload) {
   if (killed_) {
     return;  // a closed port should make this unreachable, but be explicit
   }
-  const auto type = payload.get(msg::kType);
+  const auto type = payload.find(msg::kType);
   CALCIOM_EXPECTS(type.has_value());
   // Command admission filters, all opt-in by key presence (legacy arbiters
   // send none of these keys and every filter passes).

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "calciom/arbiter.hpp"
+#include "calciom/capture.hpp"
 #include "calciom/policy.hpp"
 #include "calciom/session.hpp"
 #include "mpi/port.hpp"
@@ -193,6 +197,84 @@ TEST(SessionTest, InformCountsAndConfigAccessors) {
   rig.eng.spawn(informAndWait(rig.eng, s, simplePhase(7, 5.0), &granted));
   rig.eng.run();
   EXPECT_EQ(s.informsSent(), 1);
+}
+
+using Wire = std::vector<std::pair<std::string, std::string>>;
+
+Wire wireOf(const calciom::mpi::Info& payload) {
+  Wire out;
+  for (const std::string& key : payload.keys()) {
+    out.emplace_back(key, *payload.get(key));
+  }
+  return out;
+}
+
+// The exact bytes a Session puts on the wire. Decisions, captures and
+// every pinned fingerprint are computed from these strings, so any change
+// here (a key, the order, the six-decimal rendering of doubles) is a
+// deliberate wire-format change, not a refactoring.
+TEST(SessionWireTest, InformReleasePauseAckPayloadsAreGolden) {
+  Rig rig(PolicyKind::Interrupt);
+  calciom::core::EventLog log;
+  Session a(rig.eng, rig.ports,
+            SessionConfig{.appId = 1, .appName = "golden", .cores = 8,
+                          .incarnation = 3});
+  Session b(rig.eng, rig.ports, SessionConfig{.appId = 2, .cores = 4});
+  a.captureTo(&log);
+  const PhaseInfo phase{.appId = 1,
+                        .processes = 8,
+                        .totalBytes = 3000,
+                        .files = 2,
+                        .roundsPerFile = 3,
+                        .bytesPerRound = 500,
+                        .estimatedAloneSeconds = 1.0 / 3.0};
+  rig.eng.spawn([](Engine& eng, Session& s, PhaseInfo info) -> Task {
+    co_await eng.spawn(s.beginPhase(info));
+    co_await eng.spawn(s.roundBoundary(1.0 / 3.0));  // Release
+    co_await Delay{1.0};                             // b interrupts meanwhile
+    co_await eng.spawn(s.roundBoundary(2.0 / 3.0));  // PauseAck, then paused
+    co_await eng.spawn(s.endPhase());
+  }(rig.eng, a, phase));
+  rig.eng.spawn([](Engine& eng, Session& s) -> Task {
+    co_await Delay{0.5};
+    co_await eng.spawn(s.beginPhase(simplePhase(2, 0.1)));
+    co_await Delay{0.1};
+    co_await eng.spawn(s.endPhase());
+  }(rig.eng, b));
+  rig.eng.run();
+
+  const auto& events = log.events();
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(wireOf(events[0].payload),
+            (Wire{{"calciom.app_id", "1"},
+                  {"calciom.app_name", "golden"},
+                  {"calciom.bytes_per_round", "500"},
+                  {"calciom.cores", "8"},
+                  {"calciom.epoch", "1"},
+                  {"calciom.est_alone_seconds", "0.333333"},
+                  {"calciom.files", "2"},
+                  {"calciom.incarnation", "3"},
+                  {"calciom.rounds_per_file", "3"},
+                  {"calciom.seq", "1"},
+                  {"calciom.total_bytes", "3000"},
+                  {"calciom.type", "inform"}}));
+  EXPECT_EQ(wireOf(events[1].payload),
+            (Wire{{"calciom.epoch", "1"},
+                  {"calciom.incarnation", "3"},
+                  {"calciom.progress", "0.333333"},
+                  {"calciom.seq", "2"},
+                  {"calciom.type", "release"}}));
+  EXPECT_EQ(wireOf(events[2].payload),
+            (Wire{{"calciom.epoch", "1"},
+                  {"calciom.incarnation", "3"},
+                  {"calciom.progress", "0.666667"},
+                  {"calciom.seq", "3"},
+                  {"calciom.type", "pause_ack"}}));
+  EXPECT_EQ(wireOf(events[3].payload),
+            (Wire{{"calciom.epoch", "1"},
+                  {"calciom.incarnation", "3"},
+                  {"calciom.seq", "4"},
+                  {"calciom.type", "complete"}}));
 }
 
 TEST(SessionTest, InvalidCoreCountThrows) {
