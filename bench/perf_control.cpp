@@ -1,9 +1,8 @@
-// Control-loop characterization of the barrier sampler (ROADMAP: close the
-// feedback loop online) — the "Bode plot" of sync-horizon sampling plus the
-// closed-loop auto-tuner, on the cluster transport of the full-slice replay
-// harness (analysis/replay.hpp).
+// Sampling-cost characterization of the barrier sampler — the "Bode plot"
+// of sync-horizon sampling, on the cluster transport of the full-slice
+// replay harness (analysis/replay.hpp).
 //
-// Tiers, all JSON on stdout (committed baseline: BENCH_control.json):
+// One tier, JSON on stdout (committed baseline: BENCH_control.json):
 //
 //  * horizon_sweep — an Intrepid trace slice replayed through the
 //    GlobalArbiter at a ladder of syncHorizonSeconds values (FCFS, so the
@@ -17,20 +16,13 @@
 //    gates: drift grows monotonically and ~linearly with the horizon
 //    (ratio within a 4x band of the horizon ratio) while the barrier cost
 //    does NOT — it *falls* as the horizon grows (horizon_steps strictly
-//    shrinking, >= 2x across the sweep). That asymmetry is the whole case
-//    for tuning the horizon online.
+//    shrinking, >= 2x across the sweep). The horizon is therefore a plain
+//    accuracy-for-cost knob, picked per campaign.
 //
-//  * tuner — the same slice with calciom::HorizonTuner closing the loop
-//    over the arbiter's sampling gate (grid pinned tight; the tuner
-//    stretches the *sampling* horizon when decisions go quiet and snaps
-//    back on churn). Gates: the controller actually engages (deferrals and
-//    controller steps observed) and the run is bit-identical at 1/2/8
-//    workers — every tuner input is barrier-time simulated state
-//    (determinism rule 7, src/sim/README.md).
-//
-// `--smoke` runs a 3-point mini-sweep and the tuner at 1/2 workers on a
-// shorter slice; same gates, CI-sized (wired into build-test, sanitizer and
-// CALCIOM_SHARD_CHECKS legs of .github/workflows/ci.yml).
+// `--smoke` runs a 3-point mini-sweep on a shorter slice; same gates,
+// CI-sized (wired into build-test, sanitizer and CALCIOM_SHARD_CHECKS legs
+// of .github/workflows/ci.yml, where the sweep drives the arbiter vote
+// under the rule 7 purity probe).
 
 #include <chrono>
 #include <cstdint>
@@ -41,12 +33,10 @@
 
 #include "analysis/replay.hpp"
 #include "bench/bench_util.hpp"
-#include "calciom/horizon_tuner.hpp"
 #include "calciom/policy.hpp"
 
 namespace {
 
-using calciom::HorizonTunerConfig;
 using calciom::core::PolicyKind;
 using namespace calciom::analysis::replay;
 
@@ -73,9 +63,7 @@ class Fingerprint {
 };
 
 /// Everything deterministic about a control-loop replay: the decision
-/// stream, grant schedule and divergence JSON (as perf_replay folds them)
-/// plus the tuner/gate telemetry — a horizon adjustment that moved at any
-/// worker count but not another must flip this value.
+/// stream, grant schedule and divergence JSON (as perf_replay folds them).
 std::uint64_t controlFingerprint(const ReplayResult& r) {
   Fingerprint fp;
   fp.fold(r.jobs);
@@ -95,26 +83,7 @@ std::uint64_t controlFingerprint(const ReplayResult& r) {
     fp.fold(g.resume ? 1u : 0u);
   }
   fp.foldString(toJson(r.divergence));
-  fp.foldBits(r.tunerHorizonSeconds);
-  fp.fold(r.tunerShrinks);
-  fp.fold(r.tunerGrows);
-  fp.fold(r.mergeDeferrals);
   return fp.value();
-}
-
-struct TimedReplay {
-  ReplayResult result;
-  double wallSeconds = 0.0;
-};
-
-template <class Fn>
-TimedReplay timed(Fn&& run) {
-  const auto t0 = std::chrono::steady_clock::now();
-  TimedReplay out;
-  out.result = run();
-  const auto t1 = std::chrono::steady_clock::now();
-  out.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
-  return out;
 }
 
 ReplayConfig sliceConfig(double horizonSeconds, double sliceDays) {
@@ -142,9 +111,9 @@ struct SweepPoint {
 };
 
 SweepPoint sweepAt(double horizon, double sliceDays) {
-  const TimedReplay t =
-      timed([&] { return replayCluster(sliceConfig(horizon, sliceDays)); });
-  const ReplayResult& r = t.result;
+  const auto t0 = std::chrono::steady_clock::now();
+  const ReplayResult r = replayCluster(sliceConfig(horizon, sliceDays));
+  const auto t1 = std::chrono::steady_clock::now();
   SweepPoint p;
   p.horizon = horizon;
   p.matchedGrants = r.divergence.matchedGrants;
@@ -158,7 +127,7 @@ SweepPoint sweepAt(double horizon, double sliceDays) {
   p.syncRounds = r.syncRounds;
   p.horizonSteps = r.horizonSteps;
   p.fingerprint = controlFingerprint(r);
-  p.wallSeconds = t.wallSeconds;
+  p.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
   p.engineCpuSeconds = r.engineCpuSeconds;
   return p;
 }
@@ -174,30 +143,9 @@ void printPoint(const SweepPoint& p, bool last) {
       p.horizon, p.meanDriftSeconds, p.maxDriftSeconds,
       p.horizon > 0.0 ? p.meanDriftSeconds / p.horizon : 0.0,
       p.cpuSecondsWaitedDelta, static_cast<unsigned long long>(p.syncRounds),
-      static_cast<unsigned long long>(p.horizonSteps), p.matchedGrants, p.unmatchedGrants, p.wallSeconds, p.engineCpuSeconds,
+      static_cast<unsigned long long>(p.horizonSteps), p.matchedGrants,
+      p.unmatchedGrants, p.wallSeconds, p.engineCpuSeconds,
       static_cast<unsigned long long>(p.fingerprint), last ? "" : ",");
-}
-
-void printTunerRun(const TimedReplay& t, unsigned workers, bool last) {
-  const ReplayResult& r = t.result;
-  std::printf(
-      "    {\"workers\": %u, \"decisions\": %zu, \"grants\": %zu, "
-      "\"sync_rounds\": %llu, \"merge_deferrals\": %llu, "
-      "\"tuner_horizon_s\": %g, \"tuner_shrinks\": %llu, "
-      "\"tuner_grows\": %llu, \"mean_drift_s\": %.6f, \"wall_s\": %.6f, "
-      "\"fingerprint\": \"%016llx\"}%s\n",
-      workers, r.decisions.size(), r.grants.size(),
-      static_cast<unsigned long long>(r.syncRounds),
-      static_cast<unsigned long long>(r.mergeDeferrals),
-      r.tunerHorizonSeconds,
-      static_cast<unsigned long long>(r.tunerShrinks),
-      static_cast<unsigned long long>(r.tunerGrows),
-      r.divergence.matchedGrants > 0
-          ? r.divergence.grantTimeL1DriftSeconds /
-                static_cast<double>(r.divergence.matchedGrants)
-          : 0.0,
-      t.wallSeconds, static_cast<unsigned long long>(controlFingerprint(r)),
-      last ? "" : ",");
 }
 
 /// The shape gates. Drift must grow monotonically and ~linearly with the
@@ -259,52 +207,6 @@ bool checkSweepShape(const std::vector<SweepPoint>& pts) {
   return ok;
 }
 
-ReplayConfig tunerConfig(double sliceDays) {
-  // Tight grid so the tuner has headroom: it inherits the 5 s grid as its
-  // floor and may stretch the arbiter's *sampling* horizon up to 80 s
-  // during quiet stretches, snapping back when decisions churn.
-  ReplayConfig cfg = sliceConfig(5.0, sliceDays);
-  HorizonTunerConfig t;
-  t.maxHorizonSeconds = 80.0;
-  cfg.tuner = t;
-  return cfg;
-}
-
-/// Tuner tier: the loop must actually close (deferrals + controller steps
-/// observed) and be bit-identical across worker counts.
-bool checkTunerRuns(const std::vector<TimedReplay>& runs,
-                    const std::vector<unsigned>& workers) {
-  bool ok = true;
-  const std::uint64_t f0 = controlFingerprint(runs.front().result);
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    if (controlFingerprint(runs[i].result) != f0) {
-      std::fprintf(stderr,
-                   "tuner: fingerprint diverged at %u workers "
-                   "(determinism rule 7 violation)\n",
-                   workers[i]);
-      ok = false;
-    }
-  }
-  const ReplayResult& r = runs.front().result;
-  if (r.mergeDeferrals == 0 || r.tunerGrows + r.tunerShrinks == 0) {
-    std::fprintf(stderr,
-                 "tuner: loop never engaged (deferrals %llu, steps %llu)\n",
-                 static_cast<unsigned long long>(r.mergeDeferrals),
-                 static_cast<unsigned long long>(r.tunerGrows +
-                                                 r.tunerShrinks));
-    ok = false;
-  }
-  std::fprintf(stderr,
-               "tuner: fingerprint %016llx at %zu worker counts, deferrals "
-               "%llu, shrinks %llu, grows %llu, final horizon %g s -> %s\n",
-               static_cast<unsigned long long>(f0), runs.size(),
-               static_cast<unsigned long long>(r.mergeDeferrals),
-               static_cast<unsigned long long>(r.tunerShrinks),
-               static_cast<unsigned long long>(r.tunerGrows),
-               r.tunerHorizonSeconds, ok ? "OK" : "BROKEN");
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -315,8 +217,8 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke]\n"
-                   "  --smoke  3-point mini-sweep + tuner at 1/2 workers;\n"
-                   "           exit 1 on a shape or determinism violation\n",
+                   "  --smoke  3-point mini-sweep on a 2-day slice;\n"
+                   "           exit 1 on a shape violation\n",
                    argv[0]);
       return 2;
     }
@@ -336,21 +238,6 @@ int main(int argc, char** argv) {
     pts.push_back(sweepAt(h, sliceDays));
     printPoint(pts.back(), &h == &horizons.back());
   }
-  std::printf("  ],\n");
-  const bool sweepOk = checkSweepShape(pts);
-
-  const std::vector<unsigned> workers =
-      smoke ? std::vector<unsigned>{1, 2} : std::vector<unsigned>{1, 2, 8};
-  std::printf("  \"tuner\": [\n");
-  std::vector<TimedReplay> runs;
-  for (const unsigned& w : workers) {
-    ReplayConfig cfg = tunerConfig(sliceDays);
-    cfg.workers = w;
-    runs.push_back(timed([&] { return replayCluster(cfg); }));
-    printTunerRun(runs.back(), w, &w == &workers.back());
-  }
   std::printf("  ]\n}\n");
-  const bool tunerOk = checkTunerRuns(runs, workers);
-
-  return sweepOk && tunerOk ? 0 : 1;
+  return checkSweepShape(pts) ? 0 : 1;
 }

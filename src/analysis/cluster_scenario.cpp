@@ -36,13 +36,6 @@ ClusterRunResult runCluster(const ClusterScenarioConfig& cfg) {
     arbiter = &calciom::GlobalArbiter::install(
         cluster, core::makePolicy(cfg.policy, metric, cfg.dynamicOptions));
   }
-  calciom::HorizonTuner* tuner = nullptr;
-  if (cfg.tuner.has_value() && arbiter != nullptr) {
-    // After the arbiter: the tuner observes the merge the same barrier
-    // just performed and adjusts the sampling horizon before the next
-    // round's votes are collected.
-    tuner = &calciom::HorizonTuner::install(cluster, *arbiter, *cfg.tuner);
-  }
 
   std::vector<std::unique_ptr<core::Session>> sessions;
   std::vector<std::unique_ptr<workload::IorApp>> apps;
@@ -104,12 +97,6 @@ ClusterRunResult runCluster(const ClusterScenarioConfig& cfg) {
     out.pausesIssued = arbiter->pausesIssued();
     out.grantLog = arbiter->core().grantLog();
     out.cpuSecondsWaited = arbiter->core().cpuSecondsWaited();
-    out.mergeDeferrals = arbiter->mergeDeferrals();
-  }
-  if (tuner != nullptr) {
-    out.tunerHorizonSeconds = tuner->horizonSeconds();
-    out.tunerShrinks = tuner->shrinks();
-    out.tunerGrows = tuner->grows();
   }
   out.storage = storage.stats();
   out.requestLog = storage.requestLog();

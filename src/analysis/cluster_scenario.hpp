@@ -17,7 +17,6 @@
 #include <optional>
 #include <vector>
 
-#include "calciom/horizon_tuner.hpp"
 #include "calciom/metrics.hpp"
 #include "calciom/policy.hpp"
 #include "calciom/session.hpp"
@@ -58,11 +57,6 @@ struct ClusterScenarioConfig {
   /// traffic — the machine-wide "interfering" baseline.
   bool coordinated = true;
   unsigned workers = 1;
-  /// Online sync-horizon auto-tuner (calciom::HorizonTuner), installed
-  /// after the arbiter when set. nullopt keeps the fixed sampling cadence
-  /// at syncHorizonSeconds — the pre-tuner behavior, bit-identical to
-  /// earlier releases. Ignored when `coordinated` is false.
-  std::optional<HorizonTunerConfig> tuner;
 
   // ---- Custom drives (analysis/replay.hpp) -------------------------------
   // runCluster is the one machine-wide campaign runner; drives that are not
@@ -109,13 +103,6 @@ struct ClusterRunResult {
   /// horizon-sweep bench (bench/perf_control.cpp) gates on this falling
   /// while drift grows.
   std::uint64_t horizonSteps = 0;
-  /// Auto-tuner telemetry (zero / 0.0 when ClusterScenarioConfig::tuner is
-  /// unset): final sampling horizon, controller step counts, and how many
-  /// barriers the arbiter's gate deferred.
-  double tunerHorizonSeconds = 0.0;
-  std::uint64_t tunerShrinks = 0;
-  std::uint64_t tunerGrows = 0;
-  std::uint64_t mergeDeferrals = 0;
   /// Real CPU seconds spent inside shard event loops, summed over shards
   /// (ClusterStats::cpuSeconds — NOT simulated time, and not the campaign's
   /// elapsed time either; bench tiers report it next to their external

@@ -440,7 +440,6 @@ ReplayResult replayCluster(const ReplayConfig& cfg) {
   ccfg.dynamicOptions = cfg.dynamicOptions;
   ccfg.granularity = cfg.granularity;
   ccfg.workers = cfg.workers;
-  ccfg.tuner = cfg.tuner;
   ccfg.barrierHooks = {&feeder};
   ccfg.prepare = [&feeder](platform::Cluster& cluster, GlobalArbiter*) {
     feeder.attach(cluster);
@@ -459,10 +458,6 @@ ReplayResult replayCluster(const ReplayConfig& cfg) {
   out.syncRounds = run.syncRounds;
   out.horizonSteps = run.horizonSteps;
   out.engineCpuSeconds = run.engineCpuSeconds;
-  out.tunerHorizonSeconds = run.tunerHorizonSeconds;
-  out.tunerShrinks = run.tunerShrinks;
-  out.tunerGrows = run.tunerGrows;
-  out.mergeDeferrals = run.mergeDeferrals;
   for (std::uint64_t e : run.shardEvents) {
     out.engineEvents += e;
   }

@@ -45,13 +45,11 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "calciom/arbiter_core.hpp"
 #include "calciom/capture.hpp"
-#include "calciom/horizon_tuner.hpp"
 #include "calciom/policy.hpp"
 #include "calciom/session.hpp"
 #include "sim/time.hpp"
@@ -92,10 +90,6 @@ struct ReplayConfig {
   std::size_t computeShards = 4;
   sim::Time syncHorizonSeconds = 30.0;
   unsigned workers = 1;
-  /// Cluster path: online sync-horizon auto-tuner (calciom::HorizonTuner).
-  /// nullopt keeps the fixed sampling cadence at syncHorizonSeconds —
-  /// the pre-tuner behavior, bit-identical to earlier releases.
-  std::optional<HorizonTunerConfig> tuner;
 };
 
 /// What the bare-core oracle produced from a captured stream.
@@ -136,10 +130,10 @@ struct DivergenceReport {
   /// first min(oracleCount, onlineCount) grants pair up as `matchedGrants`
   /// and the per-app surplus |oracleCount − onlineCount| lands here —
   /// including the whole count of an app that appears in only one stream
-  /// (possible once the tuner shifts grant timing across a degradation
-  /// window). Unmatched grants contribute *nothing* to the drift or
-  /// kind-mismatch metrics below, which are computed over matched pairs
-  /// only; they do make exactlyZero() false.
+  /// (possible once the sync horizon shifts grant timing across a
+  /// degradation window). Unmatched grants contribute *nothing* to the
+  /// drift or kind-mismatch metrics below, which are computed over matched
+  /// pairs only; they do make exactlyZero() false.
   std::size_t unmatchedGrants = 0;
   /// Matched slots where one side granted and the other resumed.
   std::size_t grantKindMismatches = 0;
@@ -189,11 +183,6 @@ struct ReplayResult {
   double sessionWaitSeconds = 0.0;
   double sessionPausedSeconds = 0.0;
   std::uint64_t pausesHonored = 0;
-  /// Cluster path, tuner telemetry (zero when ReplayConfig::tuner unset).
-  double tunerHorizonSeconds = 0.0;
-  std::uint64_t tunerShrinks = 0;
-  std::uint64_t tunerGrows = 0;
-  std::uint64_t mergeDeferrals = 0;
 };
 
 /// Feeds `events` (already merged/ordered) into a bare ArbiterCore built

@@ -261,7 +261,7 @@ void ArbiterCore::onComplete(sim::Time now, std::uint32_t app, Commands& out) {
   const bool wasPauseRequested = rec.state == AppState::PauseRequested;
   rec.state = AppState::Idle;
   rec.progress = 1.0;
-  detachAccessor(now, app);
+  detachAccessor(app);
   removeFrom(waitQueue_, app);
   removeFrom(pausedStack_, app);
 
@@ -312,7 +312,7 @@ void ArbiterCore::applyPauseAck(sim::Time now, std::uint32_t app,
   CALCIOM_EXPECTS(rec.state == AppState::PauseRequested);
   rec.state = AppState::Paused;
   rec.pausedAt = now;
-  detachAccessor(now, app);
+  detachAccessor(app);
   pausedStack_.push_back(app);
   if (pendingInterrupter_) {
     CALCIOM_ENSURES(pendingAcks_ > 0);
@@ -396,7 +396,7 @@ void ArbiterCore::onHeartbeat(sim::Time now, std::uint32_t app,
         removeFrom(waitQueue_, app);
         rec.state = AppState::Accessing;
         rec.grantTime = now;
-        attachAccessor(now, app);
+        attachAccessor(app);
         ++grants_;
         grantLog_.push_back(GrantRecord{now, app, /*resume=*/false});
         ++reinstated_;
@@ -509,7 +509,7 @@ void ArbiterCore::grant(sim::Time now, std::uint32_t app, Commands& out) {
   AppRecord& rec = apps_.at(app);
   rec.state = AppState::Accessing;
   rec.grantTime = now;
-  attachAccessor(now, app);
+  attachAccessor(app);
   ++grants_;
   grantLog_.push_back(GrantRecord{now, app, /*resume=*/false});
   cpuSecondsWaited_ +=
@@ -558,7 +558,7 @@ void ArbiterCore::admitNext(sim::Time now, Commands& out) {
     AppRecord& rec = apps_.at(app);
     rec.state = AppState::Accessing;
     rec.grantTime = now;
-    attachAccessor(now, app);
+    attachAccessor(app);
     grantLog_.push_back(GrantRecord{now, app, /*resume=*/true});
     cpuSecondsWaited_ +=
         (now - rec.pausedAt) * static_cast<double>(rec.desc.cores);
@@ -577,19 +577,14 @@ void ArbiterCore::removeFrom(std::vector<std::uint32_t>& v,
   v.erase(std::remove(v.begin(), v.end(), app), v.end());
 }
 
-void ArbiterCore::attachAccessor(sim::Time now, std::uint32_t app) {
+void ArbiterCore::attachAccessor(std::uint32_t app) {
+  CALCIOM_EXPECTS(apps_.contains(app));
   accessors_.push_back(app);
   maxAccessors_ = std::max(maxAccessors_, accessors_.size());
-  policy_->onAccessBegin(now, app, apps_.at(app).desc);
 }
 
-void ArbiterCore::detachAccessor(sim::Time now, std::uint32_t app) {
-  const bool present =
-      std::find(accessors_.begin(), accessors_.end(), app) != accessors_.end();
+void ArbiterCore::detachAccessor(std::uint32_t app) {
   removeFrom(accessors_, app);
-  if (present) {
-    policy_->onAccessEnd(now, app);
-  }
 }
 
 void ArbiterCore::applyRecoveryReport(sim::Time now, std::uint32_t app,
@@ -631,7 +626,7 @@ void ArbiterCore::applyRecoveryReport(sim::Time now, std::uint32_t app,
     rec.pausedAt = now;
   }
   // Detach from every container, then re-attach per the claim.
-  detachAccessor(now, app);
+  detachAccessor(app);
   removeFrom(waitQueue_, app);
   removeFrom(pausedStack_, app);
   if (claim == "accessing") {
@@ -648,7 +643,7 @@ void ArbiterCore::applyRecoveryReport(sim::Time now, std::uint32_t app,
       ++reinstated_;
     }
     rec.state = AppState::Accessing;
-    attachAccessor(now, app);
+    attachAccessor(app);
   } else if (claim == "paused") {
     if (prior != AppState::Paused) {
       rec.pausedAt = now;  // the real pause settled inside the lost tail
@@ -662,7 +657,7 @@ void ArbiterCore::applyRecoveryReport(sim::Time now, std::uint32_t app,
       // the crash: reconcile toward the arbiter's grant, as the heartbeat
       // repair path does.
       rec.state = AppState::Accessing;
-      attachAccessor(now, app);
+      attachAccessor(app);
       emit(now, app, CommandType::Grant, out);
     } else {
       rec.state = AppState::Waiting;

@@ -437,11 +437,10 @@ class ArbiterCore {
   void admitNext(sim::Time now, Commands& out);
   void removeFrom(std::vector<std::uint32_t>& v, std::uint32_t app);
   /// Single points through which an application enters/leaves the accessor
-  /// set: they keep `accessors_`/`maxAccessors_` and the policy's access
-  /// observation hooks (Policy::onAccessBegin/onAccessEnd) in lockstep, so
-  /// feedback policies integrate exactly the service the core granted.
-  void attachAccessor(sim::Time now, std::uint32_t app);
-  void detachAccessor(sim::Time now, std::uint32_t app);
+  /// set (attach also tracks `maxAccessors_`); anything that must observe
+  /// accessor-set transitions hooks in here.
+  void attachAccessor(std::uint32_t app);
+  void detachAccessor(std::uint32_t app);
   void auditInvariants() const;
   /// Applies one session recovery report (a re-Inform carrying
   /// msg::kSessionState, arriving inside the reconciliation window): the

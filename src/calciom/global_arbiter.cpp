@@ -98,11 +98,8 @@ void GlobalArbiter::markDead(std::uint32_t app) {
 }
 
 void GlobalArbiter::evictDead() {
-  if (config_.deadRetentionRounds == 0) {
-    return;  // never evict: the pre-bounding behavior
-  }
   while (!deadQueue_.empty() &&
-         deadQueue_.front().first + config_.deadRetentionRounds < rounds_) {
+         deadQueue_.front().first + kDeadRetentionRounds < rounds_) {
     const auto [round, app] = deadQueue_.front();
     deadQueue_.pop_front();
     const auto it = dead_.find(app);
@@ -114,70 +111,10 @@ void GlobalArbiter::evictDead() {
   }
 }
 
-bool GlobalArbiter::gateTransparent() const noexcept {
-  // Exactly the conditions under which nextBarrierNeededBy votes `now` for
-  // per-round side effects: while any of them holds, a deferred merge
-  // could change crash/recovery, dead-id, lease, checkpoint or injector
-  // behavior. Standing aside keeps every such configuration bit-identical
-  // to the ungated arbiter.
-  return down_ || core_.recovering() || !pendingSchedulerEvents_.empty() ||
-         !dead_.empty() || !deadQueue_.empty() || !injectors_.empty() ||
-         core_.leases().enabled() || config_.checkpointEverySeconds > 0.0;
-}
-
-bool GlobalArbiter::deferMerge(sim::Time barrierTime) const {
-  if (samplingHorizon_ <= 0.0 || gateTransparent()) {
-    return false;
-  }
-  if (barrierTime >= lastMergeAt_ + samplingHorizon_) {
-    return false;  // the sampling period elapsed: merge
-  }
-  // Inside the period: defer only when there is traffic to defer. Empty
-  // barriers pass through (and advance the anchor), so an idle system
-  // samples its first post-idle message at most one period late.
-  for (const auto& stub : stubs_) {
-    if (!stub->outboxEmpty()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool GlobalArbiter::armKeepalive() {
-  const sim::Time deadline = lastMergeAt_ + samplingHorizon_;
-  if (keepaliveAt_ == deadline) {
-    return false;  // already armed for this deadline
-  }
-  keepaliveAt_ = deadline;
-  // A no-op event on shard 0 at the merge deadline: it guarantees the
-  // cluster's round loop reaches a barrier at (or past) the deadline even
-  // when every shard queue drains first — without it, the drain loop's
-  // vote check would strand the deferred traffic in the stubs.
-  cluster_.engine(0).scheduleAt(deadline, [] {});
-  return true;
-}
-
-void GlobalArbiter::setSamplingHorizon(double seconds) {
-  CALCIOM_EXPECTS(seconds >= 0.0);
-  samplingHorizon_ = seconds;
-}
-
 bool GlobalArbiter::onBarrier(sim::Time barrierTime) {
   // The merge reads every shard's stub and schedules into foreign engines:
   // only legal when no shard loop runs (rule 4).
   sim::ShardAffinity::checkBarrierContext("calciom::GlobalArbiter::onBarrier");
-  if (deferMerge(barrierTime)) {
-    // Sampling gate: the stubs keep absorbing this round's traffic; it is
-    // merged — in unchanged (shard, seq) order — at the first barrier at
-    // or past the deadline. Deferred barriers do not count as rounds
-    // (round numbering stays "merges seen", which fault-injection draws
-    // hash — moot here, since injectors force the gate transparent).
-    ++mergeDeferrals_;
-    return armKeepalive();
-  }
-  if (samplingHorizon_ > 0.0) {
-    lastMergeAt_ = barrierTime;
-  }
   ++rounds_;
   evictDead();
   if (down_) {
@@ -274,18 +211,6 @@ sim::Time GlobalArbiter::nextBarrierNeededBy(sim::Time now) {
   }
   for (const auto& stub : stubs_) {
     if (!stub->outboxEmpty()) {
-      // Sampling gate armed for the current deadline: the deferred merge
-      // is the earliest observable work, so vote its exact deadline — a
-      // quiescent stretch can then never skip past it (the deadline
-      // barrier satisfies vote <= barrierTime and fires). Pure read of
-      // barrier-time state (rule 7): all three fields mutate only inside
-      // onBarrier. When the gate is off, or not yet armed for this
-      // deadline (the tuner moved the horizon since), fall back to the
-      // conservative `now` so the next barrier fires and re-arms.
-      if (samplingHorizon_ > 0.0 &&
-          keepaliveAt_ == lastMergeAt_ + samplingHorizon_) {
-        return keepaliveAt_;
-      }
       return now;
     }
   }
@@ -321,7 +246,6 @@ bool GlobalArbiter::deliverCommands(sim::Time barrierTime) {
       // the lost tail and the restored table predates it. Heal passively —
       // its next message (heartbeat, retry) refreshes the route and, while
       // the window is open, elicits a fresh Recover.
-      ++unroutableCommands_;
       continue;
     }
     if (shardGroups_[route->second].empty()) {

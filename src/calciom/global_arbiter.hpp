@@ -129,15 +129,6 @@ class GlobalArbiter final : public sim::BarrierHook {
     /// at least one round-trip (sync horizon + two cross-shard hops) so
     /// every surviving session can answer.
     double recoveryWindowSeconds = 1.0;
-    /// Rounds a terminated-and-never-relaunched id is remembered in the
-    /// dead-id discard set before eviction. Must comfortably exceed the
-    /// worst in-flight delay measured in rounds (a fault-delayed message
-    /// from a dead predecessor can only be discarded while the id is still
-    /// remembered); beyond that, the incarnation fence (msg::kIncarnation)
-    /// catches stamped stragglers on its own. 0 = never evict (the
-    /// pre-bounding behavior, whose retention grows with every distinct
-    /// terminated id over a month-long replay).
-    std::uint64_t deadRetentionRounds = 1024;
   };
 
   /// Creates the global arbiter over every shard of `cluster`: registers an
@@ -168,17 +159,6 @@ class GlobalArbiter final : public sim::BarrierHook {
   /// drain barriers that would merge nothing, keeping the exchange counter
   /// and every decision timestamp byte-identical to the fire-always
   /// cadence.
-  ///
-  /// With the adaptive sampling gate armed (setSamplingHorizon > 0 and a
-  /// keepalive standing at the current merge deadline), pending stub
-  /// traffic votes that deadline `lastMergeAt + samplingHorizon` instead
-  /// of `now`: the deferred merge is itself the earliest observable work,
-  /// and voting its exact deadline means a quiescent stretch can *never*
-  /// skip past a pending horizon-gated merge (the deadline barrier
-  /// satisfies vote <= barrierTime and fires; see
-  /// tests/cluster_horizon_test.cpp). Still a pure read of barrier-time
-  /// state — samplingHorizon_/lastMergeAt_/keepaliveAt_ only change inside
-  /// onBarrier — so the rule 7 purity probe holds.
   sim::Time nextBarrierNeededBy(sim::Time now) override;
 
   /// Job-scheduler integration: the termination is applied at the next
@@ -265,7 +245,15 @@ class GlobalArbiter final : public sim::BarrierHook {
     return store_;
   }
 
-  // ---- Dead-id set bounds (Config::deadRetentionRounds) -------------------
+  // ---- Dead-id set bounds (kDeadRetentionRounds) --------------------------
+
+  /// Rounds a terminated-and-never-relaunched id is remembered in the
+  /// dead-id discard set before eviction. Must comfortably exceed the worst
+  /// in-flight delay measured in rounds (a fault-delayed message from a
+  /// dead predecessor can only be discarded while the id is still
+  /// remembered); beyond that, the incarnation fence (msg::kIncarnation)
+  /// catches stamped stragglers on its own.
+  static constexpr std::uint64_t kDeadRetentionRounds = 1024;
 
   [[nodiscard]] std::size_t deadSetSize() const noexcept {
     return dead_.size();
@@ -276,33 +264,6 @@ class GlobalArbiter final : public sim::BarrierHook {
   [[nodiscard]] std::uint64_t deadEvicted() const noexcept {
     return deadEvicted_;
   }
-
-  // ---- Adaptive sampling (calciom::HorizonTuner) --------------------------
-
-  /// Sets the arbiter's *sampling* horizon: the minimum simulated time
-  /// between consecutive stub merges. 0 (the default) disables the gate
-  /// entirely — every code path is then bit-identical to the pre-tuner
-  /// arbiter. With h > 0, a barrier that arrives less than h after the
-  /// last merge defers the merge: the stubs keep absorbing traffic and a
-  /// keepalive no-op is scheduled into shard 0 at the merge deadline
-  /// `lastMergeAt + h`, so the cluster's drain loop always reaches a
-  /// barrier at which the merge happens (liveness). The gate is bypassed —
-  /// merge every barrier, exactly the legacy cadence — whenever any
-  /// feature with per-round side effects is active (crash/recovery,
-  /// scheduler events, dead-id bookkeeping, fault injection, leases,
-  /// checkpointing; see gateTransparent()). Callable only at barriers or
-  /// before the first run (the tuner adjusts it from its own onBarrier,
-  /// which is legal under rule 4).
-  void setSamplingHorizon(double seconds);
-  [[nodiscard]] double samplingHorizon() const noexcept {
-    return samplingHorizon_;
-  }
-  /// Barriers at which the gate deferred a pending merge.
-  [[nodiscard]] std::uint64_t mergeDeferrals() const noexcept {
-    return mergeDeferrals_;
-  }
-  /// Simulated time of the last non-deferred barrier (gate anchor).
-  [[nodiscard]] sim::Time lastMergeAt() const noexcept { return lastMergeAt_; }
 
  private:
   GlobalArbiter(platform::Cluster& cluster,
@@ -322,7 +283,7 @@ class GlobalArbiter final : public sim::BarrierHook {
   std::vector<SchedulerEvent> pendingSchedulerEvents_;
   /// Marks `app` dead as of the current round and tracks the peak.
   void markDead(std::uint32_t app);
-  /// Evicts dead-id entries older than Config::deadRetentionRounds. A
+  /// Evicts dead-id entries older than kDeadRetentionRounds. A
   /// fault-delayed message from a dead predecessor can only be discarded
   /// while the id is remembered (regression: "IdReuseRacesDelayed
   /// PredecessorInform" in tests/global_arbiter_test.cpp), so retention
@@ -337,21 +298,10 @@ class GlobalArbiter final : public sim::BarrierHook {
   bool deliverCommands(sim::Time barrierTime);
   /// Checkpoints core + routes + dead set when the interval elapsed.
   void maybeCheckpoint(sim::Time barrierTime);
-  /// True when the sampling gate must stand aside and merge every barrier:
-  /// exactly the conditions under which nextBarrierNeededBy votes `now`
-  /// for per-round side effects. Keeps every crash/chaos/lease/checkpoint
-  /// configuration bit-identical to the ungated arbiter.
-  [[nodiscard]] bool gateTransparent() const noexcept;
-  /// Gate decision for a barrier at `barrierTime`: true = defer the merge
-  /// (stubs hold their traffic; a keepalive is armed at the deadline).
-  [[nodiscard]] bool deferMerge(sim::Time barrierTime) const;
-  /// Schedules the keepalive no-op for the current merge deadline (once
-  /// per deadline). Returns whether an event was scheduled.
-  bool armKeepalive();
 
   /// Ids terminated and not since relaunched, with the round each was
   /// marked dead; their traffic is discarded while remembered. Bounded by
-  /// eviction (Config::deadRetentionRounds); `deadQueue_` keeps the
+  /// eviction (kDeadRetentionRounds); `deadQueue_` keeps the
   /// insertion order the evictor walks. An id re-terminated after a
   /// relaunch gets a fresh entry; stale queue entries (relaunched, or
   /// superseded by a newer round) are skipped at eviction time.
@@ -371,11 +321,6 @@ class GlobalArbiter final : public sim::BarrierHook {
   std::uint64_t exchanges_ = 0;
   std::uint64_t merged_ = 0;
   std::uint64_t rounds_ = 0;
-  // -- adaptive sampling gate (setSamplingHorizon / HorizonTuner) --
-  double samplingHorizon_ = 0.0;      ///< 0 = gate disabled (legacy cadence)
-  sim::Time lastMergeAt_ = 0.0;       ///< last non-deferred barrier
-  sim::Time keepaliveAt_ = sim::kNever;  ///< deadline the keepalive is armed at
-  std::uint64_t mergeDeferrals_ = 0;
   std::uint64_t blackoutDiscarded_ = 0;
   // -- crash-recovery state --
   Config config_;
@@ -388,9 +333,6 @@ class GlobalArbiter final : public sim::BarrierHook {
   std::map<std::uint32_t, std::size_t> ckptRoutes_;
   std::map<std::uint32_t, std::uint64_t> ckptDead_;
   std::deque<std::pair<std::uint64_t, std::uint32_t>> ckptDeadQueue_;
-  /// Commands whose target had no route after a restart (the route was
-  /// learned inside the lost tail); healed when the app next speaks.
-  std::uint64_t unroutableCommands_ = 0;
 };
 
 }  // namespace calciom

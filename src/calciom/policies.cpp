@@ -124,157 +124,6 @@ Action DynamicPolicy::decide(const PolicyContext& ctx) {
   return costs.front().action;
 }
 
-PiSharePolicy::PiSharePolicy(PiShareOptions options) : options_(options) {
-  CALCIOM_EXPECTS(options_.kp >= 0.0 && options_.ki >= 0.0);
-  CALCIOM_EXPECTS(options_.integralClamp >= 0.0);
-  CALCIOM_EXPECTS(options_.interruptThreshold > 0.0);
-}
-
-double PiSharePolicy::serviceAt(const AppSignal& s, sim::Time now) {
-  double total = s.serviceCoreSeconds;
-  if (s.activeCores > 0 && now > s.accessStart) {
-    total += (now - s.accessStart) * static_cast<double>(s.activeCores);
-  }
-  return total;
-}
-
-void PiSharePolicy::onAccessBegin(sim::Time now, std::uint32_t app,
-                                  const IoDescriptor& desc) {
-  AppSignal& s = signals_[app];
-  s.accessStart = now;
-  s.activeCores = desc.cores > 0 ? desc.cores : 1;
-}
-
-void PiSharePolicy::onAccessEnd(sim::Time now, std::uint32_t app) {
-  AppSignal& s = signals_[app];
-  if (s.activeCores > 0) {
-    s.serviceCoreSeconds += std::max(0.0, now - s.accessStart) *
-                            static_cast<double>(s.activeCores);
-    s.activeCores = 0;
-  }
-}
-
-double PiSharePolicy::integrator(std::uint32_t app) const {
-  const auto it = signals_.find(app);
-  return it == signals_.end() ? 0.0 : it->second.integral;
-}
-
-double PiSharePolicy::observedShare(std::uint32_t app, sim::Time now) const {
-  double total = 0.0;
-  double own = 0.0;
-  for (const auto& [id, s] : signals_) {
-    const double svc = serviceAt(s, now);
-    total += svc;
-    if (id == app) {
-      own = svc;
-    }
-  }
-  return total > 0.0 ? own / total : 0.0;
-}
-
-Action PiSharePolicy::decide(const PolicyContext& ctx) {
-  const std::uint32_t app = ctx.requester.appId;
-  AppSignal& s = signals_[app];  // first sight registers the participant
-  if (ctx.accessors.empty()) {
-    s.decided = false;  // uncontended grant; no error signal to integrate
-    return Action::Queue;
-  }
-  const double target = 1.0 / static_cast<double>(signals_.size());
-  const double e = target - observedShare(app, ctx.now);
-  const double dt =
-      s.decided ? std::max(0.0, ctx.now - s.lastDecisionAt) : 0.0;
-  s.lastDecisionAt = ctx.now;
-  s.decided = true;
-  // Anti-windup, twice over: (1) conditional integration — while the
-  // binary actuator is already saturated (u past the interrupt threshold)
-  // and the error would push it further, freeze the integrator; (2) a hard
-  // clamp bounds |I| regardless. Without this a long starvation burst
-  // winds I up unboundedly and the controller keeps interrupting long
-  // after the share recovered.
-  const double uBefore = options_.kp * e + s.integral;
-  const bool saturated = uBefore >= options_.interruptThreshold && e > 0.0;
-  if (!saturated) {
-    s.integral += options_.ki * e * dt;
-    s.integral = std::clamp(s.integral, -options_.integralClamp,
-                            options_.integralClamp);
-  }
-  const double u = options_.kp * e + s.integral;
-  return u >= options_.interruptThreshold ? Action::Interrupt : Action::Queue;
-}
-
-TokenBucketPolicy::TokenBucketPolicy(TokenBucketOptions options)
-    : options_(options) {
-  CALCIOM_EXPECTS(options_.refillPerSecond >= 0.0);
-  CALCIOM_EXPECTS(options_.burstSeconds > 0.0);
-}
-
-double TokenBucketPolicy::refillTo(const Bucket& b, sim::Time now,
-                                   const TokenBucketOptions& o) {
-  double t = b.tokens;
-  if (now > b.lastRefill) {
-    t = std::min(o.burstSeconds, t + (now - b.lastRefill) * o.refillPerSecond);
-  }
-  if (b.accessing && now > b.accessStart) {
-    t -= now - b.accessStart;  // charge the in-flight occupancy
-  }
-  return t;
-}
-
-TokenBucketPolicy::Bucket& TokenBucketPolicy::bucketFor(std::uint32_t app,
-                                                        sim::Time now) {
-  auto [it, inserted] = buckets_.try_emplace(app);
-  if (inserted) {
-    it->second.tokens = options_.burstSeconds;  // full burst on first sight
-    it->second.lastRefill = now;
-  }
-  return it->second;
-}
-
-void TokenBucketPolicy::onAccessBegin(sim::Time now, std::uint32_t app,
-                                      const IoDescriptor& /*desc*/) {
-  Bucket& b = bucketFor(app, now);
-  b.accessStart = now;
-  b.accessing = true;
-}
-
-void TokenBucketPolicy::onAccessEnd(sim::Time now, std::uint32_t app) {
-  Bucket& b = bucketFor(app, now);
-  b.tokens = std::min(options_.burstSeconds,
-                      b.tokens + (now - b.lastRefill) * options_.refillPerSecond);
-  b.lastRefill = now;
-  if (b.accessing) {
-    b.tokens -= std::max(0.0, now - b.accessStart);
-    b.accessing = false;
-  }
-}
-
-double TokenBucketPolicy::tokens(std::uint32_t app, sim::Time now) const {
-  const auto it = buckets_.find(app);
-  if (it == buckets_.end()) {
-    return options_.burstSeconds;
-  }
-  return refillTo(it->second, now, options_);
-}
-
-Action TokenBucketPolicy::decide(const PolicyContext& ctx) {
-  const Bucket& mine = bucketFor(ctx.requester.appId, ctx.now);
-  if (ctx.accessors.empty()) {
-    return Action::Queue;  // the arbiter grants immediately
-  }
-  if (refillTo(mine, ctx.now, options_) <= 0.0) {
-    return Action::Queue;  // over budget: wait out the refill
-  }
-  // Interrupt only when every current accessor has overdrawn its bucket;
-  // accessors still inside their budget are never disturbed.
-  for (const auto& a : ctx.accessors) {
-    const Bucket& b = bucketFor(a.desc.appId, ctx.now);
-    if (refillTo(b, ctx.now, options_) > 0.0) {
-      return Action::Queue;
-    }
-  }
-  return Action::Interrupt;
-}
-
 std::unique_ptr<Policy> makePolicy(
     PolicyKind kind, std::shared_ptr<const EfficiencyMetric> metric,
     DynamicOptions options) {
@@ -290,10 +139,6 @@ std::unique_ptr<Policy> makePolicy(
         metric = std::make_shared<CpuSecondsWasted>();
       }
       return std::make_unique<DynamicPolicy>(std::move(metric), options);
-    case PolicyKind::PiShare:
-      return std::make_unique<PiSharePolicy>();
-    case PolicyKind::TokenBucket:
-      return std::make_unique<TokenBucketPolicy>();
   }
   CALCIOM_ENSURES(false);
   return nullptr;

@@ -14,8 +14,6 @@
 /// machine-wide efficiency metric, computed from the exchanged descriptors
 /// (paper §IV-D).
 
-#include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,18 +64,6 @@ class Policy {
   virtual ~Policy() = default;
   [[nodiscard]] virtual Action decide(const PolicyContext& ctx) = 0;
   [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Observation hooks: the arbiter core reports every transition of an
-  /// application into and out of the accessor set (grant, resume after an
-  /// interruption, heartbeat/recovery reinstatement; completion, pause,
-  /// recovery detach). Feedback policies integrate observed service over
-  /// these edges. Both are driven exclusively by the core's message clock,
-  /// so replaying the same message stream into a fresh policy reproduces
-  /// the same internal state (the oracle in analysis/replay.cpp relies on
-  /// this). Default is a no-op: stateless policies ignore them.
-  virtual void onAccessBegin(sim::Time /*now*/, std::uint32_t /*app*/,
-                             const IoDescriptor& /*desc*/) {}
-  virtual void onAccessEnd(sim::Time /*now*/, std::uint32_t /*app*/) {}
 };
 
 /// Always lets applications interfere: the uncoordinated baseline.
@@ -160,111 +146,7 @@ class DynamicPolicy final : public Policy {
   DynamicOptions options_;
 };
 
-/// PI controller on per-app observed bandwidth share (control-theoretic
-/// arbitration; see src/calciom/README.md "Control loop"). The observed
-/// signal is each application's share of total PFS service core-seconds,
-/// accumulated through the access observation hooks; the setpoint is the
-/// fair share 1/n over the applications seen so far. A starved requester
-/// (observed share below setpoint) accumulates pressure u = kp*e + I; once
-/// u crosses `interruptThreshold` the actuator fires an Interrupt,
-/// otherwise the requester queues. The integrator uses conditional
-/// integration plus a hard clamp for anti-windup: while the binary
-/// actuator is saturated (u already past the threshold) positive error no
-/// longer integrates, so a long starvation burst cannot wind the state up
-/// beyond `integralClamp` and overshoot for many decisions afterwards.
-/// Exclusive by construction: never returns Interfere, so the arbiter's
-/// <=1-accessor safety invariant holds exactly as for Fcfs/Interrupt.
-struct PiShareOptions {
-  double kp = 4.0;               ///< proportional gain on share error
-  double ki = 1.0;               ///< integral gain per simulated second
-  double integralClamp = 2.0;    ///< |I| hard bound (anti-windup)
-  double interruptThreshold = 1.0;  ///< u above this fires an Interrupt
-};
-
-class PiSharePolicy final : public Policy {
- public:
-  using Options = PiShareOptions;
-
-  explicit PiSharePolicy(PiShareOptions options = PiShareOptions{});
-
-  [[nodiscard]] Action decide(const PolicyContext& ctx) override;
-  [[nodiscard]] std::string name() const override { return "pi-share"; }
-
-  void onAccessBegin(sim::Time now, std::uint32_t app,
-                     const IoDescriptor& desc) override;
-  void onAccessEnd(sim::Time now, std::uint32_t app) override;
-
-  /// Controller internals, exposed for the anti-windup unit tests.
-  [[nodiscard]] double integrator(std::uint32_t app) const;
-  [[nodiscard]] double observedShare(std::uint32_t app, sim::Time now) const;
-
- private:
-  struct AppSignal {
-    double serviceCoreSeconds = 0.0;  ///< completed access service
-    sim::Time accessStart = 0.0;      ///< start of the in-flight access
-    int activeCores = 0;              ///< >0 while accessing
-    double integral = 0.0;            ///< clamped PI integrator state
-    sim::Time lastDecisionAt = 0.0;   ///< previous decide() for this app
-    bool decided = false;             ///< lastDecisionAt is valid
-  };
-
-  /// Service accrued by `s` up to `now`, including the in-flight access.
-  [[nodiscard]] static double serviceAt(const AppSignal& s, sim::Time now);
-
-  // std::map: deterministic iteration order (rule 2 of src/sim/README.md).
-  std::map<std::uint32_t, AppSignal> signals_;
-  PiShareOptions options_;
-};
-
-/// Token-bucket throttling at the PFS. Every application owns a bucket of
-/// access-seconds refilled at `refillPerSecond` up to `burstSeconds`; an
-/// access drains it by the occupancy it observed (via the observation
-/// hooks). A requester whose own bucket is empty always queues; a
-/// requester with budget interrupts only when every current accessor has
-/// overdrawn its bucket — bursty hogs are paused in favour of apps still
-/// inside their budget, while compliant accessors are never disturbed.
-/// Exclusive by construction (never Interfere).
-struct TokenBucketOptions {
-  double refillPerSecond = 0.5;  ///< access-seconds granted per second
-  double burstSeconds = 2.0;     ///< bucket capacity (burst allowance)
-};
-
-class TokenBucketPolicy final : public Policy {
- public:
-  using Options = TokenBucketOptions;
-
-  explicit TokenBucketPolicy(TokenBucketOptions options = TokenBucketOptions{});
-
-  [[nodiscard]] Action decide(const PolicyContext& ctx) override;
-  [[nodiscard]] std::string name() const override { return "token-bucket"; }
-
-  void onAccessBegin(sim::Time now, std::uint32_t app,
-                     const IoDescriptor& desc) override;
-  void onAccessEnd(sim::Time now, std::uint32_t app) override;
-
-  /// Remaining budget of `app` at `now` (charging any in-flight access);
-  /// exposed for the policy unit tests.
-  [[nodiscard]] double tokens(std::uint32_t app, sim::Time now) const;
-
- private:
-  struct Bucket {
-    double tokens = 0.0;          ///< filled to burstSeconds on first sight
-    sim::Time lastRefill = 0.0;
-    sim::Time accessStart = 0.0;  ///< start of the in-flight access
-    bool accessing = false;
-  };
-
-  [[nodiscard]] Bucket& bucketFor(std::uint32_t app, sim::Time now);
-  [[nodiscard]] static double refillTo(const Bucket& b, sim::Time now,
-                                       const TokenBucketOptions& o);
-
-  // std::map: deterministic iteration order (rule 2 of src/sim/README.md).
-  std::map<std::uint32_t, Bucket> buckets_;
-  TokenBucketOptions options_;
-};
-
-enum class PolicyKind { Interfere, Fcfs, Interrupt, Dynamic, PiShare,
-                        TokenBucket };
+enum class PolicyKind { Interfere, Fcfs, Interrupt, Dynamic };
 
 [[nodiscard]] std::unique_ptr<Policy> makePolicy(
     PolicyKind kind,
@@ -281,10 +163,6 @@ enum class PolicyKind { Interfere, Fcfs, Interrupt, Dynamic, PiShare,
       return "interruption";
     case PolicyKind::Dynamic:
       return "calciom-dynamic";
-    case PolicyKind::PiShare:
-      return "pi-share";
-    case PolicyKind::TokenBucket:
-      return "token-bucket";
   }
   return "?";
 }

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <memory>
 
 #include "calciom/descriptor.hpp"
@@ -23,11 +22,8 @@ using calciom::core::InterferePolicy;
 using calciom::core::InterruptPolicy;
 using calciom::core::IoDescriptor;
 using calciom::core::makePolicy;
-using calciom::core::PiShareOptions;
-using calciom::core::PiSharePolicy;
 using calciom::core::PolicyContext;
 using calciom::core::PolicyKind;
-using calciom::core::TokenBucketPolicy;
 using calciom::core::SumInterferenceFactors;
 using calciom::core::SumIoTime;
 
@@ -219,139 +215,11 @@ TEST(DynamicPolicyTest, InterferenceOptionWinsWhenOverlapIsCheap) {
   EXPECT_TRUE(hasInterfere);
 }
 
-// ---------------------------------------------------------------------------
-// PI bandwidth-share policy: per-app share tracking and — the part a chaos
-// run cannot pin precisely — the two anti-windup mechanisms around the
-// binary actuator.
-
-IoDescriptor coresOnly(std::uint32_t appId, int cores) {
-  IoDescriptor d;
-  d.appId = appId;
-  d.cores = cores;
-  return d;
-}
-
-/// Requester `app` asking while `accessor` holds the resource at `now`.
-PolicyContext shareContext(std::uint32_t app, std::uint32_t accessor,
-                           double now) {
-  PolicyContext ctx;
-  ctx.requester = coresOnly(app, 64);
-  PolicyContext::AccessorView a;
-  a.desc = coresOnly(accessor, 64);
-  ctx.accessors.push_back(a);
-  ctx.now = now;
-  return ctx;
-}
-
-TEST(PiSharePolicyTest, ObservedShareCountsInFlightService) {
-  PiSharePolicy policy;
-  policy.onAccessBegin(0.0, 1, coresOnly(1, 64));
-  EXPECT_DOUBLE_EQ(policy.observedShare(1, 10.0), 1.0);  // sole consumer
-  policy.onAccessEnd(10.0, 1);
-  policy.onAccessBegin(10.0, 2, coresOnly(2, 64));
-  policy.onAccessEnd(20.0, 2);
-  // 640 core-seconds each: dead-even shares.
-  EXPECT_DOUBLE_EQ(policy.observedShare(1, 20.0), 0.5);
-  EXPECT_DOUBLE_EQ(policy.observedShare(2, 20.0), 0.5);
-}
-
-TEST(PiSharePolicyTest, StarvedRequesterInterruptsTheHog) {
-  PiSharePolicy policy;  // kp = 4: a zero-share app saturates on P alone
-  policy.onAccessBegin(0.0, 1, coresOnly(1, 64));
-  // App 2 has never been served: e = 1/2 - 0, u = 4 * 0.5 = 2 >= 1.
-  EXPECT_EQ(policy.decide(shareContext(2, 1, 10.0)), Action::Interrupt);
-}
-
-TEST(PiSharePolicyTest, ConditionalIntegrationFreezesWhileSaturated) {
-  // Anti-windup mechanism 1: once the actuator is saturated (u already
-  // past the interrupt threshold) a positive error must NOT keep feeding
-  // the integrator — a starvation burst would otherwise wind it up and
-  // keep the policy interrupting long after shares recover. Default kp=4
-  // saturates on the proportional term alone, so across an arbitrarily
-  // long burst the integrator never moves off zero.
-  PiSharePolicy policy;
-  policy.onAccessBegin(0.0, 1, coresOnly(1, 64));
-  for (double now = 10.0; now <= 100.0; now += 10.0) {
-    EXPECT_EQ(policy.decide(shareContext(2, 1, now)), Action::Interrupt);
-  }
-  EXPECT_DOUBLE_EQ(policy.integrator(2), 0.0);
-}
-
-TEST(PiSharePolicyTest, HardClampBoundsTheIntegrator) {
-  // Anti-windup mechanism 2: with a gain too small to saturate (kp = 0.5),
-  // the integrator does accumulate — but a 10-second error step that would
-  // integrate to 5.0 lands exactly on the clamp instead, and stays there
-  // once the now-saturated actuator freezes further integration.
-  PiShareOptions opts;
-  opts.kp = 0.5;
-  PiSharePolicy policy(opts);
-  policy.onAccessBegin(0.0, 1, coresOnly(1, 64));
-  // First decision: dt = 0, u = 0.25 — under the threshold.
-  EXPECT_EQ(policy.decide(shareContext(2, 1, 10.0)), Action::Queue);
-  // Second, 10 s later: I += ki * 0.5 * 10 = 5, clamped to 2.0.
-  EXPECT_EQ(policy.decide(shareContext(2, 1, 20.0)), Action::Interrupt);
-  EXPECT_DOUBLE_EQ(policy.integrator(2), opts.integralClamp);
-  // Saturated from here on: the integrator holds at the clamp.
-  EXPECT_EQ(policy.decide(shareContext(2, 1, 120.0)), Action::Interrupt);
-  EXPECT_DOUBLE_EQ(policy.integrator(2), opts.integralClamp);
-}
-
-TEST(PiSharePolicyTest, UncontendedRequestQueuesWithoutIntegrating) {
-  PiSharePolicy policy;
-  PolicyContext ctx;
-  ctx.requester = coresOnly(7, 64);
-  ctx.now = 5.0;  // no accessors: the arbiter grants immediately
-  EXPECT_EQ(policy.decide(ctx), Action::Queue);
-  EXPECT_DOUBLE_EQ(policy.integrator(7), 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Token-bucket policy: defaults refill 0.5 s/s of access against a 2 s
-// burst. decide() only interrupts when every accessor is overdrawn.
-
-TEST(TokenBucketPolicyTest, AccessorWithinBudgetIsNeverDisturbed) {
-  TokenBucketPolicy policy;
-  policy.onAccessBegin(0.0, 1, coresOnly(1, 64));
-  // 1 s in: app 1 still has budget (2.0 burst - 1.0 in-flight), so the
-  // fresh requester waits its turn.
-  EXPECT_EQ(policy.decide(shareContext(2, 1, 1.0)), Action::Queue);
-}
-
-TEST(TokenBucketPolicyTest, OverdrawnAccessorIsInterrupted) {
-  TokenBucketPolicy policy;
-  policy.onAccessBegin(0.0, 1, coresOnly(1, 64));
-  // 5 s in: app 1 is 3 s over its burst; the in-budget requester preempts.
-  EXPECT_LT(policy.tokens(1, 5.0), 0.0);
-  EXPECT_EQ(policy.decide(shareContext(2, 1, 5.0)), Action::Interrupt);
-}
-
-TEST(TokenBucketPolicyTest, OverdrawnRequesterWaitsOutTheRefill) {
-  TokenBucketPolicy policy;
-  // App 2 burns 10 s of access: 2.0 burst - 10.0 spent = -8.0 tokens.
-  policy.onAccessBegin(0.0, 2, coresOnly(2, 64));
-  policy.onAccessEnd(10.0, 2);
-  EXPECT_DOUBLE_EQ(policy.tokens(2, 10.0), -8.0);
-  // Even against an overdrawn accessor, an over-budget requester queues.
-  policy.onAccessBegin(10.0, 1, coresOnly(1, 64));
-  EXPECT_EQ(policy.decide(shareContext(2, 1, 15.0)), Action::Queue);
-  // At 0.5 tokens/s the debt clears after 20 s (capped at the burst) —
-  // and the still-overdrawn accessor is now fair game.
-  EXPECT_DOUBLE_EQ(policy.tokens(2, 30.0), 2.0);
-  EXPECT_EQ(policy.decide(shareContext(2, 1, 30.0)), Action::Interrupt);
-}
-
-TEST(TokenBucketPolicyTest, UnknownAppStartsWithAFullBurst) {
-  const TokenBucketPolicy policy;
-  EXPECT_DOUBLE_EQ(policy.tokens(99, 123.0), 2.0);
-}
-
 TEST(PolicyFactoryTest, MakesEveryKind) {
   EXPECT_EQ(makePolicy(PolicyKind::Interfere)->name(), "interfere");
   EXPECT_EQ(makePolicy(PolicyKind::Fcfs)->name(), "fcfs");
   EXPECT_EQ(makePolicy(PolicyKind::Interrupt)->name(), "interrupt");
   EXPECT_EQ(makePolicy(PolicyKind::Dynamic)->name(), "dynamic");
-  EXPECT_EQ(makePolicy(PolicyKind::PiShare)->name(), "pi-share");
-  EXPECT_EQ(makePolicy(PolicyKind::TokenBucket)->name(), "token-bucket");
 }
 
 TEST(PolicyTest, ActionAndKindNames) {

@@ -334,7 +334,7 @@ TEST(RecoveryReconciliation, NewcomersQueueUntilTheWindowCloses) {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded dead-id retention (GlobalArbiter::Config::deadRetentionRounds):
+// Bounded dead-id retention (GlobalArbiter::kDeadRetentionRounds):
 // a month of Intrepid jobs terminated through the scheduler interface must
 // keep the discard set's peak far under the job count.
 
@@ -344,9 +344,7 @@ TEST(RecoveryDeadSet, MonthOfIntrepidTerminationsStaysBounded) {
   spec.shards = 1;
   spec.syncHorizonSeconds = 30.0;
   calciom::platform::Cluster cl(spec);
-  GlobalArbiter::Config gcfg;  // default deadRetentionRounds = 1024
-  GlobalArbiter& ga =
-      GlobalArbiter::install(cl, makePolicy(PolicyKind::Fcfs), gcfg);
+  GlobalArbiter& ga = GlobalArbiter::install(cl, makePolicy(PolicyKind::Fcfs));
 
   // Drive the job-scheduler interface directly, barrier by barrier — the
   // test exercises exactly the dead-id bookkeeping, no sessions needed.
