@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -307,24 +306,51 @@ DivergenceReport computeDivergence(
   // misattribute cross-app or cross-index gaps as timing drift.
   r.onlineGrants = onlineGrants.size();
   r.oracleGrants = oracle.grants.size();
-  std::map<std::uint32_t, std::vector<const core::GrantRecord*>> onlineByApp;
-  std::map<std::uint32_t, std::vector<const core::GrantRecord*>> oracleByApp;
-  for (const core::GrantRecord& g : onlineGrants) {
-    onlineByApp[g.app].push_back(&g);
-  }
-  for (const core::GrantRecord& g : oracle.grants) {
-    oracleByApp[g.app].push_back(&g);
-  }
-  for (const auto& [app, oracleList] : oracleByApp) {
-    const auto it = onlineByApp.find(app);
-    const std::size_t onlineCount =
-        it == onlineByApp.end() ? 0 : it->second.size();
-    const std::size_t matched = std::min(oracleList.size(), onlineCount);
+  // Group each stream by app with a stable sort of pointers: apps come out
+  // ascending and each app's grants keep their occurrence order, so one
+  // merge walk pairs them and the drift sum runs in (app, occurrence)
+  // order.
+  const auto byApp = [](const std::vector<core::GrantRecord>& grants) {
+    std::vector<const core::GrantRecord*> sorted;
+    sorted.reserve(grants.size());
+    for (const core::GrantRecord& g : grants) {
+      sorted.push_back(&g);
+    }
+    std::stable_sort(
+        sorted.begin(), sorted.end(),
+        [](const core::GrantRecord* a, const core::GrantRecord* b) {
+          return a->app < b->app;
+        });
+    return sorted;
+  };
+  const std::vector<const core::GrantRecord*> oracleSorted =
+      byApp(oracle.grants);
+  const std::vector<const core::GrantRecord*> onlineSorted =
+      byApp(onlineGrants);
+  // The end of the run of `app` starting at `from`.
+  const auto runEnd = [](const std::vector<const core::GrantRecord*>& v,
+                         std::size_t from, std::uint32_t app) {
+    while (from < v.size() && v[from]->app == app) {
+      ++from;
+    }
+    return from;
+  };
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < oracleSorted.size() || j < onlineSorted.size()) {
+    const bool oracleNext = j == onlineSorted.size() ||
+                            (i < oracleSorted.size() &&
+                             oracleSorted[i]->app <= onlineSorted[j]->app);
+    const std::uint32_t app =
+        oracleNext ? oracleSorted[i]->app : onlineSorted[j]->app;
+    const std::size_t iEnd = runEnd(oracleSorted, i, app);
+    const std::size_t jEnd = runEnd(onlineSorted, j, app);
+    const std::size_t matched = std::min(iEnd - i, jEnd - j);
     r.matchedGrants += matched;
-    r.unmatchedGrants += std::max(oracleList.size(), onlineCount) - matched;
+    r.unmatchedGrants += std::max(iEnd - i, jEnd - j) - matched;
     for (std::size_t k = 0; k < matched; ++k) {
-      const core::GrantRecord& a = *oracleList[k];
-      const core::GrantRecord& b = *it->second[k];
+      const core::GrantRecord& a = *oracleSorted[i + k];
+      const core::GrantRecord& b = *onlineSorted[j + k];
       if (a.resume != b.resume) {
         ++r.grantKindMismatches;
       }
@@ -333,11 +359,8 @@ DivergenceReport computeDivergence(
       r.grantTimeMaxDriftSeconds =
           std::max(r.grantTimeMaxDriftSeconds, drift);
     }
-  }
-  for (const auto& [app, onlineList] : onlineByApp) {
-    if (oracleByApp.find(app) == oracleByApp.end()) {
-      r.unmatchedGrants += onlineList.size();
-    }
+    i = iEnd;
+    j = jEnd;
   }
 
   r.cpuSecondsWaitedOnline = onlineCpuSecondsWaited;

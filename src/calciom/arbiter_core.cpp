@@ -84,9 +84,8 @@ void ArbiterCore::onMessage(sim::Time now, std::uint32_t from,
   const auto inc =
       static_cast<std::uint64_t>(payload.getIntOr(msg::kIncarnation, 0));
   const auto seq = static_cast<std::uint64_t>(payload.getIntOr(msg::kSeq, 0));
-  const auto it = apps_.find(from);
-  if (it != apps_.end()) {
-    AppRecord& rec = it->second;
+  if (AppRecord* const known = apps_.find(from); known != nullptr) {
+    AppRecord& rec = *known;
     if (inc < rec.incarnation) {
       // In-flight leftover of a dead predecessor that shared this reused
       // id. Without the fence a delayed predecessor Inform would
@@ -155,10 +154,9 @@ void ArbiterCore::onInform(sim::Time now, std::uint32_t app,
   }
   const auto epoch =
       static_cast<std::uint64_t>(payload.getIntOr(msg::kEpoch, 0));
-  const auto existing = apps_.find(app);
-  if (existing != apps_.end() && existing->second.state != AppState::Idle &&
-      epoch != 0) {
-    AppRecord& known = existing->second;
+  AppRecord* const existing = apps_.find(app);
+  if (existing != nullptr && existing->state != AppState::Idle && epoch != 0) {
+    AppRecord& known = *existing;
     if (epoch == known.epoch) {
       // Retransmission of an Inform already admitted (the session's retry
       // timer fired because either its Inform or our Grant was lost). The
@@ -177,7 +175,9 @@ void ArbiterCore::onInform(sim::Time now, std::uint32_t app,
     onComplete(now, app, out);
   }
 
-  AppRecord& rec = apps_[app];
+  // The only insert of a regular message; onComplete above moves no record,
+  // and nothing below inserts or erases while `rec` is held.
+  AppRecord& rec = apps_.upsert(app);
   rec.desc = IoDescriptor::fromInfo(payload);
   rec.state = AppState::Waiting;
   rec.progress = 0.0;
@@ -243,21 +243,20 @@ void ArbiterCore::onInform(sim::Time now, std::uint32_t app,
 }
 
 void ArbiterCore::onRelease(std::uint32_t app, const mpi::Info& payload) {
-  const auto it = apps_.find(app);
-  if (it == apps_.end()) {
+  AppRecord* const rec = apps_.find(app);
+  if (rec == nullptr) {
     return;
   }
-  it->second.progress =
-      std::clamp(payload.getDoubleOr(msg::kProgress, it->second.progress),
-                 0.0, 1.0);
+  rec->progress =
+      std::clamp(payload.getDoubleOr(msg::kProgress, rec->progress), 0.0, 1.0);
 }
 
 void ArbiterCore::onComplete(sim::Time now, std::uint32_t app, Commands& out) {
-  const auto it = apps_.find(app);
-  if (it == apps_.end()) {
+  AppRecord* const found = apps_.find(app);
+  if (found == nullptr) {
     return;
   }
-  AppRecord& rec = it->second;
+  AppRecord& rec = *found;
   const bool wasPauseRequested = rec.state == AppState::PauseRequested;
   rec.state = AppState::Idle;
   rec.progress = 1.0;
@@ -295,14 +294,14 @@ void ArbiterCore::onComplete(sim::Time now, std::uint32_t app, Commands& out) {
 
 void ArbiterCore::onPauseAck(sim::Time now, std::uint32_t app,
                              const mpi::Info& payload, Commands& out) {
-  const auto it = apps_.find(app);
-  if (it == apps_.end() || it->second.state != AppState::PauseRequested) {
+  AppRecord* const rec = apps_.find(app);
+  if (rec == nullptr || rec->state != AppState::PauseRequested) {
     // Unknown app, or a replayed/reordered ack for a pause that already
     // settled (the app has since resumed or completed): a no-op.
     return;
   }
-  it->second.progress = std::clamp(
-      payload.getDoubleOr(msg::kProgress, it->second.progress), 0.0, 1.0);
+  rec->progress =
+      std::clamp(payload.getDoubleOr(msg::kProgress, rec->progress), 0.0, 1.0);
   applyPauseAck(now, app, out);
 }
 
@@ -331,8 +330,8 @@ void ArbiterCore::applyPauseAck(sim::Time now, std::uint32_t app,
 
 void ArbiterCore::onHeartbeat(sim::Time now, std::uint32_t app,
                               const mpi::Info& payload, Commands& out) {
-  const auto it = apps_.find(app);
-  if (it == apps_.end()) {
+  AppRecord* const found = apps_.find(app);
+  if (found == nullptr) {
     if (recovering_) {
       // A live session we hold no record of — it registered inside the
       // un-checkpointed tail. A heartbeat carries no descriptor to
@@ -346,7 +345,7 @@ void ArbiterCore::onHeartbeat(sim::Time now, std::uint32_t app,
     }
     return;  // never informed, or already reclaimed — Inform retry re-admits
   }
-  AppRecord& rec = it->second;
+  AppRecord& rec = *found;
   rec.lastHeard = now;  // the renewal (idempotent with onMessage's update)
   rec.progress =
       std::clamp(payload.getDoubleOr(msg::kProgress, rec.progress), 0.0, 1.0);
@@ -431,7 +430,7 @@ void ArbiterCore::onTick(sim::Time now, Commands& out) {
   }
   if (leases_.enabled()) {
     // Expire leases of silent non-Idle applications. Two passes because the
-    // reclamation mutates apps_; std::map iteration keeps this
+    // reclamation erases from apps_; its ascending-id iteration keeps this
     // deterministic. Right after a reconciliation window this sweep is what
     // reclaims the apps that never answered the Recover broadcast: their
     // restored lastHeard predates the crash, so they are over-lease by
@@ -471,8 +470,7 @@ void ArbiterCore::onTick(sim::Time now, Commands& out) {
 
 void ArbiterCore::onApplicationTerminated(sim::Time now, std::uint32_t appId,
                                           Commands& out) {
-  const auto it = apps_.find(appId);
-  if (it == apps_.end()) {
+  if (!apps_.contains(appId)) {
     return;
   }
   // Equivalent to an implicit Complete: frees access, queue position and
@@ -490,11 +488,11 @@ void ArbiterCore::configureLeases(const LeaseConfig& leases) {
 }
 
 std::optional<double> ArbiterCore::appProgress(std::uint32_t app) const {
-  const auto it = apps_.find(app);
-  if (it == apps_.end()) {
+  const AppRecord* const rec = apps_.find(app);
+  if (rec == nullptr) {
     return std::nullopt;
   }
-  return it->second.progress;
+  return rec->progress;
 }
 
 void ArbiterCore::emit(sim::Time now, std::uint32_t app, CommandType type,
@@ -590,18 +588,20 @@ void ArbiterCore::detachAccessor(std::uint32_t app) {
 void ArbiterCore::applyRecoveryReport(sim::Time now, std::uint32_t app,
                                       const mpi::Info& payload, Commands& out) {
   const std::string_view claim = *payload.find(msg::kSessionState);
-  const auto it = apps_.find(app);
+  const AppRecord* const found = apps_.find(app);
   if (claim == "idle") {
     // The phase the restored record holds open already closed at the
     // session (its Complete died in the crash window). Close it here too.
-    if (it != apps_.end() && it->second.state != AppState::Idle) {
+    if (found != nullptr && found->state != AppState::Idle) {
       onComplete(now, app, out);
     }
     return;
   }
-  const bool known = it != apps_.end();
-  const AppState prior = known ? it->second.state : AppState::Idle;
-  AppRecord& rec = apps_[app];
+  const bool known = found != nullptr;
+  const AppState prior = known ? found->state : AppState::Idle;
+  // The insert may move every record: `found` is dead from here, and
+  // nothing below inserts or erases while `rec` is held.
+  AppRecord& rec = apps_.upsert(app);
   rec.desc = IoDescriptor::fromInfo(payload);
   rec.progress =
       std::clamp(payload.getDoubleOr(msg::kProgress, rec.progress), 0.0, 1.0);
@@ -719,7 +719,7 @@ void ArbiterCore::restore(const ArbiterSnapshot& snap) {
     rec.cmdSeq = e.cmdSeq;
     rec.lastHeard = e.lastHeard;
     rec.lastCommandAt = e.lastCommandAt;
-    apps_.emplace(e.id, std::move(rec));
+    apps_.upsert(e.id) = std::move(rec);
   }
   accessors_ = snap.accessors;
   waitQueue_ = snap.waitQueue;

@@ -46,13 +46,13 @@
 /// traffic drives the exact pre-hardening state machine.
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "calciom/descriptor.hpp"
+#include "calciom/flat_id_map.hpp"
 #include "calciom/policy.hpp"
 #include "mpi/info.hpp"
 #include "sim/time.hpp"
@@ -451,7 +451,10 @@ class ArbiterCore {
                            const mpi::Info& payload, Commands& out);
 
   std::unique_ptr<Policy> policy_;
-  std::map<std::uint32_t, AppRecord> apps_;
+  /// A record for every app seen, in ascending id order. Inserts and
+  /// erases move records: no AppRecord& is held across either (see
+  /// FlatIdMap).
+  FlatIdMap<AppRecord> apps_;
   std::vector<std::uint32_t> accessors_;
   std::vector<std::uint32_t> waitQueue_;    // FIFO
   std::vector<std::uint32_t> pausedStack_;  // LIFO (resume most recent first)

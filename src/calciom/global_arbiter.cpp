@@ -29,9 +29,10 @@ ArbiterStub::ArbiterStub(mpi::PortRegistry& ports)
 
 ArbiterStub::~ArbiterStub() { ports_.closePort(core::msg::arbiterPort()); }
 
-std::vector<ArbiterStub::Message> ArbiterStub::drain() {
+void ArbiterStub::drain(std::vector<Message>& into) {
   sim::ShardAffinity::checkBarrierContext("calciom::ArbiterStub::drain");
-  return std::exchange(outbox_, {});
+  into.clear();
+  into.swap(outbox_);
 }
 
 GlobalArbiter::GlobalArbiter(platform::Cluster& cluster,
@@ -83,8 +84,8 @@ void GlobalArbiter::onApplicationLaunched(std::uint32_t appId) {
 }
 
 std::size_t GlobalArbiter::shardOf(std::uint32_t appId) const noexcept {
-  const auto it = appShard_.find(appId);
-  return it == appShard_.end() ? static_cast<std::size_t>(-1) : it->second;
+  const std::size_t* shard = appShard_.find(appId);
+  return shard == nullptr ? static_cast<std::size_t>(-1) : *shard;
 }
 
 void GlobalArbiter::markDead(std::uint32_t app) {
@@ -123,7 +124,8 @@ bool GlobalArbiter::onBarrier(sim::Time barrierTime) {
     // retries and heartbeats, or degrade). Scheduler events stay queued —
     // the scheduler re-delivers its view once the process is back.
     for (const auto& stub : stubs_) {
-      crashDiscarded_ += stub->drain().size();
+      stub->drain(drained_);
+      crashDiscarded_ += drained_.size();
     }
     return false;
   }
@@ -164,7 +166,8 @@ bool GlobalArbiter::onBarrier(sim::Time barrierTime) {
     const bool blackedOut = s < injectors_.size() &&
                             injectors_[s] != nullptr &&
                             injectors_[s]->stubBlackedOut(rounds_);
-    for (ArbiterStub::Message& m : stubs_[s]->drain()) {
+    stubs_[s]->drain(drained_);
+    for (const ArbiterStub::Message& m : drained_) {
       if (blackedOut) {
         ++blackoutDiscarded_;
         continue;
@@ -174,7 +177,7 @@ bool GlobalArbiter::onBarrier(sim::Time barrierTime) {
       }
       // Refresh the route on every contact: an app id reused on another
       // shard (sequential campaigns) must not inherit the old shard.
-      appShard_[m.fromApp] = s;
+      appShard_.upsert(m.fromApp) = s;
       if (config_.checkpointEverySeconds > 0.0) {
         store_.logMessage(barrierTime, m.fromApp, m.payload);
       }
@@ -240,18 +243,18 @@ bool GlobalArbiter::deliverCommands(sim::Time barrierTime) {
   }
   touchedShards_.clear();
   for (std::size_t c = 0; c < scratch_.size(); ++c) {
-    const auto route = appShard_.find(scratch_[c].app);
-    if (route == appShard_.end()) {
+    const std::size_t* route = appShard_.find(scratch_[c].app);
+    if (route == nullptr) {
       // Only reachable after a restart: the app's route was learned inside
       // the lost tail and the restored table predates it. Heal passively —
       // its next message (heartbeat, retry) refreshes the route and, while
       // the window is open, elicits a fresh Recover.
       continue;
     }
-    if (shardGroups_[route->second].empty()) {
-      touchedShards_.push_back(route->second);
+    if (shardGroups_[*route].empty()) {
+      touchedShards_.push_back(*route);
     }
-    shardGroups_[route->second].push_back(c);
+    shardGroups_[*route].push_back(c);
   }
   bool deliveredAny = false;
   // Deliver per shard. Scheduling happens on the barrier thread while no

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "calciom/arbiter_core.hpp"
+#include "calciom/flat_id_map.hpp"
 #include "calciom/recovery.hpp"
 #include "mpi/info.hpp"
 #include "mpi/port.hpp"
@@ -80,11 +81,13 @@ class ArbiterStub {
   ArbiterStub(const ArbiterStub&) = delete;
   ArbiterStub& operator=(const ArbiterStub&) = delete;
 
-  /// Messages absorbed since the last drain, in arrival (seq) order.
+  /// Replaces `into` with the messages absorbed since the last drain, in
+  /// arrival (seq) order. The two buffers are swapped, so the outbox keeps
+  /// the caller's capacity instead of regrowing from empty every round.
   /// Barrier context only (CALCIOM_SHARD_CHECKS builds trap a drain from
   /// inside any shard loop): the outbox is round-local to the stub's shard
   /// and crosses shards exclusively at barriers.
-  [[nodiscard]] std::vector<Message> drain();
+  void drain(std::vector<Message>& into);
 
   [[nodiscard]] bool outboxEmpty() const noexcept { return outbox_.empty(); }
   /// Messages absorbed over the stub's lifetime.
@@ -273,7 +276,10 @@ class GlobalArbiter final : public sim::BarrierHook {
   double latency_ = 0.0;
   core::ArbiterCore core_;
   std::vector<std::unique_ptr<ArbiterStub>> stubs_;  // one per shard
-  std::map<std::uint32_t, std::size_t> appShard_;
+  /// Drain buffer of the merge, reused across stubs and barriers.
+  std::vector<ArbiterStub::Message> drained_;
+  /// Shard route of every app, refreshed on each contact.
+  core::FlatIdMap<std::size_t> appShard_;
   /// Queued job-scheduler notifications, applied at the next barrier in
   /// call order (so terminate-then-relaunch of a reused id revives it).
   struct SchedulerEvent {
@@ -330,7 +336,7 @@ class GlobalArbiter final : public sim::BarrierHook {
   core::CheckpointStore store_;
   /// Checkpointed transport-side state restored alongside the core: the
   /// routing table and the dead-id set as of the last checkpoint.
-  std::map<std::uint32_t, std::size_t> ckptRoutes_;
+  core::FlatIdMap<std::size_t> ckptRoutes_;
   std::map<std::uint32_t, std::uint64_t> ckptDead_;
   std::deque<std::pair<std::uint64_t, std::uint32_t>> ckptDeadQueue_;
 };

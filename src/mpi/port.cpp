@@ -32,34 +32,53 @@ bool PortRegistry::send(const std::string& port, std::uint32_t fromApp,
 bool PortRegistry::scheduleDelivery(const std::string& port,
                                     std::uint32_t fromApp, Info payload,
                                     double delaySeconds) {
-  if (!ports_.contains(port)) {
-    if (relay_ == nullptr) {
-      return false;
-    }
-    // Routed at send time: the message belongs to the relay even if the
-    // port opens while it is in flight (a connection is a connection).
-    engine_.scheduleAfter(
-        delaySeconds,
-        [this, port, fromApp, payload = std::move(payload)]() mutable {
-          if (relay_ == nullptr) {
-            return;  // relay removed while the message was in flight
-          }
-          ++relayed_;
-          relay_(port, fromApp, std::move(payload));
-        });
-    return true;
+  // Routed at send time: a message to an unknown port belongs to the relay
+  // even if the port opens while it is in flight (a connection is a
+  // connection).
+  const bool relayed = resolve(port) == nullptr;
+  if (relayed && relay_ == nullptr) {
+    return false;
   }
-  engine_.scheduleAfter(
-      delaySeconds,
-      [this, port, fromApp, payload = std::move(payload)]() mutable {
-        Handler* handler = resolve(port);
-        if (handler == nullptr) {
-          return;  // port closed while the message was in flight
-        }
-        ++delivered_;
-        (*handler)(fromApp, std::move(payload));
-      });
+  std::uint32_t slot = 0;
+  if (freeSlots_.empty()) {
+    slot = static_cast<std::uint32_t>(inFlight_.size());
+    inFlight_.emplace_back();
+  } else {
+    slot = freeSlots_.back();
+    freeSlots_.pop_back();
+  }
+  InFlight& m = inFlight_[slot];
+  m.port.assign(port);
+  m.fromApp = fromApp;
+  m.relayed = relayed;
+  m.payload = std::move(payload);
+  engine_.scheduleAfter(delaySeconds, [this, slot] { deliverParked(slot); });
   return true;
+}
+
+void PortRegistry::deliverParked(std::uint32_t slot) {
+  // Take everything out and free the slot before any handler runs: a
+  // handler that sends re-enters the table and may reuse this very slot.
+  InFlight& m = inFlight_[slot];
+  const std::uint32_t fromApp = m.fromApp;
+  Info payload = std::move(m.payload);
+  if (m.relayed) {
+    const std::string port = m.port;
+    freeSlots_.push_back(slot);
+    if (relay_ == nullptr) {
+      return;  // relay removed while the message was in flight
+    }
+    ++relayed_;
+    relay_(port, fromApp, std::move(payload));
+    return;
+  }
+  Handler* handler = resolve(m.port);
+  freeSlots_.push_back(slot);
+  if (handler == nullptr) {
+    return;  // port closed while the message was in flight
+  }
+  ++delivered_;
+  (*handler)(fromApp, std::move(payload));
 }
 
 PortRegistry::Handler* PortRegistry::resolve(const std::string& port) {

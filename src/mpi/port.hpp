@@ -31,6 +31,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "mpi/info.hpp"
 #include "sim/engine.hpp"
@@ -178,12 +179,26 @@ class PortRegistry {
   /// (routing fixed at send time, as documented on send()).
   bool scheduleDelivery(const std::string& port, std::uint32_t fromApp,
                         Info payload, double delaySeconds);
+  /// The delivery event of a parked message: frees its slot, then hands the
+  /// payload to the port's handler (or to the relay it was routed to).
+  void deliverParked(std::uint32_t slot);
   /// Epoch-validated port lookup: nullptr when the port is not open. The
   /// cached (key, handler) node pointers are stable for the life of the map
   /// node, and every openPort/closePort bumps epoch_, so a matching epoch
   /// proves the node was neither erased nor is the cache observing a stale
   /// registration set.
   Handler* resolve(const std::string& port);
+
+  /// A message in flight, parked until its delivery event runs. The event
+  /// captures only {registry, slot}, which fits EventFn's inline buffer; a
+  /// freed slot keeps its port string's capacity for the next send.
+  struct InFlight {
+    std::string port;
+    std::uint32_t fromApp = 0;
+    /// Routed to the relay at send time (the port was not open locally).
+    bool relayed = false;
+    Info payload;
+  };
 
   sim::Engine& engine_;
   /// Rule-1 guard: sends and registration changes must come from this
@@ -193,6 +208,8 @@ class PortRegistry {
   std::map<std::string, Handler> ports_;
   RelayHandler relay_;
   DeliveryFilter* filter_ = nullptr;
+  std::vector<InFlight> inFlight_;
+  std::vector<std::uint32_t> freeSlots_;
   std::uint64_t delivered_ = 0;
   std::uint64_t relayed_ = 0;
   /// Registration epoch: bumped on every openPort/closePort.

@@ -35,12 +35,13 @@ Engine* Engine::current() noexcept { return tlsCurrentEngine; }
 Engine::~Engine() {
   drainZombies();
   // Destroy frames of tasks that never finished (e.g. blocked on a gate when
-  // the simulation ended). Copy first: destroy() mutates live_ via no path,
-  // but keep it simple and safe.
-  std::vector<void*> leftovers(live_.begin(), live_.end());
-  live_.clear();
-  for (void* addr : leftovers) {
-    std::coroutine_handle<>::from_address(addr).destroy();
+  // the simulation ended) in spawn order, oldest first, so teardown side
+  // effects (locals' destructors) run in a fixed order. The head is re-read
+  // every step, so a destructor that spawns a task only lengthens the walk.
+  while (liveHead_ != nullptr) {
+    Task::promise_type& p = *liveHead_;
+    unlink(p);
+    Task::Handle::from_promise(p).destroy();
   }
 }
 
@@ -63,7 +64,7 @@ std::shared_ptr<Trigger> Engine::spawn(Task task) {
   Task::Handle h = task.release();
   CALCIOM_EXPECTS(h != nullptr);
   h.promise().engine = this;
-  live_.insert(h.address());
+  link(h.promise());
   std::shared_ptr<Trigger> done = h.promise().done;
   scheduleAt(now_, [h] { h.resume(); });
   return done;
@@ -175,8 +176,36 @@ EngineStats Engine::stats() const noexcept {
 }
 
 void Engine::retire(Task::Handle h) {
-  live_.erase(h.address());
+  unlink(h.promise());
   zombies_.push_back(h);
+}
+
+void Engine::link(Task::promise_type& p) noexcept {
+  p.livePrev = liveTail_;
+  p.liveNext = nullptr;
+  if (liveTail_ != nullptr) {
+    liveTail_->liveNext = &p;
+  } else {
+    liveHead_ = &p;
+  }
+  liveTail_ = &p;
+  ++liveCount_;
+}
+
+void Engine::unlink(Task::promise_type& p) noexcept {
+  if (p.livePrev != nullptr) {
+    p.livePrev->liveNext = p.liveNext;
+  } else {
+    liveHead_ = p.liveNext;
+  }
+  if (p.liveNext != nullptr) {
+    p.liveNext->livePrev = p.livePrev;
+  } else {
+    liveTail_ = p.livePrev;
+  }
+  p.livePrev = nullptr;
+  p.liveNext = nullptr;
+  --liveCount_;
 }
 
 void Engine::reportTaskFailure(std::exception_ptr e) noexcept {

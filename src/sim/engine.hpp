@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/contracts.hpp"
@@ -97,6 +96,8 @@ class Engine {
 
   /// Takes ownership of `task`, schedules its first step at the current time
   /// and returns its completion trigger (fired when the task body returns).
+  /// The task joins the live list; tasks still suspended when the engine is
+  /// destroyed have their frames destroyed in spawn order, oldest first.
   std::shared_ptr<Trigger> spawn(Task task);
 
   /// Runs until the event queue is empty. Rethrows the first exception that
@@ -117,7 +118,7 @@ class Engine {
     return processed_;
   }
   /// Number of spawned tasks whose bodies have not yet finished.
-  [[nodiscard]] std::size_t liveTasks() const noexcept { return live_.size(); }
+  [[nodiscard]] std::size_t liveTasks() const noexcept { return liveCount_; }
 
   /// Snapshot of event-loop throughput counters.
   [[nodiscard]] EngineStats stats() const noexcept;
@@ -142,6 +143,9 @@ class Engine {
   /// Called from a task's final suspend: the frame is dead and can be
   /// destroyed at the next safe point (top of the event loop).
   void retire(Task::Handle h);
+  /// Live-list maintenance: append at the tail on spawn, unlink on retire.
+  void link(Task::promise_type& p) noexcept;
+  void unlink(Task::promise_type& p) noexcept;
   /// Records the first exception escaping a task body.
   void reportTaskFailure(std::exception_ptr e) noexcept;
 
@@ -172,9 +176,11 @@ class Engine {
   std::size_t* activeNext_ = nullptr;
   Xoshiro256 rng_{0};
   std::vector<Task::Handle> zombies_;
-  // detlint: allow(DET4) membership-only liveness set; never iterated, so
-  // hash order cannot leak into event order or any serialized state.
-  std::unordered_set<void*> live_;
+  // Spawned tasks whose bodies have not finished, in spawn order: an
+  // intrusive doubly-linked list through Task::promise_type.
+  Task::promise_type* liveHead_ = nullptr;
+  Task::promise_type* liveTail_ = nullptr;
+  std::size_t liveCount_ = 0;
   std::exception_ptr failure_;
 };
 

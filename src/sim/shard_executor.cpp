@@ -39,9 +39,8 @@ ShardExecutor::~ShardExecutor() {
   }
 }
 
-void ShardExecutor::runIndices(const std::function<void(std::size_t)>& fn,
-                               std::size_t n, std::size_t chunk,
-                               std::uint64_t genTag) {
+void ShardExecutor::runIndices(const IndexFn& fn, std::size_t n,
+                               std::size_t chunk, std::uint64_t genTag) {
   std::uint64_t packed = claim_.load(std::memory_order_acquire);
   for (;;) {
     std::size_t begin;
@@ -80,8 +79,7 @@ void ShardExecutor::runIndices(const std::function<void(std::size_t)>& fn,
   }
 }
 
-void ShardExecutor::runSerial(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
+void ShardExecutor::runSerial(std::size_t n, const IndexFn& fn) {
   // Same semantics as a distributed round: every index runs even if an
   // earlier one threw; the lowest-index exception surfaces.
   for (std::size_t i = 0; i < n; ++i) {
@@ -101,8 +99,7 @@ void ShardExecutor::rethrowLowest(std::size_t n) {
   }
 }
 
-void ShardExecutor::parallelFor(std::size_t n,
-                                const std::function<void(std::size_t)>& fn,
+void ShardExecutor::parallelFor(std::size_t n, IndexFn fn,
                                 std::size_t workEstimate) {
   if (n == 0) {
     return;
@@ -166,8 +163,7 @@ void ShardExecutor::workerLoop() {
     }
     // Seqlock read of the round context: valid only if the generation did
     // not move while we read it.
-    const std::function<void(std::size_t)>* fn =
-        job_.load(std::memory_order_seq_cst);
+    const IndexFn* fn = job_.load(std::memory_order_seq_cst);
     const std::size_t n = jobSize_.load(std::memory_order_seq_cst);
     const std::size_t chunk = chunkSize_.load(std::memory_order_seq_cst);
     seen = gen;

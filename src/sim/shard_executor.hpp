@@ -53,11 +53,35 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
+#include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace calciom::sim {
+
+/// Non-owning reference to a `void(std::size_t)` callable (a function_ref).
+/// A round's body lives in the caller's frame for the whole parallelFor
+/// call, so the executor needs no copy of it — and no std::function, whose
+/// small buffer cannot hold a lambda capturing three references and would
+/// box the body on the heap once per round.
+class IndexFn {
+ public:
+  template <class F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, IndexFn> &&
+             std::is_invocable_v<F&, std::size_t>)
+  IndexFn(F&& f) noexcept  // NOLINT(google-explicit-constructor)
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        call_([](void* obj, std::size_t i) {
+          (*static_cast<std::remove_reference_t<F>*>(obj))(i);
+        }) {}
+
+  void operator()(std::size_t i) const { call_(obj_, i); }
+
+ private:
+  void* obj_;
+  void (*call_)(void*, std::size_t);
+};
 
 class ShardExecutor {
  public:
@@ -80,6 +104,7 @@ class ShardExecutor {
 
   /// Invokes `fn(i)` exactly once for every i in [0, n), distributed over
   /// the pool plus the calling thread; blocks until all calls finished.
+  /// `fn` is referenced, not copied: it only has to live through the call.
   /// `fn` must be safe to call concurrently for distinct indices. If any
   /// call threw, the lowest-index exception is rethrown. `workEstimate` is
   /// an optional hint of how much total work the round holds (any unit the
@@ -87,7 +112,7 @@ class ShardExecutor {
   /// `kSerialWorkThreshold` the round stays on the calling thread.
   /// `n` must fit in 32 bits (index shares an atomic word with the round
   /// generation).
-  void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn,
+  void parallelFor(std::size_t n, IndexFn fn,
                    std::size_t workEstimate = kNoEstimate);
 
   /// Total threads a round runs on (pool + caller).
@@ -107,9 +132,9 @@ class ShardExecutor {
   void workerLoop();
   /// Claims chunks tagged with `genTag` and runs them; returns when the
   /// round is exhausted or the tag no longer matches (stale round).
-  void runIndices(const std::function<void(std::size_t)>& fn, std::size_t n,
-                  std::size_t chunk, std::uint64_t genTag);
-  void runSerial(std::size_t n, const std::function<void(std::size_t)>& fn);
+  void runIndices(const IndexFn& fn, std::size_t n, std::size_t chunk,
+                  std::uint64_t genTag);
+  void runSerial(std::size_t n, const IndexFn& fn);
   void rethrowLowest(std::size_t n);
 
   std::vector<std::thread> threads_;
@@ -118,7 +143,7 @@ class ShardExecutor {
   std::atomic<std::uint64_t> roundGen_{0};
   /// Round context, valid only when a seqlock read validates (see file
   /// comment). Atomics so a stale reader races with nothing.
-  std::atomic<const std::function<void(std::size_t)>*> job_{nullptr};
+  std::atomic<const IndexFn*> job_{nullptr};
   std::atomic<std::size_t> jobSize_{0};
   std::atomic<std::size_t> chunkSize_{1};
   /// (generation tag << 32) | next unclaimed index, claimed by CAS.

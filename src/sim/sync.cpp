@@ -4,18 +4,29 @@
 
 namespace calciom::sim {
 
+void detail::WaiterList::resumeAll() {
+  const std::coroutine_handle<> first = std::exchange(first_, {});
+  if (!first) {
+    return;
+  }
+  if (rest_.empty()) {
+    first.resume();
+    return;
+  }
+  std::vector<std::coroutine_handle<>> rest = std::move(rest_);
+  rest_.clear();
+  first.resume();
+  for (auto h : rest) {
+    h.resume();
+  }
+}
+
 void Trigger::fire() {
   if (fired_) {
     return;
   }
   fired_ = true;
-  // Move the waiter list out first: a resumed coroutine may re-await or
-  // destroy this trigger's owner, so we must not touch members afterwards.
-  std::vector<std::coroutine_handle<>> waiters = std::move(waiters_);
-  waiters_.clear();
-  for (auto h : waiters) {
-    h.resume();
-  }
+  waiters_.resumeAll();
 }
 
 void Gate::open() {
@@ -23,13 +34,9 @@ void Gate::open() {
     return;
   }
   open_ = true;
-  std::vector<std::coroutine_handle<>> waiters = std::move(waiters_);
-  waiters_.clear();
-  for (auto h : waiters) {
-    // The gate may have been re-closed by an earlier waiter; coroutines
-    // released in this batch still pass (they were waiting while it opened).
-    h.resume();
-  }
+  // The gate may be re-closed by an earlier waiter; coroutines released in
+  // this batch still pass (they were waiting while it opened).
+  waiters_.resumeAll();
 }
 
 void Latch::add(std::size_t n) {
@@ -41,11 +48,7 @@ void Latch::arrive() {
   CALCIOM_EXPECTS(count_ > 0);
   --count_;
   if (count_ == 0) {
-    std::vector<std::coroutine_handle<>> waiters = std::move(waiters_);
-    waiters_.clear();
-    for (auto h : waiters) {
-      h.resume();
-    }
+    waiters_.resumeAll();
   }
 }
 

@@ -20,6 +20,35 @@
 
 namespace calciom::sim {
 
+namespace detail {
+/// FIFO list of suspended coroutines that holds its first waiter inline and
+/// uses the vector only from the second waiter on, so the common case — one
+/// task joining a child, one session parked at its gate — allocates nothing.
+class WaiterList {
+ public:
+  void push(std::coroutine_handle<> h) {
+    if (!first_) {
+      first_ = h;
+    } else {
+      rest_.push_back(h);
+    }
+  }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return (first_ ? 1 : 0) + rest_.size();
+  }
+  [[nodiscard]] bool empty() const noexcept { return !first_; }
+  /// Resumes every current waiter in registration order. The list is
+  /// emptied first: a resumed coroutine may register again (it joins the
+  /// next release, not this one) or destroy the list's owner, so no member
+  /// is touched after the first resume.
+  void resumeAll();
+
+ private:
+  std::coroutine_handle<> first_;
+  std::vector<std::coroutine_handle<>> rest_;
+};
+}  // namespace detail
+
 /// One-shot event. Multiple coroutines may `co_await` the same trigger; all
 /// are resumed (in registration order) when `fire()` is called. Awaiting an
 /// already-fired trigger does not suspend.
@@ -41,7 +70,7 @@ class Trigger {
     Trigger& trigger;
     [[nodiscard]] bool await_ready() const noexcept { return trigger.fired_; }
     void await_suspend(std::coroutine_handle<> h) {
-      trigger.waiters_.push_back(h);
+      trigger.waiters_.push(h);
     }
     void await_resume() const noexcept {}
   };
@@ -49,7 +78,7 @@ class Trigger {
 
  private:
   bool fired_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  detail::WaiterList waiters_;
 };
 
 /// Reusable open/closed barrier. `co_await gate` passes through when the gate
@@ -75,16 +104,14 @@ class Gate {
   struct Awaiter {
     Gate& gate;
     [[nodiscard]] bool await_ready() const noexcept { return gate.open_; }
-    void await_suspend(std::coroutine_handle<> h) {
-      gate.waiters_.push_back(h);
-    }
+    void await_suspend(std::coroutine_handle<> h) { gate.waiters_.push(h); }
     void await_resume() const noexcept {}
   };
   [[nodiscard]] Awaiter operator co_await() noexcept { return Awaiter{*this}; }
 
  private:
   bool open_;
-  std::vector<std::coroutine_handle<>> waiters_;
+  detail::WaiterList waiters_;
 };
 
 /// Countdown latch: constructed with an expected count, `arrive()` decrements
@@ -112,16 +139,14 @@ class Latch {
     [[nodiscard]] bool await_ready() const noexcept {
       return latch.count_ == 0;
     }
-    void await_suspend(std::coroutine_handle<> h) {
-      latch.waiters_.push_back(h);
-    }
+    void await_suspend(std::coroutine_handle<> h) { latch.waiters_.push(h); }
     void await_resume() const noexcept {}
   };
   [[nodiscard]] Awaiter operator co_await() noexcept { return Awaiter{*this}; }
 
  private:
   std::size_t count_;
-  std::vector<std::coroutine_handle<>> waiters_;
+  detail::WaiterList waiters_;
 };
 
 }  // namespace calciom::sim

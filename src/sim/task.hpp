@@ -85,6 +85,10 @@ class [[nodiscard]] Task {
 struct Task::promise_type {
   Engine* engine = nullptr;
   std::shared_ptr<Trigger> done = std::make_shared<Trigger>();
+  /// Links of the engine's live-task list (see Engine::spawn): threaded
+  /// through the frame, so tracking a spawned task allocates nothing.
+  promise_type* livePrev = nullptr;
+  promise_type* liveNext = nullptr;
 
   Task get_return_object() noexcept {
     return Task{Handle::from_promise(*this)};

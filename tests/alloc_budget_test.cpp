@@ -1,0 +1,108 @@
+// Allocation budget of the coordination path. A global operator new counts
+// every heap allocation made while a replay runs; dividing by the number of
+// app→arbiter messages the replay captured gives allocations per
+// coordination message — the figure a month-scale replay multiplies by
+// ~73k messages. Each budget is the value measured when it was pinned plus
+// 10 %, so a change that adds one allocation per message fails here.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "analysis/replay.hpp"
+#include "sim/rng.hpp"
+
+namespace {
+
+std::atomic<bool> gCounting{false};
+std::atomic<std::uint64_t> gAllocations{0};
+
+void* countedAlloc(std::size_t n) {
+  if (gCounting.load(std::memory_order_relaxed)) {
+    gAllocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+// Every form that pairs with the plain operator delete is replaced, so
+// all of them are counted and a sanitizer runtime never sees its own
+// operator new freed by this file's operator delete (std::stable_sort's
+// temporary buffer uses the nothrow form).
+void* operator new(std::size_t n) { return countedAlloc(n); }
+void* operator new[](std::size_t n) { return countedAlloc(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return countedAlloc(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return countedAlloc(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace {
+
+namespace replay = calciom::analysis::replay;
+
+/// Two days of the seed-1 Intrepid model (the benchmark's month, cut
+/// short), coordinated by the Dynamic policy.
+replay::ReplayConfig twoDaySlice() {
+  replay::ReplayConfig cfg;
+  cfg.model.seed = calciom::sim::SplitMix64(1).next();
+  cfg.model.horizonSeconds = 3600.0 * 24 * 2;
+  cfg.policy = calciom::core::PolicyKind::Dynamic;
+  cfg.computeShards = 4;
+  cfg.syncHorizonSeconds = 30.0;
+  return cfg;
+}
+
+template <class Replay>
+double allocationsPerMessage(Replay run) {
+  const replay::ReplayConfig cfg = twoDaySlice();
+  gAllocations.store(0);
+  gCounting.store(true);
+  const replay::ReplayResult r = run(cfg);
+  gCounting.store(false);
+  // Sanity: the slice really exercised the coordination path.
+  EXPECT_GT(r.captured.size(), 4000u);
+  EXPECT_FALSE(r.decisions.empty());
+  return static_cast<double>(gAllocations.load()) /
+         static_cast<double>(r.captured.size());
+}
+
+TEST(AllocBudget, ReplayClusterPerMessage) {
+  // Pinned at 13.48 allocations per message (4,640 messages).
+  const double perMessage = allocationsPerMessage(
+      [](const replay::ReplayConfig& c) { return replay::replayCluster(c); });
+  EXPECT_LE(perMessage, 14.8);
+}
+
+TEST(AllocBudget, ReplaySessionPerMessage) {
+  // Pinned at 12.96 allocations per message (4,640 messages).
+  const double perMessage = allocationsPerMessage(
+      [](const replay::ReplayConfig& c) { return replay::replaySession(c); });
+  EXPECT_LE(perMessage, 14.3);
+}
+
+}  // namespace

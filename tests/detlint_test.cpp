@@ -99,10 +99,9 @@ TEST(DetlintSrc, TreeIsCleanWithDocumentedSuppressions) {
   const detlint::RunResult r = detlint::lintTree(kRoot + "/src");
   EXPECT_GT(r.filesScanned, 50);
   EXPECT_TRUE(r.violations.empty()) << describe(r);
-  // The two known, justified suppressions: Engine::current()'s
-  // thread_local plumbing (DET1) and the engine's membership-only task
-  // liveness set (DET4). Growing this number deserves a review.
-  EXPECT_EQ(r.suppressed, 2);
+  // The one known, justified suppression: Engine::current()'s
+  // thread_local plumbing (DET1). Growing this number deserves a review.
+  EXPECT_EQ(r.suppressed, 1);
 }
 
 TEST(DetlintCli, MissingPathIsAnErrorNotVacuousSuccess) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -23,6 +24,7 @@ namespace {
 
 using calciom::mpi::Communicator;
 using calciom::mpi::CommCosts;
+using calciom::mpi::DeliveryFilter;
 using calciom::mpi::Info;
 using calciom::mpi::PortRegistry;
 using calciom::sim::Engine;
@@ -376,6 +378,74 @@ TEST(InfoDifferentialTest, SelfReferentialSetsAndMerges) {
   EXPECT_EQ(info, before);
 }
 
+/// A random decimal literal: sign, digits, optional fraction and exponent.
+/// Spans the normal range, its edges, subnormals, underflow and overflow.
+std::string randomDecimalText(calciom::sim::Xoshiro256& rng) {
+  std::string t;
+  if (rng() % 2 == 0) {
+    t += '-';
+  }
+  const auto digits = [&](std::uint64_t maxLen) {
+    const std::uint64_t len = 1 + rng() % maxLen;
+    for (std::uint64_t i = 0; i < len; ++i) {
+      t += static_cast<char>('0' + rng() % 10);
+    }
+  };
+  digits(20);
+  if (rng() % 2 == 0) {
+    t += '.';
+    digits(20);
+  }
+  if (rng() % 2 == 0) {
+    t += (rng() % 2 == 0) ? 'e' : 'E';
+    if (rng() % 2 == 0) {
+      t += '-';
+    }
+    t += std::to_string(rng() % 340);
+  }
+  return t;
+}
+
+TEST(InfoDifferentialTest, NumericParseMatchesStrtollAndStrtod) {
+  // getInt/getDouble read plain decimal text with from_chars; the fallback
+  // and the contract are strtoll/strtod with the end/ERANGE checks. Every
+  // input must come back identical from both.
+  std::vector<std::string> inputs = {
+      "",     "-",      "+5",     " 5",      "00012",  "12abc",
+      "9223372036854775808",      "-9223372036854775808",
+      "0x1p3",  "0xA",    "-0xff",  "1e400",   "1e-400",   "1e-310",
+      "4.9e-324", "inf",
+      "-inf", "nan",    "-nan",   "-0.000000", "0e999",  "-0",
+      "2.2250738585072014e-308",  "2.2250738585072011e-308",
+      "1.7976931348623157e308",   "1.7976931348623159e308",
+      "0.0000000000000000000000000000001e-300",  "1.5.5", "1e", "-.5",
+      ".5",   "5.",     "1e+5",   "1_000"};
+  calciom::sim::Xoshiro256 rng(11);
+  Info scratch;
+  for (int i = 0; i < 5000; ++i) {
+    scratch.setInt("n", randomInt(rng));
+    inputs.emplace_back(*scratch.find("n"));
+    scratch.setDouble("d", randomDouble(rng));
+    inputs.emplace_back(*scratch.find("d"));
+    inputs.push_back(randomDecimalText(rng));
+  }
+  for (const std::string& text : inputs) {
+    Info info;
+    info.set("v", text);
+    RefInfo ref;
+    ref.m["v"] = text;
+    ASSERT_EQ(info.getInt("v"), ref.getInt("v")) << '"' << text << '"';
+    const auto d = info.getDouble("v");
+    const auto want = ref.getDouble("v");
+    ASSERT_EQ(d.has_value(), want.has_value()) << '"' << text << '"';
+    if (d) {
+      ASSERT_TRUE(std::memcmp(&*d, &*want, sizeof(double)) == 0 ||
+                  (std::isnan(*d) && std::isnan(*want)))
+          << '"' << text << '"';
+    }
+  }
+}
+
 TEST(CommunicatorTest, SingleProcessCollectivesAreFree) {
   Communicator comm(1, CommCosts{.latency = 1e-3, .bandwidthPerProcess = 1e6});
   EXPECT_DOUBLE_EQ(comm.barrierTime(), 0.0);
@@ -581,6 +651,130 @@ TEST(PortRegistryTest, HandlerCanReplyThroughAnotherPort) {
   ports.send("arbiter", 3, Info{});
   eng.run();
   EXPECT_DOUBLE_EQ(replyAt, 0.5);  // two hops of 0.25s
+}
+
+/// Drops every third send and duplicates every fourth, each copy and
+/// original with its own extra delay: in-flight messages then free their
+/// slots out of send order.
+class ChurnFilter final : public calciom::mpi::DeliveryFilter {
+ public:
+  Verdict onSend(const std::string& /*port*/, std::uint32_t /*fromApp*/,
+                 const Info& payload) override {
+    const std::int64_t seq = *payload.getInt("seq");
+    Verdict v;
+    v.drop = seq % 3 == 2;
+    v.extraDelaySeconds = static_cast<double>(seq % 5) * 0.1;
+    v.duplicate = seq % 4 == 3;
+    v.duplicateExtraDelaySeconds = static_cast<double>(seq % 7) * 0.05;
+    return v;
+  }
+};
+
+TEST(PortRegistryTest, SlotsAreReusedUnderInterleavedFilteredSends) {
+  // Each payload carries a body derived from its seq, so a slot handing a
+  // message the wrong payload, sender or port would show as a mismatch.
+  const auto bodyOf = [](std::int64_t seq) {
+    return std::string(static_cast<std::size_t>(seq % 40), 'x') +
+           std::to_string(seq);
+  };
+  Engine eng;
+  PortRegistry reg(eng, 0.25);
+  ChurnFilter filter;
+  reg.setDeliveryFilter(&filter);
+  std::vector<std::pair<double, std::int64_t>> got;
+  std::vector<std::int64_t> echoes;
+  reg.openPort("calciom/app/12345", [&](std::uint32_t from, Info payload) {
+    const std::int64_t seq = *payload.getInt("seq");
+    EXPECT_EQ(from, static_cast<std::uint32_t>(seq + 1000));
+    EXPECT_EQ(payload.get("body"), bodyOf(seq));
+    got.emplace_back(eng.now(), seq);
+    if (seq % 5 == 0) {
+      // Sending from inside a delivery re-enters the slot table while the
+      // delivering slot has just been freed.
+      Info echo;
+      echo.setInt("seq", seq);
+      echo.set("body", bodyOf(seq));
+      reg.send("echo", static_cast<std::uint32_t>(seq + 1000), echo);
+    }
+  });
+  reg.openPort("echo", [&](std::uint32_t, Info payload) {
+    echoes.push_back(*payload.getInt("seq"));
+  });
+  std::vector<std::pair<double, std::int64_t>> want;
+  std::int64_t seq = 0;
+  for (int burst = 0; burst < 20; ++burst) {
+    for (int k = 0; k < 1 + burst % 4; ++k, ++seq) {
+      Info m;
+      m.setInt("seq", seq);
+      m.set("body", bodyOf(seq));
+      const DeliveryFilter::Verdict v = filter.onSend("", 0, m);
+      if (v.duplicate) {
+        want.emplace_back(eng.now() + (0.25 + v.duplicateExtraDelaySeconds),
+                          seq);
+      }
+      if (!v.drop) {
+        want.emplace_back(eng.now() + (0.25 + v.extraDelaySeconds), seq);
+      }
+      EXPECT_TRUE(reg.send("calciom/app/12345",
+                           static_cast<std::uint32_t>(seq + 1000), m));
+    }
+    // Advance part-way, so the next burst parks while older messages are
+    // still in flight.
+    eng.runUntil(eng.now() + 0.15);
+  }
+  eng.run();
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want);
+  // Echoes pass the same filter: one per copy it lets through.
+  std::vector<std::int64_t> wantEchoes;
+  for (const auto& [t, s] : want) {
+    if (s % 5 != 0) {
+      continue;
+    }
+    Info echo;
+    echo.setInt("seq", s);
+    const DeliveryFilter::Verdict v = filter.onSend("", 0, echo);
+    const int copies = (v.duplicate ? 1 : 0) + (v.drop ? 0 : 1);
+    for (int c = 0; c < copies; ++c) {
+      wantEchoes.push_back(s);
+    }
+  }
+  std::sort(echoes.begin(), echoes.end());
+  EXPECT_EQ(echoes, wantEchoes);
+  EXPECT_EQ(reg.messagesDelivered(), want.size() + wantEchoes.size());
+}
+
+TEST(PortRegistryTest, PortClosedWithSeveralMessagesInFlightDropsThemAll) {
+  Engine eng;
+  PortRegistry reg(eng, 1.0);
+  int toP = 0;
+  std::vector<std::int64_t> toQ;
+  reg.openPort("p", [&](std::uint32_t, Info) { ++toP; });
+  reg.openPort("q", [&](std::uint32_t, Info payload) {
+    toQ.push_back(*payload.getInt("seq"));
+  });
+  for (std::int64_t i = 0; i < 6; ++i) {
+    Info m;
+    m.setInt("seq", i);
+    EXPECT_TRUE(reg.send(i % 2 == 0 ? "p" : "q", 1, m));
+    eng.runUntil(eng.now() + 0.1);
+  }
+  eng.scheduleAt(0.8, [&] { reg.closePort("p"); });
+  eng.run();
+  EXPECT_EQ(toP, 0);
+  EXPECT_EQ(toQ, (std::vector<std::int64_t>{1, 3, 5}));
+  EXPECT_EQ(reg.messagesDelivered(), 3u);
+  // The dropped messages' slots are free again and carry fresh payloads.
+  for (std::int64_t i = 6; i < 10; ++i) {
+    Info m;
+    m.setInt("seq", i);
+    EXPECT_TRUE(reg.send("q", 1, m));
+  }
+  EXPECT_FALSE(reg.send("p", 1, Info{}));
+  eng.run();
+  EXPECT_EQ(toQ, (std::vector<std::int64_t>{1, 3, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(toP, 0);
 }
 
 }  // namespace

@@ -183,4 +183,91 @@ TEST(GateTest, PauseResumeCycleModelsInterruption) {
   EXPECT_DOUBLE_EQ(times[2], 11.0);
 }
 
+// The waiter lists hold the first waiter inline and spill to a vector from
+// the second on; these cover every fill level on both sides of that edge.
+
+TEST(TriggerTest, FifoOrderAndWaiterCountAtEveryFillLevel) {
+  for (int n : {1, 2, 3, 5}) {
+    Engine eng;
+    Trigger t;
+    std::vector<int> out;
+    EXPECT_EQ(t.waiterCount(), 0u);
+    for (int i = 0; i < n; ++i) {
+      eng.spawn(awaitTrigger(t, out, i));
+      eng.run();
+      EXPECT_EQ(t.waiterCount(), static_cast<std::size_t>(i + 1)) << n;
+    }
+    t.fire();
+    std::vector<int> want(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      want[static_cast<std::size_t>(i)] = i;
+    }
+    EXPECT_EQ(out, want) << n;
+    EXPECT_EQ(t.waiterCount(), 0u) << n;
+  }
+}
+
+TEST(GateTest, FifoOrderAndWaiterCountAcrossReuse) {
+  for (int n : {1, 2, 3, 5}) {
+    Engine eng;
+    Gate g(false);
+    std::vector<int> out;
+    // Two close/open cycles: the second refills lists the first emptied.
+    for (int cycle = 0; cycle < 2; ++cycle) {
+      g.close();
+      out.clear();
+      for (int i = 0; i < n; ++i) {
+        eng.spawn(awaitGate(g, out, i));
+        eng.run();
+        EXPECT_EQ(g.waiterCount(), static_cast<std::size_t>(i + 1));
+      }
+      g.open();
+      std::vector<int> want(static_cast<std::size_t>(n));
+      for (int i = 0; i < n; ++i) {
+        want[static_cast<std::size_t>(i)] = i;
+      }
+      EXPECT_EQ(out, want) << n << " cycle " << cycle;
+      EXPECT_EQ(g.waiterCount(), 0u);
+    }
+  }
+}
+
+/// Passes the gate, then closes it and waits again: the second wait
+/// registers while open() is still releasing the first batch.
+Task reawaitAfterClose(Gate& g, std::vector<int>& out, int id) {
+  co_await g;
+  out.push_back(id);
+  g.close();
+  co_await g;
+  out.push_back(id + 100);
+}
+
+TEST(GateTest, WaiterReawaitingAReclosedGateDuringOpenWaitsForNextOpen) {
+  for (int others : {0, 1, 3}) {
+    Engine eng;
+    Gate g(false);
+    std::vector<int> out;
+    eng.spawn(reawaitAfterClose(g, out, 1));
+    for (int i = 0; i < others; ++i) {
+      eng.spawn(awaitGate(g, out, 2 + i));
+    }
+    eng.run();
+    EXPECT_EQ(g.waiterCount(), static_cast<std::size_t>(1 + others));
+    g.open();
+    // The whole batch passes, in order, even though the first waiter
+    // re-closed the gate; only its second wait stays parked.
+    std::vector<int> want{1};
+    for (int i = 0; i < others; ++i) {
+      want.push_back(2 + i);
+    }
+    EXPECT_EQ(out, want) << others;
+    EXPECT_FALSE(g.isOpen());
+    EXPECT_EQ(g.waiterCount(), 1u);
+    g.open();
+    want.push_back(101);
+    EXPECT_EQ(out, want) << others;
+    EXPECT_EQ(g.waiterCount(), 0u);
+  }
+}
+
 }  // namespace

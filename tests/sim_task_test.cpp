@@ -174,6 +174,66 @@ TEST(TaskTest, EngineDestructionReleasesBlockedTaskFrames) {
   EXPECT_FALSE(never.fired());
 }
 
+/// Records its id into `log` when destroyed: a frame-local RAII probe of
+/// the order in which teardown destroys suspended frames.
+struct TeardownProbe {
+  std::vector<int>* log;
+  int id;
+  ~TeardownProbe() { log->push_back(id); }
+};
+
+Task probedBlock(Trigger& never, std::vector<int>& log, int id) {
+  const TeardownProbe probe{&log, id};
+  co_await never;
+}
+
+Task probedFinish(std::vector<int>& log, int id) {
+  const TeardownProbe probe{&log, id};
+  co_await Delay{1.0};
+}
+
+Task probedParent(Engine& eng, Trigger& never, std::vector<int>& log,
+                  int id) {
+  const TeardownProbe probe{&log, id};
+  // The child is spawned after every top-level task, so it sits last in
+  // the live list even though its parent sits first.
+  co_await Delay{0.5};
+  co_await eng.spawn(probedBlock(never, log, id * 10));
+}
+
+/// Spawns a mix of tasks that stay suspended and tasks that finish (and
+/// leave the live list from its middle), destroys the engine, and returns
+/// the order in which the suspended frames' locals were destroyed.
+std::vector<int> teardownOrder() {
+  Trigger never;
+  std::vector<int> log;
+  {
+    Engine eng;
+    eng.spawn(probedParent(eng, never, log, 1));
+    eng.spawn(probedBlock(never, log, 2));
+    eng.spawn(probedFinish(log, 3));
+    eng.spawn(probedBlock(never, log, 4));
+    eng.spawn(probedFinish(log, 5));
+    eng.spawn(probedBlock(never, log, 6));
+    eng.run();
+    EXPECT_EQ(eng.liveTasks(), 5u);  // 1, its child 10, 2, 4, 6
+    // The finished tasks' probes already ran, in completion order.
+    EXPECT_EQ(log, (std::vector<int>{3, 5}));
+    log.clear();
+  }
+  return log;
+}
+
+TEST(TaskTest, EngineTeardownDestroysSuspendedFramesInSpawnOrder) {
+  // Documented order: oldest spawn first. The child spawned mid-run by
+  // task 1 comes after every task spawned before it; finished tasks are
+  // gone from the list, so the walk skips them.
+  const std::vector<int> first = teardownOrder();
+  EXPECT_EQ(first, (std::vector<int>{1, 2, 4, 6, 10}));
+  // Fixed, not merely plausible: a second run tears down identically.
+  EXPECT_EQ(teardownOrder(), first);
+}
+
 Task chainStep(Engine& eng, int depth, std::vector<int>& out) {
   if (depth > 0) {
     co_await eng.spawn(chainStep(eng, depth - 1, out));
