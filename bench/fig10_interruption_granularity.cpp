@@ -46,13 +46,11 @@ analysis::ScenarioConfig makeConfig(Strategy s) {
       break;
     case Strategy::FileLevel:
       cfg.policy = core::PolicyKind::Interrupt;
-      cfg.granularityA = core::HookGranularity::PerFile;
-      cfg.granularityB = core::HookGranularity::PerFile;
+      cfg.granularity = core::HookGranularity::PerFile;
       break;
     case Strategy::RoundLevel:
       cfg.policy = core::PolicyKind::Interrupt;
-      cfg.granularityA = core::HookGranularity::PerRound;
-      cfg.granularityB = core::HookGranularity::PerRound;
+      cfg.granularity = core::HookGranularity::PerRound;
       break;
   }
   return cfg;

@@ -1,8 +1,8 @@
 #include "analysis/scenario.hpp"
 
 #include <algorithm>
-
 #include <memory>
+#include <utility>
 
 #include "io/hooks.hpp"
 #include "sim/contracts.hpp"
@@ -11,57 +11,26 @@
 namespace calciom::analysis {
 
 PairResult runPair(const ScenarioConfig& cfg) {
-  sim::Engine eng;
-  platform::Machine machine(eng, cfg.machine);
+  ManyConfig many{.machine = cfg.machine,
+                  .policy = cfg.policy,
+                  .metric = cfg.metric,
+                  .dynamicOptions = cfg.dynamicOptions,
+                  .apps = {cfg.appA, cfg.appB},
+                  .granularity = cfg.granularity,
+                  .coordinated = cfg.coordinated};
+  many.apps[0].startOffset += std::max(0.0, -cfg.dt);
+  many.apps[1].startOffset += std::max(0.0, cfg.dt);
+  ManyResult r = runMany(many);
+  return PairResult{.a = std::move(r.apps[0]),
+                    .b = std::move(r.apps[1]),
+                    .decisions = std::move(r.decisions),
+                    .spanSeconds = r.spanSeconds,
+                    .bytesDelivered = r.bytesDelivered};
+}
 
-  std::shared_ptr<const core::EfficiencyMetric> metric = cfg.metric;
-  if (!metric) {
-    metric = std::make_shared<core::CpuSecondsWasted>();
-  }
-  core::Arbiter arbiter(
-      eng, machine.ports(),
-      core::makePolicy(cfg.policy, metric, cfg.dynamicOptions));
-
-  workload::IorConfig cfgA = cfg.appA;
-  workload::IorConfig cfgB = cfg.appB;
-  cfgA.startOffset += std::max(0.0, -cfg.dt);
-  cfgB.startOffset += std::max(0.0, cfg.dt);
-
-  workload::IorApp appA(machine, 1, cfgA);
-  workload::IorApp appB(machine, 2, cfgB);
-
-  core::Session sessionA(eng, machine.ports(),
-                         core::SessionConfig{.appId = 1,
-                                             .appName = cfgA.name,
-                                             .cores = cfgA.processes,
-                                             .granularity = cfg.granularityA});
-  core::Session sessionB(eng, machine.ports(),
-                         core::SessionConfig{.appId = 2,
-                                             .appName = cfgB.name,
-                                             .cores = cfgB.processes,
-                                             .granularity = cfg.granularityB});
-  io::NoopHooks noop;
-  io::IoCoordinationHooks& hooksA =
-      cfg.coordinated ? static_cast<io::IoCoordinationHooks&>(sessionA) : noop;
-  io::IoCoordinationHooks& hooksB =
-      cfg.coordinated ? static_cast<io::IoCoordinationHooks&>(sessionB) : noop;
-
-  PairResult out;
-  eng.spawn(appA.run(hooksA, &out.a));
-  eng.spawn(appB.run(hooksB, &out.b));
-  eng.run();
-
-  out.a.sessionWaitSeconds = sessionA.waitSeconds();
-  out.a.sessionPausedSeconds = sessionA.pausedSeconds();
-  out.a.pausesHonored = sessionA.pausesHonored();
-  out.b.sessionWaitSeconds = sessionB.waitSeconds();
-  out.b.sessionPausedSeconds = sessionB.pausedSeconds();
-  out.b.pausesHonored = sessionB.pausesHonored();
-  out.decisions = arbiter.decisions();
-  out.spanSeconds = std::max(out.a.lastEnd, out.b.lastEnd) -
-                    std::min(out.a.firstStart, out.b.firstStart);
-  out.bytesDelivered = machine.fs().totalDelivered();
-  return out;
+workload::AppStats runAlone(const platform::MachineSpec& spec,
+                            const workload::IorConfig& app) {
+  return runMany(ManyConfig{.machine = spec, .apps = {app}}).apps.front();
 }
 
 ManyResult runMany(const ManyConfig& cfg) {
@@ -91,8 +60,12 @@ ManyResult runMany(const ManyConfig& cfg) {
                             .cores = cfg.apps[i].processes,
                             .granularity = cfg.granularity}));
   }
+  io::NoopHooks noop;
   for (std::size_t i = 0; i < apps.size(); ++i) {
-    eng.spawn(apps[i]->run(*sessions[i], &out.apps[i]));
+    io::IoCoordinationHooks& hooks =
+        cfg.coordinated ? static_cast<io::IoCoordinationHooks&>(*sessions[i])
+                        : noop;
+    eng.spawn(apps[i]->run(hooks, &out.apps[i]));
   }
   eng.run();
 
@@ -109,24 +82,6 @@ ManyResult runMany(const ManyConfig& cfg) {
   out.spanSeconds = lastEnd - firstStart;
   out.bytesDelivered = machine.fs().totalDelivered();
   out.pausesIssued = arbiter.pausesIssued();
-  return out;
-}
-
-workload::AppStats runAlone(const platform::MachineSpec& spec,
-                            const workload::IorConfig& app) {
-  sim::Engine eng;
-  platform::Machine machine(eng, spec);
-  core::Arbiter arbiter(eng, machine.ports(),
-                        core::makePolicy(core::PolicyKind::Interfere));
-  workload::IorApp ior(machine, 1, app);
-  core::Session session(eng, machine.ports(),
-                        core::SessionConfig{.appId = 1,
-                                            .appName = app.name,
-                                            .cores = app.processes});
-  workload::AppStats out;
-  eng.spawn(ior.run(session, &out));
-  eng.run();
-  out.sessionWaitSeconds = session.waitSeconds();
   return out;
 }
 

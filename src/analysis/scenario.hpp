@@ -1,11 +1,12 @@
 #pragma once
 
 /// \file scenario.hpp
-/// The experiment runner: builds a fresh machine, arbiter and two
-/// applications, runs them with a chosen policy and start offset, and
-/// collects everything the paper's figures report. Each run is an isolated
-/// simulation (own engine and machine), so sweeps are embarrassingly
-/// reproducible.
+/// The same-engine experiment runner: builds a fresh machine, arbiter and
+/// N applications, runs them with a chosen policy, and collects everything
+/// the paper's figures report. `runMany` is the one assembly; `runPair`
+/// (two apps and a start offset) and `runAlone` (one app, T_alone) are
+/// configurations of it. Each run is an isolated simulation (own engine
+/// and machine), so sweeps are embarrassingly reproducible.
 
 #include <memory>
 #include <vector>
@@ -30,11 +31,8 @@ struct ScenarioConfig {
   workload::IorConfig appB;
   /// B's start relative to A's (negative: B first).
   double dt = 0.0;
-  core::HookGranularity granularityA = core::HookGranularity::PerRound;
-  core::HookGranularity granularityB = core::HookGranularity::PerRound;
-  /// false runs both apps with NoopHooks: the raw, uncoordinated baseline
-  /// (no arbiter messages at all).
-  bool coordinated = true;
+  core::HookGranularity granularity = core::HookGranularity::PerRound;
+  bool coordinated = true;  ///< see ManyConfig::coordinated
 };
 
 struct PairResult {
@@ -63,6 +61,9 @@ struct ManyConfig {
   core::DynamicOptions dynamicOptions;
   std::vector<workload::IorConfig> apps;
   core::HookGranularity granularity = core::HookGranularity::PerRound;
+  /// false runs every app with NoopHooks: the raw, uncoordinated baseline
+  /// (no arbiter messages at all).
+  bool coordinated = true;
 };
 
 struct ManyResult {

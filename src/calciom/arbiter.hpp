@@ -7,10 +7,12 @@
 /// command pays the registry's configured message latency, so coordination
 /// cost is fully accounted in simulated time.
 ///
-/// All scheduling behaviour lives in `ArbiterCore`; this class only adapts
-/// the transport — port handler in, port sends out, timestamps from the
-/// owning engine's clock. The cross-shard frontend over the same core is
-/// `GlobalArbiter` (global_arbiter.hpp).
+/// All scheduling behaviour lives in `ArbiterCore`, and checkpointing,
+/// crash and restart in `ArbiterHost` (recovery.hpp); this class only
+/// adapts the transport — port handler in, port sends out, timestamps from
+/// the owning engine's clock, plus the lease-sweep tick timer. The
+/// cross-shard frontend over the same host is `GlobalArbiter`
+/// (global_arbiter.hpp).
 
 #include <cstdint>
 #include <memory>
@@ -24,66 +26,47 @@
 
 namespace calciom::core {
 
-/// Frontend hardening knobs (all off by default — a default-constructed
-/// options value gives exactly the pre-hardening arbiter).
-struct ArbiterOptions {
-  /// Dead-accessor reclamation; forwarded to ArbiterCore::configureLeases.
-  LeaseConfig leases;
-  /// Period of the lease sweep timer (ArbiterCore::onTick). Armed only
-  /// while the core is non-idle so a drained simulation still terminates;
-  /// 0 disables the timer (leases then only expire on message arrival).
-  double tickSeconds = 0.0;
-  /// Forwarded to ArbiterCore::setAudit.
-  bool auditInvariants = false;
-  // ---- Crash recovery (recovery.hpp); 0 = the arbiter is immortal ------
-  /// Snapshot the core to the checkpoint store at most this often (checked
-  /// on message arrival — pure observation, so checkpointing never moves a
-  /// decision). 0 disables checkpointing *and* the write-ahead log.
-  double checkpointEverySeconds = 0.0;
-  /// Bound of the write-ahead log between checkpoints; inputs past it form
-  /// the un-checkpointed tail reconciliation must rebuild.
-  std::size_t walCapacity = 64;
-  /// Reconciliation window opened by restart(): how long the restored core
-  /// collects session reports before resuming admission.
-  double recoveryWindowSeconds = 1.0;
-};
-
 class Arbiter {
  public:
+  /// `tickSeconds` is the period of the lease sweep timer
+  /// (ArbiterCore::onTick), armed only while the core is non-idle so a
+  /// drained simulation still terminates; 0 disables the timer (leases
+  /// then only expire on message arrival).
   Arbiter(sim::Engine& engine, mpi::PortRegistry& ports,
-          std::unique_ptr<Policy> policy);
-  Arbiter(sim::Engine& engine, mpi::PortRegistry& ports,
-          std::unique_ptr<Policy> policy, const ArbiterOptions& options);
+          std::unique_ptr<Policy> policy, const ArbiterConfig& config = {},
+          double tickSeconds = 0.0);
   ~Arbiter();
   Arbiter(const Arbiter&) = delete;
   Arbiter& operator=(const Arbiter&) = delete;
 
   [[nodiscard]] const Policy& policy() const noexcept {
-    return core_.policy();
+    return core().policy();
   }
   [[nodiscard]] const std::vector<DecisionRecord>& decisions() const noexcept {
-    return core_.decisions();
+    return core().decisions();
   }
   [[nodiscard]] std::size_t grantsIssued() const noexcept {
-    return core_.grantsIssued();
+    return core().grantsIssued();
   }
   [[nodiscard]] std::size_t pausesIssued() const noexcept {
-    return core_.pausesIssued();
+    return core().pausesIssued();
   }
 
   /// Introspection for tests.
   [[nodiscard]] std::vector<std::uint32_t> currentAccessors() const {
-    return core_.currentAccessors();
+    return core().currentAccessors();
   }
   [[nodiscard]] std::vector<std::uint32_t> waitQueue() const {
-    return core_.waitQueue();
+    return core().waitQueue();
   }
   [[nodiscard]] std::vector<std::uint32_t> pausedStack() const {
-    return core_.pausedStack();
+    return core().pausedStack();
   }
 
   /// The shared decision core (read access for replay comparisons).
-  [[nodiscard]] const ArbiterCore& core() const noexcept { return core_; }
+  [[nodiscard]] const ArbiterCore& core() const noexcept {
+    return host_.core();
+  }
 
   /// Job-scheduler integration; see ArbiterCore::onApplicationTerminated.
   void onApplicationTerminated(std::uint32_t appId);
@@ -95,17 +78,18 @@ class Arbiter {
   /// and the core's in-memory state is conceptually lost — only the
   /// checkpoint store survives. Idempotent.
   void crash();
-  /// Restarts a crashed arbiter: reopens the port, rebuilds the core from
-  /// the checkpoint store (empty snapshot if none was ever taken) plus the
-  /// WAL, applies scheduler terminations reported while down, and opens
-  /// the reconciliation window (ArbiterCore::beginRecovery) with a fresh
-  /// arbiter incarnation.
+  /// Restarts a crashed arbiter: reopens the port, restarts the host
+  /// (ArbiterHost::restart: checkpoint + WAL, then the reconciliation
+  /// window with a fresh arbiter incarnation) and applies scheduler
+  /// terminations reported while down.
   void restart();
-  [[nodiscard]] bool crashed() const noexcept { return crashed_; }
-  [[nodiscard]] std::uint64_t restarts() const noexcept { return restarts_; }
+  [[nodiscard]] bool down() const noexcept { return host_.down(); }
+  [[nodiscard]] std::uint64_t restarts() const noexcept {
+    return host_.restarts();
+  }
   /// The stable-storage model (checkpoint + WAL counters, for tests).
   [[nodiscard]] const CheckpointStore& checkpointStore() const noexcept {
-    return store_;
+    return host_.checkpointStore();
   }
 
  private:
@@ -119,19 +103,14 @@ class Arbiter {
   void maybeArmTick();
 
   void openPort();
-  /// Checkpoints the core when the configured interval elapsed.
-  void maybeCheckpoint();
 
   sim::Engine& engine_;
   mpi::PortRegistry& ports_;
-  ArbiterCore core_;
+  ArbiterHost host_;
   ArbiterCore::Commands scratch_;
-  ArbiterOptions options_;
+  double tickSeconds_;
   bool tickArmed_ = false;
   bool portOpen_ = false;
-  bool crashed_ = false;
-  std::uint64_t restarts_ = 0;
-  CheckpointStore store_;
   /// Scheduler terminations reported while the arbiter was down, applied
   /// (at restart time) once it is back.
   std::vector<std::uint32_t> pendingTerminations_;

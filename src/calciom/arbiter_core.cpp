@@ -779,6 +779,26 @@ void ArbiterCore::beginRecovery(sim::Time now, double windowSeconds,
   }
 }
 
+mpi::Info encodeCommand(const ArbiterCommand& cmd) {
+  mpi::Info payload;
+  payload.set(msg::kType, toWire(cmd.type));
+  if (cmd.cmdSeq != 0) {
+    payload.setInt(msg::kCmdSeq, static_cast<std::int64_t>(cmd.cmdSeq));
+  }
+  if (cmd.epoch != 0) {
+    payload.setInt(msg::kEpoch, static_cast<std::int64_t>(cmd.epoch));
+  }
+  if (cmd.incarnation != 0) {
+    payload.setInt(msg::kIncarnation,
+                   static_cast<std::int64_t>(cmd.incarnation));
+  }
+  if (cmd.arbiterIncarnation != 0) {
+    payload.setInt(msg::kArbiterIncarnation,
+                   static_cast<std::int64_t>(cmd.arbiterIncarnation));
+  }
+  return payload;
+}
+
 namespace {
 /// 16 hex digits of the IEEE-754 bit pattern: the bit-exact double
 /// encoding of encodeSnapshot (a %g rendering could collide two distinct

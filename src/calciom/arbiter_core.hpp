@@ -179,6 +179,12 @@ struct ArbiterCommand {
   std::uint64_t arbiterIncarnation = 0;
 };
 
+/// Wire payload of `cmd`: msg::kType, plus each of msg::kCmdSeq / kEpoch /
+/// kIncarnation / kArbiterIncarnation whose value is nonzero. Unsequenced
+/// receivers thus see legacy payloads, and a never-crashed arbiter's wire
+/// format carries no arbiter-incarnation key. Shared by both transports.
+[[nodiscard]] mpi::Info encodeCommand(const ArbiterCommand& cmd);
+
 /// Dead-accessor reclamation knobs; zero (the default) disables each timer
 /// so an unconfigured core behaves exactly like the pre-lease protocol.
 struct LeaseConfig {

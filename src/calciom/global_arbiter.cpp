@@ -37,17 +37,10 @@ void ArbiterStub::drain(std::vector<Message>& into) {
 
 GlobalArbiter::GlobalArbiter(platform::Cluster& cluster,
                              std::unique_ptr<core::Policy> policy,
-                             Config config)
+                             const core::ArbiterConfig& config)
     : cluster_(cluster),
-      latency_(cluster.spec().resolveCrossShardLatency(
-          config.crossShardLatencySeconds)),
-      core_(std::move(policy)),
-      config_(config),
-      store_(config.walCapacity) {
-  CALCIOM_EXPECTS(config_.checkpointEverySeconds >= 0.0);
-  CALCIOM_EXPECTS(config_.recoveryWindowSeconds >= 0.0);
-  core_.configureLeases(config.leases);
-  core_.setAudit(config.auditInvariants);
+      latency_(cluster.spec().crossShardLatencySeconds),
+      host_(std::move(policy), config) {
   stubs_.reserve(cluster_.shardCount());
   for (std::size_t s = 0; s < cluster_.shardCount(); ++s) {
     stubs_.push_back(
@@ -57,17 +50,12 @@ GlobalArbiter::GlobalArbiter(platform::Cluster& cluster,
 
 GlobalArbiter& GlobalArbiter::install(platform::Cluster& cluster,
                                       std::unique_ptr<core::Policy> policy,
-                                      Config config) {
+                                      const core::ArbiterConfig& config) {
   auto arbiter = std::unique_ptr<GlobalArbiter>(
       new GlobalArbiter(cluster, std::move(policy), config));
   GlobalArbiter& ref = *arbiter;
   cluster.adoptBarrierHook(std::move(arbiter));
   return ref;
-}
-
-GlobalArbiter& GlobalArbiter::install(platform::Cluster& cluster,
-                                      std::unique_ptr<core::Policy> policy) {
-  return install(cluster, std::move(policy), Config{});
 }
 
 void GlobalArbiter::onApplicationTerminated(std::uint32_t appId) {
@@ -118,7 +106,7 @@ bool GlobalArbiter::onBarrier(sim::Time barrierTime) {
   sim::ShardAffinity::checkBarrierContext("calciom::GlobalArbiter::onBarrier");
   ++rounds_;
   evictDead();
-  if (down_) {
+  if (host_.down()) {
     // A dead arbiter: the shard-local relays cannot forward, so the
     // round's traffic is lost on the floor (sessions ride it out through
     // retries and heartbeats, or degrade). Scheduler events stay queued —
@@ -144,10 +132,7 @@ bool GlobalArbiter::onBarrier(sim::Time barrierTime) {
   for (const SchedulerEvent& ev : pendingSchedulerEvents_) {
     if (ev.termination) {
       markDead(ev.app);
-      if (config_.checkpointEverySeconds > 0.0) {
-        store_.logTermination(barrierTime, ev.app);
-      }
-      core_.onApplicationTerminated(barrierTime, ev.app, scratch_);
+      host_.onTerminated(barrierTime, ev.app, scratch_);
       ++merged_;
       mergedAny = true;
     } else {
@@ -178,10 +163,7 @@ bool GlobalArbiter::onBarrier(sim::Time barrierTime) {
       // Refresh the route on every contact: an app id reused on another
       // shard (sequential campaigns) must not inherit the old shard.
       appShard_.upsert(m.fromApp) = s;
-      if (config_.checkpointEverySeconds > 0.0) {
-        store_.logMessage(barrierTime, m.fromApp, m.payload);
-      }
-      core_.onMessage(barrierTime, m.fromApp, m.payload, scratch_);
+      host_.onMessage(barrierTime, m.fromApp, m.payload, scratch_);
       ++merged_;
       mergedAny = true;
     }
@@ -191,8 +173,12 @@ bool GlobalArbiter::onBarrier(sim::Time barrierTime) {
   }
   // With leases configured the barrier doubles as the lease sweep: the
   // sync-horizon period is the global arbiter's natural tick.
-  core_.onTick(barrierTime, scratch_);
-  maybeCheckpoint(barrierTime);
+  host_.core().onTick(barrierTime, scratch_);
+  if (host_.maybeCheckpoint(barrierTime)) {
+    ckptRoutes_ = appShard_;
+    ckptDead_ = dead_;
+    ckptDeadQueue_ = deadQueue_;
+  }
   if (scratch_.empty()) {
     return false;
   }
@@ -207,9 +193,10 @@ sim::Time GlobalArbiter::nextBarrierNeededBy(sim::Time now) {
   // lease sweep, the checkpoint cadence, and fault injection (blackout
   // draws hash the barrier round number, so the numbering itself must keep
   // the fire-always cadence).
-  if (down_ || core_.recovering() || !pendingSchedulerEvents_.empty() ||
-      !dead_.empty() || !deadQueue_.empty() || !injectors_.empty() ||
-      core_.leases().enabled() || config_.checkpointEverySeconds > 0.0) {
+  if (host_.down() || core().recovering() ||
+      !pendingSchedulerEvents_.empty() || !dead_.empty() ||
+      !deadQueue_.empty() || !injectors_.empty() ||
+      core().leases().enabled() || host_.checkpointing()) {
     return now;
   }
   for (const auto& stub : stubs_) {
@@ -290,26 +277,7 @@ bool GlobalArbiter::deliverCommands(sim::Time barrierTime) {
       mpi::PortRegistry::Delivery d;
       d.port = core::msg::appPort(cmd.app);
       d.fromApp = 0;
-      d.payload.set(core::msg::kType, toWire(cmd.type));
-      // cmdSeq is stamped whenever the command came from a live record;
-      // epoch / incarnation / arbiter-incarnation only when meaningful, so
-      // a never-crashed arbiter's wire format is byte-identical to before.
-      if (cmd.cmdSeq != 0) {
-        d.payload.setInt(core::msg::kCmdSeq,
-                         static_cast<std::int64_t>(cmd.cmdSeq));
-      }
-      if (cmd.epoch != 0) {
-        d.payload.setInt(core::msg::kEpoch,
-                         static_cast<std::int64_t>(cmd.epoch));
-      }
-      if (cmd.incarnation != 0) {
-        d.payload.setInt(core::msg::kIncarnation,
-                         static_cast<std::int64_t>(cmd.incarnation));
-      }
-      if (cmd.arbiterIncarnation != 0) {
-        d.payload.setInt(core::msg::kArbiterIncarnation,
-                         static_cast<std::int64_t>(cmd.arbiterIncarnation));
-      }
+      d.payload = core::encodeCommand(cmd);
       sim::Time at = baseAt;
       if (injector != nullptr) {
         const mpi::DeliveryFilter::Verdict v =
@@ -347,42 +315,18 @@ bool GlobalArbiter::deliverCommands(sim::Time barrierTime) {
   return deliveredAny;
 }
 
-void GlobalArbiter::maybeCheckpoint(sim::Time barrierTime) {
-  if (config_.checkpointEverySeconds <= 0.0) {
-    return;
-  }
-  if (store_.checkpoints() != 0 &&
-      barrierTime - store_.lastCheckpointAt() <
-          config_.checkpointEverySeconds) {
-    return;
-  }
-  store_.checkpoint(core_, barrierTime);
-  // Transport-side state rides along: a restarted arbiter needs the
-  // routing table to address its Recover commands and the dead set to keep
-  // fencing stale traffic.
-  ckptRoutes_ = appShard_;
-  ckptDead_ = dead_;
-  ckptDeadQueue_ = deadQueue_;
-}
-
 void GlobalArbiter::crash() {
   sim::ShardAffinity::checkBarrierContext("calciom::GlobalArbiter::crash");
-  down_ = true;
-  // In-memory state is conceptually lost from here; restart() rebuilds it
-  // from the checkpoint store and never reads the live members.
+  host_.crash();
 }
 
 void GlobalArbiter::restart(sim::Time barrierTime) {
   sim::ShardAffinity::checkBarrierContext("calciom::GlobalArbiter::restart");
-  CALCIOM_EXPECTS(down_);
-  down_ = false;
   scratch_.clear();
-  store_.restoreInto(core_);
+  host_.restart(barrierTime, scratch_);
   appShard_ = ckptRoutes_;
   dead_ = ckptDead_;
   deadQueue_ = ckptDeadQueue_;
-  core_.beginRecovery(barrierTime, config_.recoveryWindowSeconds, ++restarts_,
-                      scratch_);
   // Queued scheduler events (including any reported during the outage) are
   // merged by the next onBarrier, ordered before that round's traffic as
   // always. Only the Recover broadcast goes out now.

@@ -38,7 +38,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -90,8 +89,6 @@ class ArbiterStub {
   void drain(std::vector<Message>& into);
 
   [[nodiscard]] bool outboxEmpty() const noexcept { return outbox_.empty(); }
-  /// Messages absorbed over the stub's lifetime.
-  [[nodiscard]] std::uint64_t absorbed() const noexcept { return seq_; }
 
  private:
   mpi::PortRegistry& ports_;
@@ -105,44 +102,18 @@ class ArbiterStub {
 /// the cluster it coordinates (install() registers it via adoptBarrierHook).
 class GlobalArbiter final : public sim::BarrierHook {
  public:
-  struct Config {
-    /// One-way latency of arbiter-to-application deliveries crossing the
-    /// barrier. nullopt (the default) inherits the cluster's
-    /// ClusterSpec::crossShardLatencySeconds. Explicit values must be
-    /// >= 0.0 (rejected otherwise), and an explicit 0.0 is honored — free
-    /// hops — not treated as "inherit".
-    std::optional<double> crossShardLatencySeconds;
-    /// Dead-accessor reclamation (ArbiterCore::configureLeases). When
-    /// enabled, the core's lease sweep runs at every barrier — the barrier
-    /// period is the arbiter's tick, no separate timer needed.
-    core::LeaseConfig leases;
-    /// Forwarded to ArbiterCore::setAudit.
-    bool auditInvariants = false;
-    // ---- Crash recovery (recovery.hpp) -----------------------------------
-    /// Snapshot the core (plus routes and the dead set) to the checkpoint
-    /// store at most this often, checked at barriers. Pure observation —
-    /// checkpointing never moves a decision. 0 disables checkpointing and
-    /// the write-ahead log; restart() then rebuilds purely from
-    /// reconciliation.
-    double checkpointEverySeconds = 0.0;
-    /// Bound of the write-ahead log between checkpoints.
-    std::size_t walCapacity = 64;
-    /// Reconciliation window opened by restart(); see
-    /// ArbiterCore::beginRecovery. Sized in barrier rounds in practice —
-    /// at least one round-trip (sync horizon + two cross-shard hops) so
-    /// every surviving session can answer.
-    double recoveryWindowSeconds = 1.0;
-  };
-
   /// Creates the global arbiter over every shard of `cluster`: registers an
   /// ArbiterStub on each shard's port registry, installs the arbiter as a
   /// barrier hook and hands ownership to the cluster. Call after cluster
-  /// construction, before the first run.
+  /// construction, before the first run. Commands pay the cluster's
+  /// ClusterSpec::crossShardLatencySeconds.
+  ///
+  /// With leases configured the core's lease sweep runs at every barrier
+  /// — the barrier period is the arbiter's tick, no separate timer needed;
+  /// the checkpoint cadence is likewise checked at barriers.
   static GlobalArbiter& install(platform::Cluster& cluster,
                                 std::unique_ptr<core::Policy> policy,
-                                Config config);
-  static GlobalArbiter& install(platform::Cluster& cluster,
-                                std::unique_ptr<core::Policy> policy);
+                                const core::ArbiterConfig& config = {});
 
   /// sim::BarrierHook: merge the round's stub outboxes into the decision
   /// core and schedule command deliveries. Returns whether any delivery was
@@ -192,17 +163,17 @@ class GlobalArbiter final : public sim::BarrierHook {
   void setStubInjectors(std::vector<fault::Injector*> injectors);
 
   [[nodiscard]] const core::ArbiterCore& core() const noexcept {
-    return core_;
+    return host_.core();
   }
   [[nodiscard]] const std::vector<core::DecisionRecord>& decisions()
       const noexcept {
-    return core_.decisions();
+    return core().decisions();
   }
   [[nodiscard]] std::size_t grantsIssued() const noexcept {
-    return core_.grantsIssued();
+    return core().grantsIssued();
   }
   [[nodiscard]] std::size_t pausesIssued() const noexcept {
-    return core_.pausesIssued();
+    return core().pausesIssued();
   }
   /// Shard an application was first heard on (routing table for replies);
   /// SIZE_MAX if the application never informed.
@@ -214,8 +185,6 @@ class GlobalArbiter final : public sim::BarrierHook {
     return merged_;
   }
   [[nodiscard]] double crossShardLatency() const noexcept { return latency_; }
-  /// Barrier exchanges seen so far (the blackout round number: 1-based).
-  [[nodiscard]] std::uint64_t rounds() const noexcept { return rounds_; }
   /// Stub messages discarded because their shard was blacked out, plus
   /// commands dropped on delivery into a blacked-out shard.
   [[nodiscard]] std::uint64_t blackoutDiscarded() const noexcept {
@@ -231,21 +200,23 @@ class GlobalArbiter final : public sim::BarrierHook {
   /// only — the same no-shard-running requirement as onBarrier itself.
   /// Idempotent.
   void crash();
-  /// Restarts the crashed arbiter at barrier time `barrierTime`: rebuilds
-  /// the core from the checkpoint store (snapshot + WAL), restores the
-  /// checkpointed routing table and dead-id set, opens the reconciliation
-  /// window with a fresh arbiter incarnation, and delivers the resulting
+  /// Restarts the crashed arbiter at barrier time `barrierTime`: restarts
+  /// the host (ArbiterHost::restart: checkpoint + WAL, then the
+  /// reconciliation window with a fresh arbiter incarnation), restores the
+  /// checkpointed routing table and dead-id set, and delivers the resulting
   /// Recover commands. Same barrier-only calling convention as crash().
   void restart(sim::Time barrierTime);
-  [[nodiscard]] bool down() const noexcept { return down_; }
-  [[nodiscard]] std::uint64_t restarts() const noexcept { return restarts_; }
+  [[nodiscard]] bool down() const noexcept { return host_.down(); }
+  [[nodiscard]] std::uint64_t restarts() const noexcept {
+    return host_.restarts();
+  }
   /// Stub messages drained-and-discarded while the arbiter was down.
   [[nodiscard]] std::uint64_t crashDiscarded() const noexcept {
     return crashDiscarded_;
   }
   /// The stable-storage model (checkpoint + WAL counters, for tests).
   [[nodiscard]] const core::CheckpointStore& checkpointStore() const noexcept {
-    return store_;
+    return host_.checkpointStore();
   }
 
   // ---- Dead-id set bounds (kDeadRetentionRounds) --------------------------
@@ -270,11 +241,12 @@ class GlobalArbiter final : public sim::BarrierHook {
 
  private:
   GlobalArbiter(platform::Cluster& cluster,
-                std::unique_ptr<core::Policy> policy, Config config);
+                std::unique_ptr<core::Policy> policy,
+                const core::ArbiterConfig& config);
 
   platform::Cluster& cluster_;
   double latency_ = 0.0;
-  core::ArbiterCore core_;
+  core::ArbiterHost host_;
   std::vector<std::unique_ptr<ArbiterStub>> stubs_;  // one per shard
   /// Drain buffer of the merge, reused across stubs and barriers.
   std::vector<ArbiterStub::Message> drained_;
@@ -302,8 +274,6 @@ class GlobalArbiter final : public sim::BarrierHook {
   /// shard (shared by onBarrier and restart). Returns whether any delivery
   /// was scheduled.
   bool deliverCommands(sim::Time barrierTime);
-  /// Checkpoints core + routes + dead set when the interval elapsed.
-  void maybeCheckpoint(sim::Time barrierTime);
 
   /// Ids terminated and not since relaunched, with the round each was
   /// marked dead; their traffic is discarded while remembered. Bounded by
@@ -326,16 +296,14 @@ class GlobalArbiter final : public sim::BarrierHook {
   std::vector<std::size_t> touchedShards_;
   std::uint64_t exchanges_ = 0;
   std::uint64_t merged_ = 0;
+  /// Barrier exchanges seen so far (the blackout round number: 1-based).
   std::uint64_t rounds_ = 0;
   std::uint64_t blackoutDiscarded_ = 0;
-  // -- crash-recovery state --
-  Config config_;
-  bool down_ = false;
-  std::uint64_t restarts_ = 0;
   std::uint64_t crashDiscarded_ = 0;
-  core::CheckpointStore store_;
-  /// Checkpointed transport-side state restored alongside the core: the
-  /// routing table and the dead-id set as of the last checkpoint.
+  /// Transport-side state checkpointed alongside the core (a restarted
+  /// arbiter needs the routing table to address its Recover commands and
+  /// the dead set to keep fencing stale traffic): the routing table and the
+  /// dead-id set as of the last checkpoint.
   core::FlatIdMap<std::size_t> ckptRoutes_;
   std::map<std::uint32_t, std::uint64_t> ckptDead_;
   std::deque<std::pair<std::uint64_t, std::uint32_t>> ckptDeadQueue_;

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "sim/contracts.hpp"
+
 namespace calciom::core {
 
 void CheckpointStore::checkpoint(const ArbiterCore& core, sim::Time now) {
@@ -43,6 +45,22 @@ std::size_t CheckpointStore::restoreInto(ArbiterCore& core) const {
     discard.clear();
   }
   return wal_.size();
+}
+
+ArbiterHost::ArbiterHost(std::unique_ptr<Policy> policy,
+                         const ArbiterConfig& config)
+    : core_(std::move(policy)),
+      checkpointEvery_(config.checkpointEverySeconds) {
+  CALCIOM_EXPECTS(checkpointEvery_ >= 0.0);
+  core_.configureLeases(config.leases);
+  core_.setAudit(config.auditInvariants);
+}
+
+void ArbiterHost::restart(sim::Time now, ArbiterCore::Commands& out) {
+  CALCIOM_EXPECTS(down_);
+  down_ = false;
+  store_.restoreInto(core_);
+  core_.beginRecovery(now, kRecoveryWindowSeconds, ++restarts_, out);
 }
 
 }  // namespace calciom::core

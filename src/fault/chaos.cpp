@@ -172,6 +172,18 @@ void summarize(const ChaosConfig& cfg, const core::ArbiterCore& core,
   (void)cfg;
 }
 
+/// The arbiter settings of `cfg`, the same on both transports: leases,
+/// audit and checkpointing when hardened, the bare protocol otherwise.
+core::ArbiterConfig arbiterConfig(const ChaosConfig& cfg) {
+  if (!cfg.hardened) {
+    return {};
+  }
+  return core::ArbiterConfig{
+      .leases = core::LeaseConfig{cfg.leaseSeconds, cfg.commandRetrySeconds},
+      .auditInvariants = true,
+      .checkpointEverySeconds = cfg.checkpointEverySeconds};
+}
+
 ChaosResult runSameEngine(const ChaosConfig& cfg) {
   Engine eng;
   mpi::PortRegistry ports(eng, cfg.messageLatencySeconds);
@@ -179,16 +191,9 @@ ChaosResult runSameEngine(const ChaosConfig& cfg) {
   if (cfg.installInjector) {
     ports.setDeliveryFilter(&injector);
   }
-  core::ArbiterOptions opts;
-  if (cfg.hardened) {
-    opts.leases = core::LeaseConfig{cfg.leaseSeconds, cfg.commandRetrySeconds};
-    opts.tickSeconds = cfg.arbiterTickSeconds;
-    opts.auditInvariants = true;
-    opts.checkpointEverySeconds = cfg.checkpointEverySeconds;
-    opts.walCapacity = cfg.walCapacity;
-    opts.recoveryWindowSeconds = cfg.recoveryWindowSeconds;
-  }
-  core::Arbiter arbiter(eng, ports, core::makePolicy(cfg.policy), opts);
+  core::Arbiter arbiter(eng, ports, core::makePolicy(cfg.policy),
+                        arbiterConfig(cfg),
+                        cfg.hardened ? cfg.arbiterTickSeconds : 0.0);
 
   ChaosResult out;
   out.apps.resize(static_cast<std::size_t>(cfg.apps));
@@ -219,13 +224,13 @@ ChaosResult runSameEngine(const ChaosConfig& cfg) {
     // Guarded: overlapping specs collapse into one outage (crash() is
     // idempotent and a restart only applies to a crashed arbiter).
     eng.scheduleAt(a.at, [&arbiter, &out] {
-      if (!arbiter.crashed()) {
+      if (!arbiter.down()) {
         arbiter.crash();
         ++out.arbiterCrashes;
       }
     });
     eng.scheduleAt(a.at + a.downSeconds, [&arbiter] {
-      if (arbiter.crashed()) {
+      if (arbiter.down()) {
         arbiter.restart();
       }
     });
@@ -354,16 +359,8 @@ ChaosResult runCluster(const ChaosConfig& cfg) {
     }
   }
 
-  GlobalArbiter::Config gcfg;
-  if (cfg.hardened) {
-    gcfg.leases = core::LeaseConfig{cfg.leaseSeconds, cfg.commandRetrySeconds};
-    gcfg.auditInvariants = true;
-    gcfg.checkpointEverySeconds = cfg.checkpointEverySeconds;
-    gcfg.walCapacity = cfg.walCapacity;
-    gcfg.recoveryWindowSeconds = cfg.recoveryWindowSeconds;
-  }
-  GlobalArbiter& ga =
-      GlobalArbiter::install(cl, core::makePolicy(cfg.policy), gcfg);
+  GlobalArbiter& ga = GlobalArbiter::install(
+      cl, core::makePolicy(cfg.policy), arbiterConfig(cfg));
   if (cfg.installInjector) {
     ga.setStubInjectors(injectorPtrs);
   }

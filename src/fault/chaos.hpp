@@ -50,7 +50,11 @@ struct ChaosConfig {
   double messageLatencySeconds = 1e-3;  // SameEngine registry latency
   std::size_t shards = 2;               // Cluster only
   unsigned workers = 1;                 // Cluster only
-  double syncHorizonSeconds = 0.5;      // Cluster only
+  /// Cluster only. A barrier round trip (this plus two cross-shard hops)
+  /// must fit in the arbiter's reconciliation window
+  /// (core::ArbiterHost::kRecoveryWindowSeconds) for crash recovery to
+  /// hear every survivor.
+  double syncHorizonSeconds = 0.5;
 
   /// The fault schedule; a default Plan is fault-free.
   Plan plan;
@@ -77,10 +81,6 @@ struct ChaosConfig {
   /// decision — so leaving it on does not perturb the zero-fault gates; it
   /// is what plan.arbiterCrashes recover from.
   double checkpointEverySeconds = 0.5;
-  std::size_t walCapacity = 64;
-  /// Reconciliation window opened on arbiter restart. On the cluster
-  /// transport this should cover at least one barrier round trip.
-  double recoveryWindowSeconds = 1.0;
 
   /// Hard wall for the cluster keepalive: past this simulated time the
   /// harness stops forcing barrier rounds (a liveness-bug backstop; healthy

@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,22 +61,6 @@ struct ClusterSpec {
     CALCIOM_EXPECTS(syncHorizonSeconds > 0.0);
     CALCIOM_EXPECTS(crossShardLatencySeconds >= 0.0);
     shard.validate();
-  }
-
-  /// Resolves a barrier hook's per-hook latency override against this
-  /// spec: nullopt inherits crossShardLatencySeconds, an explicit value is
-  /// honored verbatim — 0.0 means free hops, and negatives are
-  /// configuration errors, not "inherit" sentinels. Single definition on
-  /// purpose: calciom::GlobalArbiter::Config and
-  /// platform::SharedStorageModel::Config must interpret the field
-  /// identically.
-  [[nodiscard]] double resolveCrossShardLatency(
-      std::optional<double> overrideSeconds) const {
-    if (!overrideSeconds.has_value()) {
-      return crossShardLatencySeconds;
-    }
-    CALCIOM_EXPECTS(*overrideSeconds >= 0.0);
-    return *overrideSeconds;
   }
 };
 

@@ -101,8 +101,7 @@ SharedStorageModel::SharedStorageModel(Cluster& cluster, Config config)
   CALCIOM_EXPECTS(cluster.shardCount() >= 1);
   storageShard_ = config.storageShard.value_or(cluster.shardCount() - 1);
   CALCIOM_EXPECTS(storageShard_ < cluster.shardCount());
-  latency_ = cluster.spec().resolveCrossShardLatency(
-      config.crossShardLatencySeconds);
+  latency_ = cluster.spec().crossShardLatencySeconds;
   outboxes_.resize(cluster.shardCount());
 }
 

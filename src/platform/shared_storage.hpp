@@ -94,11 +94,6 @@ class SharedStorageModel final : public sim::BarrierHook {
     /// shard. Applications may be pinned on the storage shard too; they
     /// bypass the exchange entirely.
     std::optional<std::size_t> storageShard;
-    /// One-way latency of request/completion deliveries crossing the
-    /// barrier. nullopt (the default) inherits the cluster's
-    /// ClusterSpec::crossShardLatencySeconds; explicit values must be
-    /// >= 0.0, and an explicit 0.0 is honored, not inherited.
-    std::optional<double> crossShardLatencySeconds;
   };
 
   /// Creates the model over `cluster`, installs it as a barrier hook and

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "calciom/arbiter.hpp"
@@ -16,6 +17,9 @@ namespace {
 
 using calciom::core::Action;
 using calciom::core::Arbiter;
+using calciom::core::ArbiterCommand;
+using calciom::core::CommandType;
+using calciom::core::encodeCommand;
 using calciom::core::IoDescriptor;
 using calciom::core::makePolicy;
 using calciom::core::PolicyKind;
@@ -627,6 +631,32 @@ TEST(ArbiterLeaseEdgeTest, ReclamationRacesADelayedRelease) {
   core.onMessage(2.0, 2, coreTypedWire(msg::kComplete), out);
   EXPECT_EQ(core.currentAccessors(), std::vector<std::uint32_t>{1});
   EXPECT_LE(core.maxConcurrentAccessors(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// encodeCommand: the one wire encoder of both transports. Golden payloads.
+
+TEST(EncodeCommand, UnstampedCommandCarriesOnlyItsType) {
+  const Info wire = encodeCommand(ArbiterCommand{.app = 3,
+                                                 .type = CommandType::Pause});
+  EXPECT_EQ(wire.keys(), std::vector<std::string>{msg::kType});
+  EXPECT_EQ(*wire.get(msg::kType), msg::kPause);
+}
+
+TEST(EncodeCommand, EveryNonzeroStampIsSerialized) {
+  const Info wire =
+      encodeCommand(ArbiterCommand{.app = 3,
+                                   .type = CommandType::Recover,
+                                   .epoch = 7,
+                                   .cmdSeq = 42,
+                                   .incarnation = 2,
+                                   .arbiterIncarnation = 5});
+  EXPECT_EQ(wire.size(), 5u);
+  EXPECT_EQ(*wire.get(msg::kType), msg::kRecover);
+  EXPECT_EQ(*wire.get(msg::kCmdSeq), "42");
+  EXPECT_EQ(*wire.get(msg::kEpoch), "7");
+  EXPECT_EQ(*wire.get(msg::kIncarnation), "2");
+  EXPECT_EQ(*wire.get(msg::kArbiterIncarnation), "5");
 }
 
 }  // namespace

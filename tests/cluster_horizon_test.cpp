@@ -16,6 +16,7 @@
 #include "calciom/arbiter_core.hpp"
 #include "calciom/global_arbiter.hpp"
 #include "calciom/policy.hpp"
+#include "calciom/recovery.hpp"
 #include "fault/chaos.hpp"
 #include "fault/injector.hpp"
 #include "mpi/info.hpp"
@@ -26,6 +27,7 @@
 namespace {
 
 using calciom::GlobalArbiter;
+using calciom::core::ArbiterConfig;
 using calciom::core::makePolicy;
 using calciom::core::PolicyKind;
 using calciom::fault::ChaosConfig;
@@ -197,7 +199,7 @@ TEST(ClusterHorizonTest, GlobalArbiterVoteAnswers) {
   const ClusterSpec s = spec(2);
   const Time now = 3.0;
   struct Rig {
-    explicit Rig(const ClusterSpec& s, GlobalArbiter::Config cfg = {})
+    explicit Rig(const ClusterSpec& s, ArbiterConfig cfg = {})
         : cl(s),
           ga(GlobalArbiter::install(cl, makePolicy(PolicyKind::Fcfs), cfg)) {}
     Cluster cl;
@@ -215,13 +217,13 @@ TEST(ClusterHorizonTest, GlobalArbiterVoteAnswers) {
     EXPECT_EQ(r.ga.nextBarrierNeededBy(now), now);
   }
   {  // Leases: every barrier is a lease sweep.
-    GlobalArbiter::Config cfg;
+    ArbiterConfig cfg;
     cfg.leases.leaseSeconds = 5.0;
     Rig r(s, cfg);
     EXPECT_EQ(r.ga.nextBarrierNeededBy(now), now);
   }
   {  // Checkpointing: the cadence is checked at every barrier.
-    GlobalArbiter::Config cfg;
+    ArbiterConfig cfg;
     cfg.checkpointEverySeconds = 10.0;
     Rig r(s, cfg);
     EXPECT_EQ(r.ga.nextBarrierNeededBy(now), now);

@@ -23,7 +23,6 @@
 #include "net/flow_net.hpp"
 #include "platform/cluster.hpp"
 #include "platform/shared_storage.hpp"
-#include "sim/contracts.hpp"
 
 namespace {
 
@@ -102,26 +101,19 @@ TEST(SharedStorageModelTest, DefaultsToLastShardAndInheritsLatency) {
   EXPECT_DOUBLE_EQ(model.crossShardLatency(), 2e-3);
 }
 
-TEST(SharedStorageModelTest, ExplicitZeroLatencyHonoredNegativeRejected) {
+TEST(SharedStorageModelTest, LatencyFollowsClusterSpec) {
   ClusterSpec spec;
   spec.shard = ioMachine();
   spec.shards = 2;
-  spec.crossShardLatencySeconds = 2e-3;
-  {
+  for (const double latency : {2e-3, 0.0}) {
+    spec.crossShardLatencySeconds = latency;
     Cluster cl(spec);
     SharedStorageModel& model = SharedStorageModel::install(
-        cl, SharedStorageModel::Config{.storageShard = 0,
-                                       .crossShardLatencySeconds = 0.0});
-    // An explicit 0.0 must be honored, not silently replaced by the
-    // cluster's 2e-3.
-    EXPECT_DOUBLE_EQ(model.crossShardLatency(), 0.0);
+        cl, SharedStorageModel::Config{.storageShard = 0});
+    // 0.0 means free hops, not "unset".
+    EXPECT_EQ(model.crossShardLatency(), latency);
     EXPECT_EQ(model.storageShard(), 0u);
   }
-  Cluster cl(spec);
-  EXPECT_THROW(
-      SharedStorageModel::install(
-          cl, SharedStorageModel::Config{.crossShardLatencySeconds = -1.0}),
-      calciom::PreconditionError);
 }
 
 TEST(SharedStorageModelTest, AppIdReusableAfterClientDestroyed) {

@@ -25,12 +25,15 @@
 #include "fault/chaos.hpp"
 #include "fault/injector.hpp"
 #include "platform/cluster.hpp"
+#include "sim/contracts.hpp"
 #include "workload/trace.hpp"
 
 namespace {
 
 using calciom::GlobalArbiter;
+using calciom::core::ArbiterConfig;
 using calciom::core::ArbiterCore;
+using calciom::core::ArbiterHost;
 using calciom::core::ArbiterSnapshot;
 using calciom::core::CheckpointStore;
 using calciom::core::CommandType;
@@ -219,6 +222,82 @@ TEST(RecoveryStore, WalOverflowIsCountedNotGrown) {
   ArbiterCore core(makePolicy(PolicyKind::Fcfs));
   EXPECT_EQ(store.restoreInto(core), 2u);
   EXPECT_EQ(core.currentAccessors(), std::vector<std::uint32_t>{1});
+}
+
+// ---------------------------------------------------------------------------
+// ArbiterHost: the checkpoint cadence and crash/restart lifecycle both
+// transports share.
+
+ArbiterHost makeHost(double checkpointEverySeconds) {
+  return ArbiterHost(makePolicy(PolicyKind::Fcfs),
+                     ArbiterConfig{.checkpointEverySeconds =
+                                       checkpointEverySeconds});
+}
+
+TEST(RecoveryHost, FirstInputCheckpoints) {
+  ArbiterHost host = makeHost(2.0);
+  ArbiterCore::Commands out;
+  host.onMessage(0.5, 1, informWire(1), out);
+  EXPECT_TRUE(host.maybeCheckpoint(0.5));
+  EXPECT_EQ(host.checkpointStore().checkpoints(), 1u);
+  EXPECT_EQ(host.checkpointStore().lastCheckpointAt(), 0.5);
+  EXPECT_EQ(host.checkpointStore().walAppended(), 1u);
+}
+
+TEST(RecoveryHost, LaterInputCheckpointsExactlyAtTheCadence) {
+  ArbiterHost host = makeHost(2.0);
+  ArbiterCore::Commands out;
+  host.onMessage(1.0, 1, informWire(1), out);
+  ASSERT_TRUE(host.maybeCheckpoint(1.0));
+  host.onMessage(2.5, 2, informWire(2), out);
+  EXPECT_FALSE(host.maybeCheckpoint(2.5));
+  EXPECT_EQ(host.checkpointStore().walSize(), 1u);
+  host.onTerminated(3.0, 2, out);
+  EXPECT_TRUE(host.maybeCheckpoint(3.0));  // last + every, not after
+  EXPECT_EQ(host.checkpointStore().checkpoints(), 2u);
+  EXPECT_EQ(host.checkpointStore().walSize(), 0u);
+  EXPECT_EQ(host.checkpointStore().walAppended(), 3u);
+}
+
+TEST(RecoveryHost, ZeroCadenceDisablesCheckpointsAndWal) {
+  ArbiterHost host = makeHost(0.0);
+  EXPECT_FALSE(host.checkpointing());
+  ArbiterCore::Commands out;
+  host.onMessage(1.0, 1, informWire(1), out);
+  host.onTerminated(2.0, 1, out);
+  EXPECT_FALSE(host.maybeCheckpoint(2.0));
+  EXPECT_EQ(host.checkpointStore().walAppended(), 0u);
+  EXPECT_EQ(host.checkpointStore().checkpoints(), 0u);
+  EXPECT_EQ(out.size(), 1u);  // the inputs still reached the core
+}
+
+TEST(RecoveryHost, RestartOfALiveHostIsRejected) {
+  ArbiterHost host = makeHost(1.0);
+  ArbiterCore::Commands out;
+  EXPECT_THROW(host.restart(1.0, out), calciom::PreconditionError);
+}
+
+TEST(RecoveryHost, RestartBumpsIncarnationAndOpensTheWindow) {
+  ArbiterHost host = makeHost(1.0);
+  ArbiterCore::Commands out;
+  host.onMessage(1.0, 1, informWire(1), out);
+  ASSERT_TRUE(host.maybeCheckpoint(1.0));
+  host.crash();
+  host.crash();  // idempotent
+  EXPECT_TRUE(host.down());
+  out.clear();
+  host.restart(2.0, out);
+  EXPECT_FALSE(host.down());
+  EXPECT_EQ(host.restarts(), 1u);
+  EXPECT_EQ(host.core().arbiterIncarnation(), 1u);
+  EXPECT_TRUE(host.core().recovering());
+  EXPECT_EQ(host.core().currentAccessors(), std::vector<std::uint32_t>{1});
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out.front().type, CommandType::Recover);
+  host.crash();
+  host.restart(3.0, out);
+  EXPECT_EQ(host.restarts(), 2u);
+  EXPECT_EQ(host.core().arbiterIncarnation(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -518,7 +597,7 @@ TEST(RecoveryDivergence, DivergenceIsConfinedToTheCrashWindow) {
     }
     // Bounded drift: outage + reconciliation window + retry slack.
     EXPECT_LE(div.grantTimeMaxDriftSeconds,
-              down + crashed.recoveryWindowSeconds + 3.0);
+              down + ArbiterHost::kRecoveryWindowSeconds + 3.0);
   }
 }
 

@@ -440,30 +440,19 @@ TEST(GlobalArbiterTest, TerminationDiscardsInFlightTrafficFromDeadApp) {
   EXPECT_LT(a.end, 0.0);  // A never got in
 }
 
-TEST(GlobalArbiterTest, ExplicitZeroLatencyHonoredNegativeRejected) {
+TEST(GlobalArbiterTest, LatencyFollowsClusterSpec) {
   ClusterSpec spec;
   spec.shards = 2;
-  spec.crossShardLatencySeconds = 2e-3;
-  {
-    Cluster cl(spec);
-    GlobalArbiter& ga = GlobalArbiter::install(
-        cl, makePolicy(PolicyKind::Fcfs),
-        GlobalArbiter::Config{.crossShardLatencySeconds = 0.0});
-    // An explicit 0.0 means free hops; it must not be mistaken for an
-    // "inherit from ClusterSpec" sentinel (the old negative-default bug).
-    EXPECT_DOUBLE_EQ(ga.crossShardLatency(), 0.0);
-  }
-  {
+  for (const double latency : {2e-3, 0.0}) {
+    spec.crossShardLatencySeconds = latency;
     Cluster cl(spec);
     GlobalArbiter& ga = GlobalArbiter::install(cl, makePolicy(PolicyKind::Fcfs));
-    EXPECT_DOUBLE_EQ(ga.crossShardLatency(), 2e-3);  // default: inherit
+    // 0.0 means free hops, not "unset".
+    EXPECT_EQ(ga.crossShardLatency(), latency);
   }
-  Cluster cl(spec);
-  EXPECT_THROW(
-      GlobalArbiter::install(
-          cl, makePolicy(PolicyKind::Fcfs),
-          GlobalArbiter::Config{.crossShardLatencySeconds = -1.0}),
-      calciom::PreconditionError);
+  // Negatives never reach a component: the spec itself is rejected.
+  spec.crossShardLatencySeconds = -1.0;
+  EXPECT_THROW({ Cluster cl(spec); }, calciom::PreconditionError);
 }
 
 TEST(GlobalArbiterTest, TerminationDiscardsTrafficArrivingAtLaterBarriers) {
