@@ -16,7 +16,9 @@
 //    delivered-byte bits; the fingerprints must be identical across worker
 //    counts (thread-count invariance) or the bench exits non-zero. The JSON
 //    also records hardware_threads: on a 1-core container the speedup
-//    column measures scheduling overhead, not parallelism.
+//    column measures scheduling overhead, not parallelism. pooled_rounds
+//    counts the rounds handed to the worker pool (0 at 1 worker); it is
+//    the one per-run counter that varies with the worker count.
 //
 //  * storage_2k — 8 shards x 256 = 2048 cache-enabled storage servers fed
 //    by synchronized periodic burst writers (collective-checkpoint shape:
@@ -53,10 +55,13 @@
 // (writers on distinct shards, shared PFS, Interrupt policy) — and exits
 // non-zero if fingerprints diverge or the runs do not complete: the CI
 // tripwire for shard, cross-shard-coordination and shared-storage
-// determinism. It then replays the full cluster_arbiter tier once and gates
-// on its recorded decision fingerprint plus at least a 2x multi-shard
-// sync-round reduction vs the 389 pre-horizon grid barriers (the
-// barrier-tax win must not silently regress).
+// determinism. The pure-flows run at 2 workers must also hand at least one
+// round to the worker pool (pooled_rounds > 0), so a work estimate that
+// stops seeing work fails CI instead of silently serializing. It then
+// replays the full cluster_arbiter tier once and gates on its recorded
+// decision fingerprint plus at least a 2x multi-shard sync-round reduction
+// vs the 389 pre-horizon grid barriers (the barrier-tax win must not
+// silently regress).
 
 #include <algorithm>
 #include <chrono>
@@ -203,6 +208,9 @@ struct RunResult {
   std::uint64_t exchangesNonEmpty = 0;
   std::uint64_t exchangesEmpty = 0;
   std::uint64_t barriersSkipped = 0;
+  /// ClusterStats::pooledRounds over the window: rounds handed to the
+  /// worker pool. Varies with the worker count, so never fingerprinted.
+  std::uint64_t pooledRounds = 0;
   std::uint64_t fingerprint = 0;
   bool complete = false;
 };
@@ -228,6 +236,7 @@ void fillRun(RunResult& out, const calciom::platform::ClusterStats& stats,
       stats.barrierExchangesNonEmpty - base.barrierExchangesNonEmpty;
   out.exchangesEmpty = stats.barrierExchangesEmpty - base.barrierExchangesEmpty;
   out.barriersSkipped = stats.barriersSkipped - base.barriersSkipped;
+  out.pooledRounds = stats.pooledRounds - base.pooledRounds;
 }
 
 /// Builds the cluster for a tier, runs it to completion with `workers`
@@ -544,6 +553,7 @@ void printRun(const char* indent, unsigned workers, const RunResult& r,
       "\"horizon_steps\": %llu, \"solo_rounds\": %llu, "
       "\"dispatched_shards\": %llu, \"exchanges_nonempty\": %llu, "
       "\"exchanges_empty\": %llu, \"barriers_skipped\": %llu, "
+      "\"pooled_rounds\": %llu, "
       "\"max_queue_depth\": %zu, \"fingerprint\": \"%016llx\", "
       "\"complete\": %s}%s\n",
       indent, workers, r.wallSeconds, r.cpuSeconds,
@@ -555,7 +565,8 @@ void printRun(const char* indent, unsigned workers, const RunResult& r,
       static_cast<unsigned long long>(r.dispatchedShards),
       static_cast<unsigned long long>(r.exchangesNonEmpty),
       static_cast<unsigned long long>(r.exchangesEmpty),
-      static_cast<unsigned long long>(r.barriersSkipped), r.maxQueueDepth,
+      static_cast<unsigned long long>(r.barriersSkipped),
+      static_cast<unsigned long long>(r.pooledRounds), r.maxQueueDepth,
       static_cast<unsigned long long>(r.fingerprint),
       r.complete ? "true" : "false", last ? "" : ",");
 }
@@ -571,7 +582,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--smoke]\n"
                    "  --smoke  small cluster at 1/2 workers; exit 1 unless\n"
-                   "           runs complete with identical fingerprints\n",
+                   "           runs complete with identical fingerprints\n"
+                   "           and the 2-worker flow run uses the pool\n",
                    argv[0]);
       return 2;
     }
@@ -601,6 +613,15 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(r1.fingerprint),
                  static_cast<unsigned long long>(r2.fingerprint),
                  flowsOk ? "OK" : "DETERMINISM REGRESSION");
+    // Parallel-path tripwire: four busy flow shards must hand at least one
+    // round to the pool at 2 workers. A work estimate that stops seeing
+    // work silently serializes every campaign; this makes it fail CI (and
+    // keeps the TSan job running shard loops concurrently).
+    const bool pooledOk = r1.pooledRounds == 0 && r2.pooledRounds > 0;
+    std::fprintf(stderr, "smoke: pooled rounds %llu / %llu -> %s\n",
+                 static_cast<unsigned long long>(r1.pooledRounds),
+                 static_cast<unsigned long long>(r2.pooledRounds),
+                 pooledOk ? "OK" : "PARALLEL PATH NEVER ENGAGED");
     // Same tripwire with the global arbiter in the loop: the fingerprint
     // folds every DecisionRecord, so cross-shard coordination must be
     // worker-count invariant too.
@@ -705,7 +726,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(gate.run.syncRounds),
                  static_cast<unsigned long long>(kLegacyGridRounds / 2),
                  barrierTaxOk ? "OK" : "BARRIER TAX REGRESSION");
-    ok = flowsOk && arbiterOk && machineWideOk && barrierTaxOk;
+    ok = flowsOk && pooledOk && arbiterOk && machineWideOk && barrierTaxOk;
     return ok ? 0 : 1;
   }
 
@@ -749,6 +770,7 @@ int main(int argc, char** argv) {
           "\"events\": %llu, "
           "\"events_per_s\": %.0f, \"batches\": %llu, \"sync_rounds\": %llu, "
           "\"solo_rounds\": %llu, \"dispatched_shards\": %llu, "
+          "\"pooled_rounds\": %llu, "
           "\"max_queue_depth\": %zu, \"speedup_vs_1\": %.2f, "
           "\"fingerprint\": \"%016llx\", \"complete\": %s}%s\n",
           counts[i], r.wallSeconds, r.cpuSeconds,
@@ -757,7 +779,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(r.syncRounds),
           static_cast<unsigned long long>(r.soloRounds),
           static_cast<unsigned long long>(r.dispatchedShards),
-          r.maxQueueDepth,
+          static_cast<unsigned long long>(r.pooledRounds), r.maxQueueDepth,
           speedup, static_cast<unsigned long long>(r.fingerprint),
           r.complete ? "true" : "false", i + 1 < runs.size() ? "," : "");
     }

@@ -148,13 +148,21 @@ void Cluster::runRounds(sim::Time limit, unsigned workers) {
     }
     // Sparse activation: dispatch only shards the horizon can reach. A
     // 16-shard round where one shard has work pays one engine call, not 16.
+    // The work estimate expects each active shard to dispatch as many
+    // events as on its last activation, and counts only what can overlap:
+    // the busiest shard runs on some thread either way.
     activeScratch_.clear();
-    std::size_t pendingEstimate = 0;
+    std::uint64_t work = 0;
+    std::uint64_t busiest = 0;
     for (std::size_t i = 0; i < shards_.size(); ++i) {
-      const sim::Time t = shards_[i].engine->nextEventTime();
+      const Shard& s = shards_[i];
+      const sim::Time t = s.engine->nextEventTime();
       if (t != sim::kNever && t <= horizon) {
         activeScratch_.push_back(i);
-        pendingEstimate += shards_[i].engine->pendingEvents();
+        const std::uint64_t w =
+            s.activated ? s.lastWork : s.engine->pendingEvents();
+        work += w;
+        busiest = std::max(busiest, w);
       }
     }
     // Non-empty by construction: the shard owning `next` qualifies.
@@ -168,10 +176,12 @@ void Cluster::runRounds(sim::Time limit, unsigned workers) {
     // An unbounded horizon (unanimous kNever votes with no limit) runs the
     // active shards to completion instead of to +infinity.
     const bool unbounded = horizon == sim::kNever;
-    exec.parallelFor(
+    const bool pooled = exec.parallelFor(
         activeScratch_.size(),
         [&](std::size_t k) {
-          sim::Engine& eng = *shards_[activeScratch_[k]].engine;
+          Shard& shard = shards_[activeScratch_[k]];
+          sim::Engine& eng = *shard.engine;
+          const std::uint64_t before = eng.processedEvents();
           if (unbounded) {
             eng.run();
           } else if (eng.now() < horizon) {
@@ -179,8 +189,13 @@ void Cluster::runRounds(sim::Time limit, unsigned workers) {
             // to `limit` the shard has reached) has nothing to do.
             eng.runUntil(horizon);
           }
+          shard.lastWork = eng.processedEvents() - before;
+          shard.activated = true;
         },
-        pendingEstimate);
+        static_cast<std::size_t>(work - busiest));
+    if (pooled) {
+      ++pooledRounds_;
+    }
     const sim::Time barrierTime = unbounded ? maxShardClock() : horizon;
     lastHorizon_ = barrierTime;
     anyRoundRan_ = true;
@@ -232,6 +247,7 @@ ClusterStats Cluster::stats() const noexcept {
   out.barrierExchangesNonEmpty = barrierExchangesNonEmpty_;
   out.barrierExchangesEmpty = barrierExchangesEmpty_;
   out.barriersSkipped = barriersSkipped_;
+  out.pooledRounds = pooledRounds_;
   for (const Shard& s : shards_) {
     const sim::EngineStats es = s.engine->stats();
     out.total.processedEvents += es.processedEvents;

@@ -65,8 +65,11 @@ struct ClusterSpec {
 };
 
 /// Aggregated event-loop counters across shards (see Cluster::stats()).
-/// All counters except the wall-clock timers are deterministic: derived
-/// from simulated time only, never from thread scheduling.
+/// Every field except the wall-clock timers (total.wallSeconds, cpuSeconds)
+/// and pooledRounds is a pure function of simulated state, identical for
+/// any worker count. pooledRounds is deterministic too, but depends on the
+/// worker count as well; like the timers it stays out of every fingerprint
+/// and worker-count invariance comparison.
 struct ClusterStats {
   /// Sums over shards; maxQueueDepth is the per-shard maximum,
   /// wallSeconds the per-shard maximum (busiest single shard, NOT the
@@ -89,7 +92,7 @@ struct ClusterStats {
   /// required cross-shard synchronization. Rounds advancing a single shard
   /// (soloRounds) run inline on the calling thread with no joins; counting
   /// them as "sync" would overstate the barrier tax by the sparse-activation
-  /// win. Worker-count invariant like every other counter here.
+  /// win. Worker-count invariant.
   std::uint64_t syncRounds = 0;
   /// Every pass of the horizon loop (the pre-sparse-activation notion of a
   /// round): syncRounds + soloRounds.
@@ -107,6 +110,12 @@ struct ClusterStats {
   /// Barriers not fired because every hook's `nextBarrierNeededBy` vote
   /// declared them no-ops (sim/barrier_hook.hpp).
   std::uint64_t barriersSkipped = 0;
+  /// Rounds handed to the worker pool rather than run on the calling
+  /// thread: rounds whose overlappable work (events the active shards
+  /// dispatched on their last activation, minus the busiest shard's) beat
+  /// sim::ShardExecutor::kSerialWorkThreshold. A pure function of simulated
+  /// state and the worker count; 0 at 1 worker.
+  std::uint64_t pooledRounds = 0;
 };
 
 /// Owner of the shard engines and machines; see file comment.
@@ -160,6 +169,13 @@ class Cluster {
   struct Shard {
     std::unique_ptr<sim::Engine> engine;
     std::unique_ptr<Machine> machine;
+    /// Events dispatched on the shard's last activation, written only by
+    /// the thread running the shard in a round (the executor's done-count
+    /// publishes it to the caller). Feeds the next round's work estimate.
+    std::uint64_t lastWork = 0;
+    /// False until the first activation; until then the estimate reads the
+    /// shard's pending-event count instead of lastWork.
+    bool activated = false;
   };
 
   /// Sync-horizon rounds until no event remains at or before `limit` and no
@@ -184,6 +200,7 @@ class Cluster {
   std::uint64_t barrierExchangesNonEmpty_ = 0;
   std::uint64_t barrierExchangesEmpty_ = 0;
   std::uint64_t barriersSkipped_ = 0;
+  std::uint64_t pooledRounds_ = 0;
   /// Horizon of the last dispatched round; shards that skipped trailing
   /// rounds are aligned to it when the round loop exits, reproducing the
   /// dense-dispatch final clocks exactly.

@@ -99,10 +99,10 @@ void ShardExecutor::rethrowLowest(std::size_t n) {
   }
 }
 
-void ShardExecutor::parallelFor(std::size_t n, IndexFn fn,
+bool ShardExecutor::parallelFor(std::size_t n, IndexFn fn,
                                 std::size_t workEstimate) {
   if (n == 0) {
-    return;
+    return false;
   }
   CALCIOM_EXPECTS(n <= kIndexMask);
   errors_.assign(n, nullptr);
@@ -110,7 +110,7 @@ void ShardExecutor::parallelFor(std::size_t n, IndexFn fn,
     // Serial fast path: the pool is never woken, the round costs a loop.
     runSerial(n, fn);
     rethrowLowest(n);
-    return;
+    return false;
   }
   const std::uint64_t prev = roundGen_.load(std::memory_order_relaxed);
   CALCIOM_EXPECTS((prev & 1) == 0);  // rounds never overlap
@@ -142,6 +142,7 @@ void ShardExecutor::parallelFor(std::size_t n, IndexFn fn,
     finished = done_.load(std::memory_order_acquire);
   }
   rethrowLowest(n);
+  return true;
 }
 
 void ShardExecutor::workerLoop() {

@@ -16,10 +16,15 @@
 ///    pull indices alongside the pool, so `workers == 1` (or an empty pool)
 ///    degenerates to a plain loop with no synchronization — the serial path
 ///    of a 1-worker cluster pays nothing.
-///  * Adaptive serial fast path. Rounds whose estimated work (caller-supplied
-///    `workEstimate`, e.g. the pending-event count) falls below
-///    `kSerialWorkThreshold` run entirely on the calling thread without
-///    waking the pool: a futex wake costs microseconds, a tiny round less.
+///  * Adaptive serial fast path. The caller estimates how much of a round's
+///    work can overlap: the events the round will dispatch *outside its
+///    busiest index*, since that index runs on some thread either way and
+///    only the rest can move to another core. platform::Cluster measures
+///    this from each shard's events dispatched on its last activation.
+///    Rounds whose `workEstimate` is at or below `kSerialWorkThreshold` run
+///    entirely on the calling thread without waking the pool: a futex wake
+///    costs microseconds, and a round dominated by one shard, or holding
+///    only a few hundred events, gains nothing from a second core.
 ///  * Deterministic failure. Exceptions from `fn(i)` are captured in
 ///    per-index slots and the lowest-index one is rethrown after the round
 ///    completes, so which error surfaces does not depend on thread
@@ -85,10 +90,14 @@ class IndexFn {
 
 class ShardExecutor {
  public:
-  /// Rounds with `workEstimate` at or below this run serially on the caller
-  /// without waking the pool. Calibration: waking a parked worker costs a
-  /// futex syscall (microseconds), a simulated event runs in well under one,
-  /// so a round worth a few hundred events is cheaper to run in place.
+  /// Rounds with `workEstimate` at or below this many overlappable events
+  /// dispatched run serially on the caller without waking the pool.
+  /// Calibration: waking a parked worker costs a futex syscall
+  /// (microseconds) and a simulated event a few hundred nanoseconds to a
+  /// few microseconds, so a few hundred events that could run beside the
+  /// busiest shard are about the least work that repays the handoff. The
+  /// estimate excludes the busiest shard, so a round where one shard does
+  /// everything stays on the caller however large it is.
   static constexpr std::size_t kSerialWorkThreshold = 256;
 
   /// Passed as `workEstimate` when the round should always go parallel.
@@ -107,12 +116,13 @@ class ShardExecutor {
   /// `fn` is referenced, not copied: it only has to live through the call.
   /// `fn` must be safe to call concurrently for distinct indices. If any
   /// call threw, the lowest-index exception is rethrown. `workEstimate` is
-  /// an optional hint of how much total work the round holds (any unit the
-  /// caller likes, e.g. pending events); at or below
-  /// `kSerialWorkThreshold` the round stays on the calling thread.
-  /// `n` must fit in 32 bits (index shares an atomic word with the round
-  /// generation).
-  void parallelFor(std::size_t n, IndexFn fn,
+  /// an optional hint of the round's overlappable events dispatched: the
+  /// work outside its busiest index, the part another thread could take.
+  /// At or below `kSerialWorkThreshold` the round stays on the calling
+  /// thread. Returns true if the round was handed to the pool, false if it
+  /// ran serially on the caller. `n` must fit in 32 bits (index shares an
+  /// atomic word with the round generation).
+  bool parallelFor(std::size_t n, IndexFn fn,
                    std::size_t workEstimate = kNoEstimate);
 
   /// Total threads a round runs on (pool + caller).

@@ -382,6 +382,121 @@ TEST(StorageAtScaleTest, LivelockClampHoldsUnderMultiShardBatchedDispatch) {
 }
 
 // ---------------------------------------------------------------------------
+// Work estimate: Cluster::runRounds wakes the pool only for work that can
+// overlap — events the active shards dispatched on their last activation,
+// minus the busiest shard's. Flow workers wait on completion triggers, so
+// after they start a shard holds a few pending events while it settles
+// hundreds of flows per round; the estimate has to see that work, and has
+// to leave a round that one shard dominates on the caller.
+
+/// Shards running perf_cluster's clustered flow scenario (or idle tickers).
+/// Scenario plans and resource tables live here: flow workers reference
+/// them for the whole run.
+struct FlowCampaign {
+  explicit FlowCampaign(std::size_t shards)
+      : cluster(smallSpec(shards)), res(shards), plans(shards) {}
+
+  void addFlows(std::size_t shard, int clusters, int workers) {
+    plans[shard] = calciom::scenarios::makeClusteredScenario(
+        0xF10A5ull + shard, clusters, workers, /*flowsPerWorker=*/4);
+    FlowNet& net = cluster.machine(shard).net();
+    for (double cap : plans[shard].capacities) {
+      res[shard].push_back(net.addResource(cap));
+    }
+    for (const auto& plan : plans[shard].workers) {
+      cluster.engine(shard).spawn(
+          calciom::scenarios::flowWorker(net, plan, res[shard]));
+    }
+  }
+
+  Cluster cluster;
+  std::vector<std::vector<ResourceId>> res;
+  std::vector<calciom::scenarios::FlowScenario> plans;
+};
+
+/// One event every `period` simulated seconds: a shard that is active in
+/// every round but does almost nothing.
+Task ticker(int ticks, Time period) {
+  for (int i = 0; i < ticks; ++i) {
+    co_await Delay{period};
+  }
+}
+
+/// Eight equally busy flow shards. Workers start within 2 simulated
+/// seconds; `pooledAfterStart` counts only rounds after that, when the
+/// pending-event count no longer sees the flows being settled.
+struct BalancedRun {
+  calciom::platform::ClusterStats stats;
+  std::uint64_t pooledAfterStart = 0;
+  std::vector<std::uint64_t> processed;
+  std::vector<Time> now;
+};
+
+BalancedRun runBalanced(unsigned workers) {
+  FlowCampaign fc(8);
+  for (std::size_t s = 0; s < 8; ++s) {
+    fc.addFlows(s, /*clusters=*/64, /*workers=*/256);
+  }
+  fc.cluster.runUntil(2.05, workers);
+  const std::uint64_t pooledAtStart = fc.cluster.stats().pooledRounds;
+  fc.cluster.run(workers);
+  BalancedRun out;
+  out.stats = fc.cluster.stats();
+  out.pooledAfterStart = out.stats.pooledRounds - pooledAtStart;
+  for (std::size_t s = 0; s < 8; ++s) {
+    out.processed.push_back(fc.cluster.engine(s).processedEvents());
+    out.now.push_back(fc.cluster.engine(s).now());
+  }
+  EXPECT_TRUE(fc.cluster.empty());
+  return out;
+}
+
+TEST(ClusterWorkEstimateTest, BalancedBusyFlowShardsUseThePool) {
+  const BalancedRun run = runBalanced(4);
+  EXPECT_GT(run.stats.pooledRounds, 0u);
+  EXPECT_GT(run.pooledAfterStart, 0u);
+}
+
+TEST(ClusterWorkEstimateTest, OneHeavyShardAmongIdleOnesStaysOnTheCaller) {
+  FlowCampaign fc(6);
+  fc.addFlows(0, /*clusters=*/128, /*workers=*/1024);
+  for (std::size_t s = 1; s < 6; ++s) {
+    fc.cluster.engine(s).spawn(ticker(/*ticks=*/100, /*period=*/0.1));
+  }
+  fc.cluster.run(4);
+  const auto st = fc.cluster.stats();
+  // Every round reaches the idle shards, so the pool had its chance...
+  EXPECT_GT(st.syncRounds, 20u);
+  EXPECT_GT(fc.cluster.engine(0).processedEvents(), 4000u);
+  // ...but their events are all that could overlap with the heavy shard.
+  EXPECT_EQ(st.pooledRounds, 0u);
+}
+
+TEST(ClusterWorkEstimateTest, OnlyPooledRoundsVaryWithWorkerCount) {
+  const BalancedRun one = runBalanced(1);
+  const BalancedRun four = runBalanced(4);
+  EXPECT_EQ(one.stats.pooledRounds, 0u);
+  EXPECT_GT(four.stats.pooledRounds, 0u);
+  const auto& a = one.stats;
+  const auto& b = four.stats;
+  EXPECT_EQ(a.total.processedEvents, b.total.processedEvents);
+  EXPECT_EQ(a.total.scheduledEvents, b.total.scheduledEvents);
+  EXPECT_EQ(a.total.pendingEvents, b.total.pendingEvents);
+  EXPECT_EQ(a.total.maxQueueDepth, b.total.maxQueueDepth);
+  EXPECT_EQ(a.total.dispatchBatches, b.total.dispatchBatches);
+  EXPECT_EQ(a.shards, b.shards);
+  EXPECT_EQ(a.syncRounds, b.syncRounds);
+  EXPECT_EQ(a.horizonSteps, b.horizonSteps);
+  EXPECT_EQ(a.soloRounds, b.soloRounds);
+  EXPECT_EQ(a.dispatchedShards, b.dispatchedShards);
+  EXPECT_EQ(a.barrierExchangesNonEmpty, b.barrierExchangesNonEmpty);
+  EXPECT_EQ(a.barrierExchangesEmpty, b.barrierExchangesEmpty);
+  EXPECT_EQ(a.barriersSkipped, b.barriersSkipped);
+  EXPECT_EQ(one.processed, four.processed);
+  EXPECT_EQ(one.now, four.now);  // bit-identical clocks
+}
+
+// ---------------------------------------------------------------------------
 // ShardExecutor unit coverage (serial path, pool path, error slots).
 
 TEST(ShardExecutorTest, RunsEveryIndexExactlyOnce) {
