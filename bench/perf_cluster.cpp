@@ -23,7 +23,7 @@
 //  * storage_2k — 8 shards x 256 = 2048 cache-enabled storage servers fed
 //    by synchronized periodic burst writers (collective-checkpoint shape:
 //    bursts start at aligned times, so completion storms exercise
-//    popBatch). Aggregates StorageServer::TransitionProfile to answer the
+//    batched equal-time dispatch). Aggregates StorageServer::TransitionProfile to answer the
 //    ROADMAP "cache/locality model at scale" question: is the per-server
 //    transition-event reschedule hot at thousands of servers? The verdict
 //    is recorded in src/net/README.md.

@@ -2,22 +2,17 @@
 
 /// \file dary_heap.hpp
 /// Flat d-ary min-heap. Compared to the binary std::push_heap/std::pop_heap
-/// pair, a 4-ary layout halves the tree depth, keeps four children in one
-/// cache line's worth of records, and avoids the libstdc++ pop-heap idiom of
-/// moving the displaced element through the whole tree. Used by the engine's
-/// event queue; the FlowNet completion index uses its own position-tracking
-/// variant because keys live outside the heap.
-///
-/// `popBatch` drains the maximal equal-key prefix (e.g. every event at the
-/// same simulated time) in a single collect-and-repair pass instead of k
-/// independent pops: the equal-key nodes form an ancestor-closed subtree at
-/// the top of the heap, so they can be found by a pruned DFS and removed by
-/// filling each hole once from the tail, which is the amortization the
-/// engine's completion-storm dispatch relies on.
+/// pair, a 4-ary layout halves the tree depth and avoids the libstdc++
+/// pop-heap idiom of moving the displaced element through the whole tree.
+/// The engine keeps 16-byte `{time, bucket}` nodes here, one per distinct
+/// pending timestamp, so a node's four children span one 64-byte line's
+/// worth of bytes (they straddle two lines unless the buffer happens to be
+/// line-aligned); fatter records lose that. The FlowNet completion index
+/// uses its own position-tracking variant because its keys live outside the
+/// heap.
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -53,69 +48,6 @@ class DaryHeap {
       items_.pop_back();
     }
     return out;
-  }
-
-  /// Pops every item whose key equals the minimum, appending them to `out`
-  /// sorted by `before`. Returns the number of items popped (0 iff empty).
-  ///
-  /// `sameKey(top, x)` must say whether `x` belongs to the minimum's
-  /// equivalence class, and that class must be a prefix of the heap order:
-  /// whenever `before(a, b)` holds and `b` is in the class, `a` must be too
-  /// (true for "same timestamp" under (time, seq) ordering). This is what
-  /// makes the class ancestor-closed — a node can only match if its parent
-  /// does — so the DFS below prunes at the first mismatch.
-  ///
-  /// Cost: O(k·Arity) comparisons to collect the k matching nodes, one
-  /// tail-fill + sift-down per removed node (each strictly below the hole,
-  /// so repairs never interfere), and an O(k log k) sort of the batch.
-  /// Repeated pop() would instead sift a tail element through the
-  /// equal-key-dense top region k times over.
-  template <class SameKey>
-  std::size_t popBatch(std::vector<T>& out, SameKey sameKey) {
-    if (items_.empty()) {
-      return 0;
-    }
-    // Collect the indices of the equal-key subtree (pruned DFS from the
-    // root). items_ is not mutated yet, so comparing against items_[0] is
-    // safe throughout.
-    batchIdx_.clear();
-    batchStack_.clear();
-    batchStack_.push_back(0);
-    while (!batchStack_.empty()) {
-      const std::size_t i = batchStack_.back();
-      batchStack_.pop_back();
-      batchIdx_.push_back(i);
-      const std::size_t first = i * Arity + 1;
-      const std::size_t last = std::min(first + Arity, items_.size());
-      for (std::size_t c = first; c < last; ++c) {
-        if (sameKey(items_[0], items_[c])) {
-          batchStack_.push_back(c);
-        }
-      }
-    }
-    const std::size_t k = batchIdx_.size();
-    const std::size_t outBase = out.size();
-    for (const std::size_t i : batchIdx_) {
-      out.push_back(std::move(items_[i]));
-    }
-    // Repair from the deepest hole up: descending index order guarantees
-    // that (a) the tail element moved into a hole is never itself an
-    // unprocessed hole, and (b) a sift-down only visits indices larger than
-    // the hole, which are already repaired.
-    std::sort(batchIdx_.begin(), batchIdx_.end(),
-              std::greater<std::size_t>());
-    for (const std::size_t i : batchIdx_) {
-      if (i + 1 == items_.size()) {
-        items_.pop_back();
-      } else {
-        items_[i] = std::move(items_.back());
-        items_.pop_back();
-        siftDown(i);
-      }
-    }
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(outBase), out.end(),
-              [this](const T& a, const T& b) { return before_(a, b); });
-    return k;
   }
 
  private:
@@ -154,9 +86,6 @@ class DaryHeap {
 
   std::vector<T> items_;
   Before before_;
-  // popBatch scratch, kept as members so storms allocate only once.
-  std::vector<std::size_t> batchIdx_;
-  std::vector<std::size_t> batchStack_;
 };
 
 }  // namespace calciom::sim

@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "sim/wall_timer.hpp"
 
@@ -52,8 +53,22 @@ void Engine::scheduleAt(Time t, EventFn fn) {
   // engine running) or from this engine's own callbacks, never from another
   // engine's loop — that would race with the owning shard's thread.
   CALCIOM_EXPECTS(current() == nullptr || current() == this);
-  events_.push(Event{t, seq_++, std::move(fn)});
-  maxQueueDepth_ = std::max(maxQueueDepth_, events_.size());
+  Slot* s = slab_.acquire();
+  s->fn = std::move(fn);
+  s->next = nullptr;
+  std::uint32_t b = index_.find(t);
+  if (b == TimestampIndex::kNone) {
+    b = openBucket(t);
+    buckets_[b] = Bucket{s, s, 1};
+  } else {
+    Bucket& bucket = buckets_[b];
+    bucket.tail->next = s;
+    bucket.tail = s;
+    ++bucket.count;
+  }
+  ++scheduled_;
+  ++pending_;
+  maxQueueDepth_ = std::max(maxQueueDepth_, pending_);
 }
 
 void Engine::scheduleAfter(Time dt, EventFn fn) {
@@ -70,66 +85,119 @@ std::shared_ptr<Trigger> Engine::spawn(Task task) {
   return done;
 }
 
+std::uint32_t Engine::openBucket(Time t) {
+  std::uint32_t b = freeBucket_;
+  if (b == TimestampIndex::kNone) {
+    b = static_cast<std::uint32_t>(buckets_.size());
+    buckets_.emplace_back();
+  } else {
+    freeBucket_ = static_cast<std::uint32_t>(buckets_[b].count);
+  }
+  index_.insert(t, b);
+  times_.push(Node{t, b});
+  return b;
+}
+
+Engine::Slab::~Slab() {
+  for (const Chunk& c : chunks_) {
+    // Only the last chunk can be partly carved.
+    std::destroy(c.slots, &c == &chunks_.back() ? carve_ : c.slots + c.size);
+    std::allocator<Slot>().deallocate(c.slots, c.size);
+  }
+}
+
+Engine::Slot* Engine::Slab::acquire() {
+  if (free_ != nullptr) {
+    Slot* s = free_;
+    free_ = s->next;
+    return s;
+  }
+  if (carve_ == carveEnd_) {
+    const std::size_t n =
+        chunks_.empty() ? kFirstChunk : 2 * chunks_.back().size;
+    chunks_.reserve(chunks_.size() + 1);  // recording it cannot throw
+    carve_ = std::allocator<Slot>().allocate(n);
+    carveEnd_ = carve_ + n;
+    chunks_.push_back(Chunk{carve_, n});
+  }
+  return ::new (static_cast<void*>(carve_++)) Slot;
+}
+
+void Engine::Slab::release(Slot* s) noexcept {
+  s->fn = nullptr;
+  s->next = free_;
+  free_ = s;
+}
+
+void Engine::requeue(Batch& b) {
+  if (b.next == nullptr) {
+    return;
+  }
+  const std::uint32_t found = index_.find(b.t);
+  if (found == TimestampIndex::kNone) {
+    buckets_[openBucket(b.t)] = Bucket{b.next, b.tail, b.remaining};
+  } else {
+    // Events scheduled at b.t while the batch ran: they come later.
+    Bucket& bucket = buckets_[found];
+    b.tail->next = bucket.head;
+    bucket.head = b.next;
+    bucket.count += b.remaining;
+  }
+  pending_ += b.remaining;
+  b.next = nullptr;
+  b.remaining = 0;
+}
+
 void Engine::flushActiveBatch() {
   // A nested run()/runUntil() must see the enclosing dispatch's unconsumed
   // events: they are at the head of the order, and holding them privately
   // would let the nested loop advance the clock past them — dispatching
   // them afterwards would rewind now() and double-integrate every
   // time-integrating component (FlowNet delivered bytes, cache levels).
-  // Pushing them back restores the exact one-event-at-a-time semantics:
-  // the nested loop pops them first, in (time, seq) order. By induction
-  // only the innermost dispatch ever holds a non-empty tail, so one flush
+  // Requeueing them restores the exact one-event-at-a-time semantics: the
+  // nested loop pops them first, in (time, seq) order. By induction only
+  // the innermost dispatch ever holds a non-empty tail, so one flush
   // suffices.
-  if (activeBatch_ != nullptr) {
-    for (std::size_t i = *activeNext_; i < activeBatch_->size(); ++i) {
-      events_.push(std::move((*activeBatch_)[i]));
-    }
-    *activeNext_ = activeBatch_->size();
+  if (active_ != nullptr) {
+    requeue(*active_);
   }
 }
 
 void Engine::dispatchHeadBatch() {
-  // Take the scratch buffer by value: a nested run on this engine will
-  // reuse batch_ for its own dispatches. In the (overwhelmingly common)
-  // non-reentrant case this is a pointer swap, and the buffer's capacity
-  // returns to batch_ below, so the steady state stays allocation-free.
-  std::vector<Event> batch = std::move(batch_);
-  batch_.clear();
-  batch.clear();
-  events_.popBatch(batch, [](const Event& top, const Event& x) noexcept {
-    return x.t == top.t;
-  });
+  const Node head = times_.pop();
+  index_.erase(head.t);
+  const Bucket bucket = buckets_[head.bucket];
+  buckets_[head.bucket].count = freeBucket_;
+  freeBucket_ = head.bucket;
+  pending_ -= bucket.count;
   ++dispatchBatches_;
-  // On every exit (including an exception escaping an event) re-push the
-  // unconsumed tail: (t, seq) keys are unchanged, so the next run()
-  // resumes in the exact order this one would have used. Also unwinds the
-  // active-dispatch stack used by flushActiveBatch().
+  Batch batch{head.t, bucket.head, bucket.tail, bucket.count, active_};
+  // On every exit (including an exception escaping an event) requeue the
+  // unconsumed tail and unwind the active-dispatch stack.
   struct Restore {
     Engine& eng;
-    std::vector<Event>& batch;
-    std::vector<Event>* prevBatch;
-    std::size_t* prevNext;
-    std::size_t next = 0;
+    Batch& batch;
     ~Restore() {
-      for (std::size_t i = next; i < batch.size(); ++i) {
-        eng.events_.push(std::move(batch[i]));
-      }
-      batch.clear();
-      eng.batch_ = std::move(batch);  // hand the capacity back
-      eng.activeBatch_ = prevBatch;
-      eng.activeNext_ = prevNext;
+      eng.requeue(batch);
+      eng.active_ = batch.outer;
     }
-  } restore{*this, batch, activeBatch_, activeNext_};
-  activeBatch_ = &batch;
-  activeNext_ = &restore.next;
-  while (restore.next < batch.size()) {
+  } restore{*this, batch};
+  active_ = &batch;
+  while (batch.next != nullptr) {
     drainZombies();
     rethrowIfFailed();
-    Event& ev = batch[restore.next];
-    ++restore.next;  // consumed even if fn() throws: the event did run
-    now_ = ev.t;
+    Slot* s = batch.next;
+    // Consumed even if fn() throws: the event did run.
+    batch.next = s->next;
+    --batch.remaining;
+    now_ = batch.t;
     ++processed_;
-    ev.fn();
+    struct Release {
+      Engine& eng;
+      Slot* s;
+      ~Release() { eng.slab_.release(s); }
+    } release{*this, s};
+    s->fn();
   }
 }
 
@@ -137,8 +205,8 @@ void Engine::run() {
   WallTimer timer(wallSeconds_);
   CurrentEngineScope scope(this);
   flushActiveBatch();  // nested call: inherit the enclosing batch's tail
-  while (!events_.empty()) {
-    CALCIOM_ENSURES(events_.top().t >= now_);
+  while (!times_.empty()) {
+    CALCIOM_ENSURES(times_.top().t >= now_);
     dispatchHeadBatch();
   }
   drainZombies();
@@ -150,7 +218,7 @@ void Engine::runUntil(Time t) {
   WallTimer timer(wallSeconds_);
   CurrentEngineScope scope(this);
   flushActiveBatch();  // nested call: inherit the enclosing batch's tail
-  while (!events_.empty() && events_.top().t <= t) {
+  while (!times_.empty() && times_.top().t <= t) {
     dispatchHeadBatch();
   }
   drainZombies();
@@ -159,14 +227,14 @@ void Engine::runUntil(Time t) {
 }
 
 Time Engine::nextEventTime() const noexcept {
-  return events_.empty() ? kNever : events_.top().t;
+  return times_.empty() ? kNever : times_.top().t;
 }
 
 EngineStats Engine::stats() const noexcept {
   EngineStats s;
   s.processedEvents = processed_;
-  s.scheduledEvents = seq_;
-  s.pendingEvents = events_.size();
+  s.scheduledEvents = scheduled_;
+  s.pendingEvents = pending_;
   s.maxQueueDepth = maxQueueDepth_;
   s.dispatchBatches = dispatchBatches_;
   s.wallSeconds = wallSeconds_;

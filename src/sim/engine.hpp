@@ -5,13 +5,19 @@
 /// equal-time events run in scheduling order, which makes every simulation
 /// bit-reproducible for a given seed and construction order.
 ///
-/// The event queue is a flat 4-ary min-heap of fixed-size records whose
-/// callbacks live in small-buffer `EventFn` storage, so scheduling and
-/// dispatching an event performs no per-event heap allocation. The dispatch
-/// loop consumes *batches*: every event at the head timestamp is drained
-/// from the heap in one `DaryHeap::popBatch` pass and then run in sequence
-/// order, which amortizes heap maintenance during completion storms
-/// (collective checkpoint ends schedule thousands of equal-time events).
+/// The event queue has three parts. A 4-ary heap holds one 16-byte
+/// `{time, bucket}` node per *distinct* pending timestamp; a flat
+/// `TimestampIndex` maps each pending timestamp to its bucket; each bucket
+/// is a FIFO list (head, tail, count) of slots in a slab, and a slot holds
+/// the event's small-buffer `EventFn`. Scheduling at a pending time is an
+/// index hit and a list append; only a new time pays a heap push. Appending
+/// in scheduling order *is* seq order and every bucket has its own time, so
+/// (time, seq) order holds by construction with no per-event key. Dispatch
+/// pops one node and runs its whole list (a *batch*): completion storms that
+/// schedule thousands of events at one instant cost one heap pop. The slab
+/// grows in chunks that never move and recycles slots through a free list,
+/// so a callback that schedules (and grows the slab) never moves the
+/// callable that is running, and the steady state allocates nothing.
 /// `stats()` exposes throughput counters (events processed, batches
 /// dispatched, wall-clock events/sec, peak queue depth) for the perf benches.
 ///
@@ -23,7 +29,6 @@
 
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <vector>
 
 #include "sim/contracts.hpp"
@@ -32,6 +37,7 @@
 #include "sim/rng.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
+#include "sim/timestamp_index.hpp"
 
 namespace calciom::sim {
 
@@ -44,12 +50,15 @@ struct EngineStats {
   /// completions, StorageServer transitions) supersede them with generation
   /// counters and the stale event still dispatches as a no-op.
   std::uint64_t scheduledEvents = 0;
-  /// Events currently in the queue.
+  /// Events currently queued. While a batch dispatches, its not-yet-run
+  /// events are out of the queue and not counted; they count again only if
+  /// an exception or a nested run()/runUntil() puts them back.
   std::size_t pendingEvents = 0;
-  /// High-water mark of the event queue.
+  /// High-water mark of pendingEvents, sampled on every scheduleAt (events
+  /// put back from an interrupted batch never raise it).
   std::size_t maxQueueDepth = 0;
-  /// Equal-time batches dispatched; processedEvents / dispatchBatches is the
-  /// mean storm size the popBatch amortization saw.
+  /// Heap nodes popped, one per dispatched batch of equal-time events;
+  /// processedEvents / dispatchBatches is the mean storm size.
   std::uint64_t dispatchBatches = 0;
   /// Wall-clock seconds spent inside run()/runUntil(). Not deterministic —
   /// excluded from cross-thread-count invariance comparisons.
@@ -110,9 +119,9 @@ class Engine {
   /// Time of the earliest pending event, or kNever if none.
   [[nodiscard]] Time nextEventTime() const noexcept;
 
-  [[nodiscard]] bool empty() const noexcept { return events_.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return times_.empty(); }
   [[nodiscard]] std::size_t pendingEvents() const noexcept {
-    return events_.size();
+    return pending_;
   }
   [[nodiscard]] std::uint64_t processedEvents() const noexcept {
     return processed_;
@@ -128,16 +137,61 @@ class Engine {
   friend struct Task::promise_type::FinalAwaiter;
   friend struct detail::DelayAwaiter;
 
-  struct Event {
-    Time t;
-    std::uint64_t seq;
+  /// One slab entry: a pending event's callable and the next slot of its
+  /// bucket (or of the free list).
+  struct Slot {
     EventFn fn;
+    Slot* next;
   };
-  struct EventBefore {
-    [[nodiscard]] bool operator()(const Event& a,
-                                  const Event& b) const noexcept {
-      return a.t < b.t || (a.t == b.t && a.seq < b.seq);
+  /// The events pending at one timestamp, in scheduling order. A free
+  /// bucket keeps the number of the next free one in `count`.
+  struct Bucket {
+    Slot* head;
+    Slot* tail;
+    std::size_t count;
+  };
+  struct Node {
+    Time t;
+    std::uint32_t bucket;
+  };
+  struct NodeBefore {
+    [[nodiscard]] bool operator()(const Node& a,
+                                  const Node& b) const noexcept {
+      return a.t < b.t;
     }
+  };
+  /// The unconsumed tail of an in-flight batch. Dispatches nest (a callback
+  /// may call run()/runUntil()), so they form a stack through `outer`.
+  struct Batch {
+    Time t;
+    Slot* next;
+    Slot* tail;
+    std::size_t remaining;
+    Batch* outer;
+  };
+  /// Slot storage in chunks that never move. Each chunk doubles the last
+  /// and is carved on demand, so memory is written only as the peak number
+  /// of pending events grows; released slots are reused first, through an
+  /// intrusive free list.
+  class Slab {
+   public:
+    Slab() = default;
+    Slab(const Slab&) = delete;
+    Slab& operator=(const Slab&) = delete;
+    ~Slab();
+    Slot* acquire();
+    void release(Slot* s) noexcept;
+
+   private:
+    static constexpr std::size_t kFirstChunk = 4;
+    struct Chunk {
+      Slot* slots;
+      std::size_t size;
+    };
+    std::vector<Chunk> chunks_;
+    Slot* carve_ = nullptr;  // next never-used slot of the last chunk
+    Slot* carveEnd_ = nullptr;
+    Slot* free_ = nullptr;
   };
 
   /// Called from a task's final suspend: the frame is dead and can be
@@ -152,28 +206,37 @@ class Engine {
   void drainZombies() noexcept;
   void rethrowIfFailed();
 
-  /// Drains the head-timestamp batch into a scratch buffer and dispatches
-  /// it in sequence order. On an exception (direct throw from an event, or
-  /// a task failure rethrown between events) the unconsumed tail of the
-  /// batch is pushed back into the heap so pending counts stay exact.
+  /// Pops the earliest timestamp and runs its events in scheduling order.
+  /// On an exception (direct throw from an event, or a task failure
+  /// rethrown between events) the unconsumed tail goes back to the front of
+  /// that time's bucket, so pending counts stay exact and the next run()
+  /// resumes in the order this one would have used.
   void dispatchHeadBatch();
-  /// Returns the innermost active dispatch's unconsumed events to the heap
+  /// Returns the innermost active dispatch's unconsumed events to the queue
   /// so a nested run()/runUntil() dispatches them in order instead of
   /// advancing the clock past them (which would rewind time afterwards).
   void flushActiveBatch();
+  /// Puts `b`'s unconsumed tail back at the front of its time's bucket
+  /// (opening the bucket if the time has none) and empties `b`.
+  void requeue(Batch& b);
+  /// Takes a free bucket for `t`, indexes it and pushes its heap node.
+  std::uint32_t openBucket(Time t);
 
-  DaryHeap<Event, EventBefore> events_;
+  // Declared first so callables still pending at teardown are destroyed
+  // last, after every other member.
+  Slab slab_;
+  std::vector<Bucket> buckets_;
+  std::uint32_t freeBucket_ = TimestampIndex::kNone;
+  TimestampIndex index_;
+  DaryHeap<Node, NodeBefore> times_;
+  std::size_t pending_ = 0;
+  Batch* active_ = nullptr;  // innermost in-flight dispatch
   Time now_ = 0.0;
-  std::uint64_t seq_ = 0;
+  std::uint64_t scheduled_ = 0;
   std::uint64_t processed_ = 0;
   std::size_t maxQueueDepth_ = 0;
   std::uint64_t dispatchBatches_ = 0;
   double wallSeconds_ = 0.0;
-  std::vector<Event> batch_;  // dispatch scratch, reused across batches
-  // Innermost in-flight dispatch (stack discipline via dispatchHeadBatch's
-  // Restore guard); lets nested runs reclaim the unconsumed tail.
-  std::vector<Event>* activeBatch_ = nullptr;
-  std::size_t* activeNext_ = nullptr;
   Xoshiro256 rng_{0};
   std::vector<Task::Handle> zombies_;
   // Spawned tasks whose bodies have not finished, in spawn order: an

@@ -3,16 +3,19 @@
 // app→arbiter messages the replay captured gives allocations per
 // coordination message — the figure a month-scale replay multiplies by
 // ~73k messages. Each budget is the value measured when it was pinned plus
-// 10 %, so a change that adds one allocation per message fails here.
+// 10 %, so a change that adds one allocation per message fails here. The
+// engine's own event queue has a budget of zero once warm.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 
 #include "analysis/replay.hpp"
+#include "sim/engine.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -103,6 +106,47 @@ TEST(AllocBudget, ReplaySessionPerMessage) {
   const double perMessage = allocationsPerMessage(
       [](const replay::ReplayConfig& c) { return replay::replaySession(c); });
   EXPECT_LE(perMessage, 14.3);
+}
+
+/// A self-rescheduling event: every firing schedules its successor, half
+/// the time on a coarse grid every actor shares (a recurring timestamp, an
+/// index hit) and half the time at a fresh offset (a new bucket, index
+/// entry and heap node), so the queue's depth stays constant while its
+/// buckets churn.
+struct Actor {
+  calciom::sim::Engine* eng;
+  std::uint64_t* fired;
+  std::uint64_t state;
+  void operator()() {
+    ++*fired;
+    state = calciom::sim::SplitMix64(state).next();
+    const double now = eng->now();
+    const double next = (state & 1) != 0
+                            ? std::floor(now) + 1.0
+                            : now + 1e-3 * static_cast<double>(1 + state % 997);
+    eng->scheduleAt(next, *this);
+  }
+};
+
+TEST(AllocBudget, EngineSteadyState) {
+  // 64 actors start at distinct times, so the queue's peak depth and
+  // distinct-time count are reached during warm-up; after that the slab,
+  // the bucket table, the timestamp index and the heap only recycle.
+  calciom::sim::Engine eng;
+  std::uint64_t fired = 0;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    eng.scheduleAt(1e-3 * static_cast<double>(i), Actor{&eng, &fired, i});
+  }
+  eng.runUntil(20.0);
+  const std::uint64_t warm = fired;
+  ASSERT_GT(warm, 1000u);
+  gAllocations.store(0);
+  gCounting.store(true);
+  eng.runUntil(200.0);
+  gCounting.store(false);
+  EXPECT_GE(fired - warm, 10000u);
+  EXPECT_EQ(gAllocations.load(), 0u);
+  EXPECT_EQ(eng.pendingEvents(), 64u);
 }
 
 }  // namespace
