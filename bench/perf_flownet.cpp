@@ -1,5 +1,5 @@
 // Microbenchmark of the incremental max–min allocator against the retained
-// global-recompute reference (flow_net_reference.hpp).
+// global-recompute reference (tests/support/flow_net_reference.hpp).
 //
 // Topology: C independent storage clusters, each one server plus two
 // application links; every flow crosses {link, server} of its cluster. This
@@ -29,7 +29,7 @@
 #include "bench/bench_util.hpp"
 #include "bench/flow_scenarios.hpp"
 #include "net/flow_net.hpp"
-#include "net/flow_net_reference.hpp"
+#include "tests/support/flow_net_reference.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 

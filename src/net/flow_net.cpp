@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "sim/contracts.hpp"
@@ -24,6 +25,11 @@ inline void kahanAdd(double& sum, double& comp, double term) noexcept {
 }
 
 }  // namespace
+
+FlowNet::FlowNet(sim::Engine& engine)
+    : engine_(engine), firedTrigger_(std::make_shared<sim::Trigger>()) {
+  firedTrigger_->fire();
+}
 
 void FlowNet::expectShardLocal() const {
   // Shard safety: a FlowNet belongs to one engine (= one Cluster shard). It
@@ -70,14 +76,31 @@ const std::string& FlowNet::resourceName(ResourceId r) const {
   return resources_[r].name;
 }
 
-FlowNet::Flow& FlowNet::flowRef(FlowId f) {
-  CALCIOM_EXPECTS(f < flows_.size());
-  return flows_[f];
+const FlowNet::Slot* FlowNet::liveSlot(FlowId f) const {
+  CALCIOM_EXPECTS(f < slotOf_.size());
+  const SlotId s = slotOf_[f];
+  return s == kNoSlot ? nullptr : &flows_[s];
 }
 
-const FlowNet::Flow& FlowNet::flowRef(FlowId f) const {
-  CALCIOM_EXPECTS(f < flows_.size());
-  return flows_[f];
+FlowNet::SlotId FlowNet::acquireSlot() {
+  if (freeSlots_.empty()) {
+    CALCIOM_EXPECTS(flows_.size() < kNoSlot);
+    flows_.emplace_back().done = std::make_shared<sim::Trigger>();
+    return static_cast<SlotId>(flows_.size() - 1);
+  }
+  const SlotId s = freeSlots_.back();
+  freeSlots_.pop_back();
+  std::shared_ptr<sim::Trigger>& done = flows_[s].done;
+  if (done.use_count() == 1) {
+    // Nobody else can reach the fired trigger (and it has no waiters left):
+    // re-arm it in place instead of allocating a new one.
+    std::destroy_at(done.get());
+    std::construct_at(done.get());
+  } else {
+    // Someone still holds the old trigger; it must stay fired for them.
+    done = std::make_shared<sim::Trigger>();
+  }
+  return s;
 }
 
 FlowId FlowNet::start(FlowSpec spec) {
@@ -88,49 +111,64 @@ FlowId FlowNet::start(FlowSpec spec) {
   for (ResourceId r : spec.path) {
     CALCIOM_EXPECTS(r < resources_.size());
   }
-  const FlowId id = flows_.size();
-  flows_.emplace_back();
-  Flow& f = flows_.back();
-  f.spec = std::move(spec);
-  f.remaining = f.spec.bytes;
-  f.settleTime = engine_.now();
-  if (f.remaining <= kByteEpsilon) {
-    f.remaining = 0.0;
-    f.done->fire();
+  const FlowId id = slotOf_.size();
+  if (spec.bytes <= kByteEpsilon) {
+    slotOf_.push_back(kNoSlot);  // complete on arrival
     return id;
   }
+  const SlotId s = acquireSlot();
+  slotOf_.push_back(s);
+  Slot& f = flows_[s];
+  f.weight = spec.weight;
+  f.rateCap = spec.rateCap;
+  f.rate = 0.0;
+  f.finishAt = sim::kNever;
+  f.seq = id;
+  f.group = spec.group;
   f.active = true;
+  f.remaining = spec.bytes;
+  f.remainingComp = 0.0;
+  f.settleTime = engine_.now();
+  f.pathLen = static_cast<std::uint32_t>(spec.path.size());
+  if (f.pathLen > kInlinePath) {
+    f.spill.resize(f.pathLen);
+  }
+  const std::span<PathHop> path = f.path();
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    path[i] = PathHop{spec.path[i], kNoBackRef};
+  }
   ++activeCount_;
-  attachFlow(id);
-  pendingSeedFlows_.push_back(id);
+  attachFlow(s);
+  pendingSeedFlows_.push_back(s);
   recomputeAffected();
   return id;
 }
 
 std::shared_ptr<sim::Trigger> FlowNet::completion(FlowId f) const {
-  return flowRef(f).done;
+  const Slot* slot = liveSlot(f);
+  return slot != nullptr ? slot->done : firedTrigger_;
 }
 
-bool FlowNet::finished(FlowId f) const { return flowRef(f).done->fired(); }
+bool FlowNet::finished(FlowId f) const {
+  const Slot* slot = liveSlot(f);
+  return slot == nullptr || slot->done->fired();
+}
 
 double FlowNet::currentRate(FlowId f) const {
-  const Flow& flow = flowRef(f);
-  return flow.active ? flow.rate : 0.0;
+  const Slot* slot = liveSlot(f);
+  return slot != nullptr && slot->active ? slot->rate : 0.0;
 }
 
 double FlowNet::remainingBytes(FlowId f) const {
-  const Flow& flow = flowRef(f);
-  if (!flow.active) {
+  const Slot* flow = liveSlot(f);
+  if (flow == nullptr || !flow->active || flow->rate == kUnlimited) {
     return 0.0;
   }
-  if (flow.rate == kUnlimited) {
-    return 0.0;
+  const double dt = engine_.now() - flow->settleTime;
+  if (dt <= 0.0 || flow->rate <= 0.0) {
+    return std::max(0.0, flow->remaining);
   }
-  const double dt = engine_.now() - flow.settleTime;
-  if (dt <= 0.0 || flow.rate <= 0.0) {
-    return std::max(0.0, flow.remaining);
-  }
-  return std::max(0.0, flow.remaining - flow.rate * dt);
+  return std::max(0.0, flow->remaining - flow->rate * dt);
 }
 
 double FlowNet::throughputOf(ResourceId r) const {
@@ -189,7 +227,7 @@ void FlowNet::settleResource(Resource& res, sim::Time t) {
   res.settleTime = t;
 }
 
-void FlowNet::settleFlow(Flow& f, sim::Time t) {
+void FlowNet::settleFlow(Slot& f, sim::Time t) {
   const double dt = t - f.settleTime;
   if (dt > 0.0 && f.rate > 0.0) {
     if (f.rate == kUnlimited) {
@@ -207,18 +245,17 @@ void FlowNet::settleFlow(Flow& f, sim::Time t) {
   f.settleTime = t;
 }
 
-void FlowNet::attachFlow(FlowId id) {
-  Flow& f = flows_[id];
-  const auto& path = f.spec.path;
-  f.backRefs.assign(path.size(), kNoBackRef);
+void FlowNet::attachFlow(SlotId s) {
+  Slot& f = flows_[s];
+  const std::span<PathHop> path = f.path();
   for (std::size_t i = 0; i < path.size(); ++i) {
-    const ResourceId r = path[i];
+    const ResourceId r = path[i].res;
     // A repeated resource folds into the first occurrence's entry.
     bool duplicate = false;
     for (std::size_t j = 0; j < i; ++j) {
-      if (path[j] == r) {
+      if (path[j].res == r) {
         Resource& res = resources_[r];
-        ++res.flows[f.backRefs[j]].multiplicity;
+        ++res.flows[path[j].backRef].multiplicity;
         duplicate = true;
         break;
       }
@@ -227,41 +264,39 @@ void FlowNet::attachFlow(FlowId id) {
       continue;
     }
     Resource& res = resources_[r];
-    f.backRefs[i] = static_cast<std::uint32_t>(res.flows.size());
-    res.flows.push_back(
-        IncidenceEntry{id, static_cast<std::uint32_t>(i), 1});
+    path[i].backRef = static_cast<std::uint32_t>(res.flows.size());
+    res.flows.push_back(IncidenceEntry{s, static_cast<std::uint32_t>(i), 1});
     bool found = false;
     for (auto& [g, count] : res.groupCounts) {
-      if (g == f.spec.group) {
+      if (g == f.group) {
         ++count;
         found = true;
         break;
       }
     }
     if (!found) {
-      res.groupCounts.emplace_back(f.spec.group, 1);
+      res.groupCounts.emplace_back(f.group, 1);
     }
   }
 }
 
-void FlowNet::detachFlow(FlowId id) {
-  Flow& f = flows_[id];
-  const auto& path = f.spec.path;
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    if (f.backRefs[i] == kNoBackRef) {
+void FlowNet::detachFlow(SlotId s) {
+  const Slot& f = flows_[s];
+  for (const PathHop& hop : f.path()) {
+    if (hop.backRef == kNoBackRef) {
       continue;  // duplicate occurrence, folded into the first
     }
-    Resource& res = resources_[path[i]];
-    const std::uint32_t slot = f.backRefs[i];
+    Resource& res = resources_[hop.res];
+    const std::uint32_t pos = hop.backRef;
     const std::size_t last = res.flows.size() - 1;
-    if (slot != last) {
-      res.flows[slot] = res.flows[last];
-      const IncidenceEntry& moved = res.flows[slot];
-      flows_[moved.flow].backRefs[moved.pathIndex] = slot;
+    if (pos != last) {
+      res.flows[pos] = res.flows[last];
+      const IncidenceEntry& moved = res.flows[pos];
+      flows_[moved.slot].path()[moved.pathIndex].backRef = pos;
     }
     res.flows.pop_back();
     for (std::size_t g = 0; g < res.groupCounts.size(); ++g) {
-      if (res.groupCounts[g].first == f.spec.group) {
+      if (res.groupCounts[g].first == f.group) {
         if (--res.groupCounts[g].second == 0) {
           res.groupCounts[g] = res.groupCounts.back();
           res.groupCounts.pop_back();
@@ -270,7 +305,6 @@ void FlowNet::detachFlow(FlowId id) {
       }
     }
   }
-  f.backRefs.clear();
 }
 
 void FlowNet::buildComponent() {
@@ -284,11 +318,11 @@ void FlowNet::buildComponent() {
       compRes_.push_back(r);
     }
   }
-  for (FlowId id : pendingSeedFlows_) {
-    Flow& f = flows_[id];
+  for (SlotId s : pendingSeedFlows_) {
+    Slot& f = flows_[s];
     if (f.active && f.mark != markEpoch_) {
       f.mark = markEpoch_;
-      compFlows_.push_back(id);
+      compFlows_.push_back(s);
     }
   }
   pendingDirtyRes_.clear();
@@ -303,15 +337,16 @@ void FlowNet::buildComponent() {
     if (ri < compRes_.size()) {
       const Resource& res = resources_[compRes_[ri++]];
       for (const IncidenceEntry& e : res.flows) {
-        Flow& f = flows_[e.flow];
+        Slot& f = flows_[e.slot];
         if (f.mark != markEpoch_) {
           f.mark = markEpoch_;
-          compFlows_.push_back(e.flow);
+          compFlows_.push_back(e.slot);
         }
       }
     } else {
-      const Flow& f = flows_[compFlows_[fi++]];
-      for (ResourceId r : f.spec.path) {
+      const Slot& f = flows_[compFlows_[fi++]];
+      for (const PathHop& hop : f.path()) {
+        const ResourceId r = hop.res;
         Resource& res = resources_[r];
         if (res.mark != markEpoch_) {
           res.mark = markEpoch_;
@@ -328,8 +363,8 @@ void FlowNet::fillComponent() {
   for (ResourceId r : compRes_) {
     settleResource(resources_[r], now);
   }
-  for (FlowId id : compFlows_) {
-    settleFlow(flows_[id], now);
+  for (SlotId s : compFlows_) {
+    settleFlow(flows_[s], now);
   }
 
   // Progressive filling restricted to the component. By construction every
@@ -339,17 +374,18 @@ void FlowNet::fillComponent() {
     resources_[r].residual = resources_[r].capacity;
   }
   unfrozen_ = compFlows_;
-  for (FlowId id : unfrozen_) {
-    flows_[id].rate = 0.0;
+  for (SlotId s : unfrozen_) {
+    flows_[s].rate = 0.0;
   }
   while (!unfrozen_.empty()) {
     for (ResourceId r : compRes_) {
       resources_[r].weightOn = 0.0;
       resources_[r].bottleneck = false;
     }
-    for (FlowId id : unfrozen_) {
-      for (ResourceId r : flows_[id].spec.path) {
-        resources_[r].weightOn += flows_[id].spec.weight;
+    for (SlotId s : unfrozen_) {
+      const Slot& f = flows_[s];
+      for (const PathHop& hop : f.path()) {
+        resources_[hop.res].weightOn += f.weight;
       }
     }
     double lambda = kUnlimited;
@@ -359,14 +395,14 @@ void FlowNet::fillComponent() {
         lambda = std::min(lambda, std::max(res.residual, 0.0) / res.weightOn);
       }
     }
-    for (FlowId id : unfrozen_) {
-      const Flow& f = flows_[id];
-      lambda = std::min(lambda, f.spec.rateCap / f.spec.weight);
+    for (SlotId s : unfrozen_) {
+      const Slot& f = flows_[s];
+      lambda = std::min(lambda, f.rateCap / f.weight);
     }
     if (lambda == kUnlimited) {
       // Entirely unconstrained flows: effectively instantaneous.
-      for (FlowId id : unfrozen_) {
-        flows_[id].rate = kUnlimited;
+      for (SlotId s : unfrozen_) {
+        flows_[s].rate = kUnlimited;
       }
       break;
     }
@@ -382,24 +418,24 @@ void FlowNet::fillComponent() {
 
     still_.clear();
     bool frozeAny = false;
-    for (FlowId id : unfrozen_) {
-      Flow& f = flows_[id];
-      const bool capBound = f.spec.rateCap / f.spec.weight <= lambda + eps;
+    for (SlotId s : unfrozen_) {
+      Slot& f = flows_[s];
+      const bool capBound = f.rateCap / f.weight <= lambda + eps;
       bool resourceBound = false;
-      for (ResourceId r : f.spec.path) {
-        if (resources_[r].bottleneck) {
+      for (const PathHop& hop : f.path()) {
+        if (resources_[hop.res].bottleneck) {
           resourceBound = true;
           break;
         }
       }
       if (capBound || resourceBound) {
-        f.rate = std::min(f.spec.rateCap, lambda * f.spec.weight);
-        for (ResourceId r : f.spec.path) {
-          resources_[r].residual -= f.rate;
+        f.rate = std::min(f.rateCap, lambda * f.weight);
+        for (const PathHop& hop : f.path()) {
+          resources_[hop.res].residual -= f.rate;
         }
         frozeAny = true;
       } else {
-        still_.push_back(id);
+        still_.push_back(s);
       }
     }
     CALCIOM_ENSURES(frozeAny);  // progressive filling always makes progress
@@ -414,7 +450,7 @@ void FlowNet::fillComponent() {
     res.deliveredRateSum = 0.0;
     res.unlimitedFlows = 0;
     for (const IncidenceEntry& e : res.flows) {
-      const double rate = flows_[e.flow].rate;
+      const double rate = flows_[e.slot].rate;
       if (rate == kUnlimited) {
         ++res.unlimitedFlows;
       } else {
@@ -425,8 +461,8 @@ void FlowNet::fillComponent() {
   }
 
   // Refresh projected completion times of the component's flows.
-  for (FlowId id : compFlows_) {
-    Flow& f = flows_[id];
+  for (SlotId s : compFlows_) {
+    Slot& f = flows_[s];
     if (f.rate == kUnlimited) {
       f.finishAt = now;
     } else if (f.rate > 0.0) {
@@ -434,7 +470,7 @@ void FlowNet::fillComponent() {
     } else {
       f.finishAt = sim::kNever;
     }
-    heapUpdate(id);
+    heapUpdate(s);
   }
 }
 
@@ -486,37 +522,39 @@ void FlowNet::completionEvent(std::uint64_t generation) {
 
   finishedNow_.clear();
   while (!heap_.empty() && flows_[heap_.front()].finishAt <= now + slack) {
-    const FlowId top = heap_.front();
+    const SlotId top = heap_.front();
     heapRemove(top);
     finishedNow_.push_back(top);
   }
   if (finishedNow_.empty()) {
     // Floating-point edge: force-complete the closest flow to avoid a
     // zero-progress event loop. Its residual is below any test tolerance.
-    const FlowId top = heap_.front();
+    const SlotId top = heap_.front();
     heapRemove(top);
     finishedNow_.push_back(top);
   }
-  // Deterministic completion order regardless of heap layout.
-  std::sort(finishedNow_.begin(), finishedNow_.end());
+  // Deterministic completion order (start order) regardless of heap layout
+  // and of which slots the flows happen to occupy.
+  std::sort(finishedNow_.begin(), finishedNow_.end(),
+            [this](SlotId a, SlotId b) { return flows_[a].seq < flows_[b].seq; });
 
   // Settle before any rate changes: the finishing flows were running at
   // their old rates right up to this instant.
-  for (FlowId id : finishedNow_) {
-    Flow& f = flows_[id];
-    for (std::size_t i = 0; i < f.spec.path.size(); ++i) {
-      if (f.backRefs[i] != kNoBackRef) {
-        settleResource(resources_[f.spec.path[i]], now);
+  for (SlotId s : finishedNow_) {
+    Slot& f = flows_[s];
+    for (const PathHop& hop : f.path()) {
+      if (hop.backRef != kNoBackRef) {
+        settleResource(resources_[hop.res], now);
       }
     }
     settleFlow(f, now);
   }
-  for (FlowId id : finishedNow_) {
-    Flow& f = flows_[id];
-    for (ResourceId r : f.spec.path) {
-      pendingDirtyRes_.push_back(r);
+  for (SlotId s : finishedNow_) {
+    Slot& f = flows_[s];
+    for (const PathHop& hop : f.path()) {
+      pendingDirtyRes_.push_back(hop.res);
     }
-    detachFlow(id);
+    detachFlow(s);
     f.active = false;
     f.rate = 0.0;
     f.remaining = 0.0;
@@ -527,15 +565,23 @@ void FlowNet::completionEvent(std::uint64_t generation) {
   recomputeAffected();
   // Fire after the network state is consistent: resumed coroutines may start
   // new flows immediately.
-  for (FlowId id : finishedNow_) {
-    flows_[id].done->fire();
+  for (SlotId s : finishedNow_) {
+    flows_[s].done->fire();
+  }
+  // Release the slots only once the whole batch has fired: with LIFO reuse,
+  // a flow started by the first waiter would otherwise take a later
+  // finisher's slot and have that finisher's trigger fired in its place.
+  for (SlotId s : finishedNow_) {
+    slotOf_[flows_[s].seq] = kNoSlot;
+    freeSlots_.push_back(s);
   }
 }
 
-bool FlowNet::heapBefore(FlowId a, FlowId b) const noexcept {
-  const sim::Time fa = flows_[a].finishAt;
-  const sim::Time fb = flows_[b].finishAt;
-  return fa < fb || (fa == fb && a < b);
+bool FlowNet::heapBefore(SlotId a, SlotId b) const noexcept {
+  const Slot& fa = flows_[a];
+  const Slot& fb = flows_[b];
+  return fa.finishAt < fb.finishAt ||
+         (fa.finishAt == fb.finishAt && fa.seq < fb.seq);
 }
 
 void FlowNet::heapSiftUp(std::size_t i) {
@@ -545,8 +591,8 @@ void FlowNet::heapSiftUp(std::size_t i) {
       break;
     }
     std::swap(heap_[i], heap_[parent]);
-    flows_[heap_[i]].heapPos = static_cast<std::int64_t>(i);
-    flows_[heap_[parent]].heapPos = static_cast<std::int64_t>(parent);
+    flows_[heap_[i]].heapPos = static_cast<std::uint32_t>(i);
+    flows_[heap_[parent]].heapPos = static_cast<std::uint32_t>(parent);
     i = parent;
   }
 }
@@ -569,47 +615,46 @@ void FlowNet::heapSiftDown(std::size_t i) {
       break;
     }
     std::swap(heap_[i], heap_[best]);
-    flows_[heap_[i]].heapPos = static_cast<std::int64_t>(i);
-    flows_[heap_[best]].heapPos = static_cast<std::int64_t>(best);
+    flows_[heap_[i]].heapPos = static_cast<std::uint32_t>(i);
+    flows_[heap_[best]].heapPos = static_cast<std::uint32_t>(best);
     i = best;
   }
 }
 
-void FlowNet::heapUpdate(FlowId id) {
-  Flow& f = flows_[id];
+void FlowNet::heapUpdate(SlotId s) {
+  Slot& f = flows_[s];
   if (f.finishAt == sim::kNever) {
-    if (f.heapPos >= 0) {
-      heapRemove(id);
+    if (f.heapPos != kNoSlot) {
+      heapRemove(s);
     }
     return;
   }
-  if (f.heapPos < 0) {
-    f.heapPos = static_cast<std::int64_t>(heap_.size());
-    heap_.push_back(id);
-    heapSiftUp(static_cast<std::size_t>(f.heapPos));
+  if (f.heapPos == kNoSlot) {
+    f.heapPos = static_cast<std::uint32_t>(heap_.size());
+    heap_.push_back(s);
+    heapSiftUp(f.heapPos);
   } else {
-    const auto pos = static_cast<std::size_t>(f.heapPos);
-    heapSiftUp(pos);
-    heapSiftDown(static_cast<std::size_t>(f.heapPos));
+    heapSiftUp(f.heapPos);
+    heapSiftDown(f.heapPos);
   }
 }
 
-void FlowNet::heapRemove(FlowId id) {
-  Flow& f = flows_[id];
-  CALCIOM_ENSURES(f.heapPos >= 0);
-  const auto pos = static_cast<std::size_t>(f.heapPos);
+void FlowNet::heapRemove(SlotId s) {
+  Slot& f = flows_[s];
+  CALCIOM_ENSURES(f.heapPos != kNoSlot);
+  const std::size_t pos = f.heapPos;
   const std::size_t last = heap_.size() - 1;
   if (pos != last) {
-    const FlowId moved = heap_[last];
+    const SlotId moved = heap_[last];
     heap_[pos] = moved;
-    flows_[moved].heapPos = static_cast<std::int64_t>(pos);
+    flows_[moved].heapPos = static_cast<std::uint32_t>(pos);
     heap_.pop_back();
     heapSiftUp(pos);
-    heapSiftDown(static_cast<std::size_t>(flows_[moved].heapPos));
+    heapSiftDown(flows_[moved].heapPos);
   } else {
     heap_.pop_back();
   }
-  f.heapPos = -1;
+  f.heapPos = kNoSlot;
 }
 
 }  // namespace calciom::net

@@ -30,13 +30,25 @@
 /// untouched. The next completion is read off an indexed 4-ary min-heap of
 /// absolute projected finish times with decrease-key, so event dispatch is
 /// O(log F) instead of a linear scan. The original global-recompute
-/// allocator is retained verbatim in flow_net_reference.hpp as the oracle
-/// for differential testing; see src/net/README.md for the invariants.
+/// allocator is retained verbatim in tests/support/flow_net_reference.hpp as
+/// the oracle for differential testing; see src/net/README.md for the
+/// invariants.
+///
+/// **Live flows only.** The net keeps a record for in-flight flows alone:
+/// each lives in a compact slot (path and back-refs inline up to
+/// kInlinePath resources) that is recycled through a free list once the
+/// flow completes, and its completion trigger is re-armed in place when
+/// nobody else holds it. A `FlowId` stays the flow's dense start-order
+/// number and maps to its slot through a 4-byte index, so queries on a
+/// finished flow stay valid and a steady stream of starts and completions
+/// allocates nothing.
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,8 +79,6 @@ struct FlowSpec {
   /// distinct groups writing to them to model request-interleaving locality
   /// loss at the disk.
   std::uint32_t group = 0;
-  /// Diagnostic label for tracing.
-  std::string label;
 };
 
 class FlowNet;
@@ -96,7 +106,7 @@ class FlowNet {
   /// resources whose rates may have changed.
   using RatesListener = std::function<void(const AffectedResources&)>;
 
-  explicit FlowNet(sim::Engine& engine) : engine_(engine) {}
+  explicit FlowNet(sim::Engine& engine);
   FlowNet(const FlowNet&) = delete;
   FlowNet& operator=(const FlowNet&) = delete;
 
@@ -119,7 +129,8 @@ class FlowNet {
   /// when all bytes have been delivered.
   FlowId start(FlowSpec spec);
 
-  /// Completion trigger of a flow (valid also after completion).
+  /// Completion trigger of a flow (valid also after completion: a finished
+  /// flow's trigger is one already-fired trigger shared net-wide).
   [[nodiscard]] std::shared_ptr<sim::Trigger> completion(FlowId f) const;
 
   [[nodiscard]] bool finished(FlowId f) const;
@@ -158,11 +169,18 @@ class FlowNet {
   /// see the definition for the shard-safety rationale.
   void expectShardLocal() const;
 
-  /// Entry in a resource's incidence list: the active flow and the index of
-  /// this resource within the flow's path (so the flow's back-pointer can be
-  /// patched on swap-remove).
+  /// Index of a live flow's slot in flows_.
+  using SlotId = std::uint32_t;
+  /// "No slot": a finished (or zero-byte) flow, an absent heap position.
+  static constexpr SlotId kNoSlot = std::numeric_limits<SlotId>::max();
+  /// Path length a slot stores inline; longer paths spill to a vector.
+  static constexpr std::size_t kInlinePath = 4;
+
+  /// Entry in a resource's incidence list: the active flow's slot and the
+  /// index of this resource within the flow's path (so the flow's back-ref
+  /// can be patched on swap-remove).
   struct IncidenceEntry {
-    FlowId flow;
+    SlotId slot;
     std::uint32_t pathIndex;
     /// Occurrences of the resource in the flow's path (paths may repeat a
     /// resource; each occurrence counts for filling and byte accounting).
@@ -196,41 +214,73 @@ class FlowNet {
     bool bottleneck = false;
   };
 
-  struct Flow {
-    FlowSpec spec;
+  /// One resource of a flow's path and the flow's position in that
+  /// resource's incidence list (kNoBackRef for a folded duplicate
+  /// occurrence).
+  struct PathHop {
+    ResourceId res;
+    std::uint32_t backRef;
+  };
+
+  /// A live flow. Slots are recycled: start() overwrites the flow's own
+  /// fields. A freed slot is already out of the heap and its mark is stale,
+  /// so those carry over, as do the spill capacity and the (re-armed)
+  /// trigger.
+  struct Slot {
+    // Read by progressive filling and the completion heap.
+    double weight = 1.0;
+    double rateCap = kUnlimited;
+    double rate = 0.0;
+    /// Absolute projected completion time (heap key); kNever when stalled.
+    sim::Time finishAt = sim::kNever;
+    /// The flow's FlowId: its start order, the tie-break of equal finish
+    /// times in the heap and within a completion batch.
+    FlowId seq = 0;
+    /// Component-discovery stamp.
+    std::uint64_t mark = 0;
+    /// Position in the completion heap, kNoSlot when absent.
+    std::uint32_t heapPos = kNoSlot;
+    std::uint32_t group = 0;
+    std::uint32_t pathLen = 0;
+    bool active = false;
     /// Bytes left as of settleTime (Kahan-compensated).
     double remaining = 0.0;
     double remainingComp = 0.0;
-    double rate = 0.0;
     sim::Time settleTime = 0.0;
-    /// Absolute projected completion time (heap key); kNever when stalled.
-    sim::Time finishAt = sim::kNever;
-    bool active = false;
-    /// Component-discovery stamp.
-    std::uint64_t mark = 0;
-    /// Position in the completion heap, -1 when absent.
-    std::int64_t heapPos = -1;
-    /// backRefs[i] is this flow's slot in resources_[spec.path[i]].flows.
-    std::vector<std::uint32_t> backRefs;
-    std::shared_ptr<sim::Trigger> done = std::make_shared<sim::Trigger>();
+    std::array<PathHop, kInlinePath> inlinePath{};
+    /// Holds the path when it is longer than kInlinePath; keeps its
+    /// capacity across reuse.
+    std::vector<PathHop> spill;
+    std::shared_ptr<sim::Trigger> done;
+
+    [[nodiscard]] std::span<PathHop> path() noexcept {
+      return {pathLen <= kInlinePath ? inlinePath.data() : spill.data(),
+              pathLen};
+    }
+    [[nodiscard]] std::span<const PathHop> path() const noexcept {
+      return {pathLen <= kInlinePath ? inlinePath.data() : spill.data(),
+              pathLen};
+    }
   };
 
   /// Bytes below which a flow counts as complete (guards FP drift).
   static constexpr double kByteEpsilon = 1e-6;
 
-  Flow& flowRef(FlowId f);
-  [[nodiscard]] const Flow& flowRef(FlowId f) const;
+  /// The live slot of `f`, or nullptr once it has finished.
+  [[nodiscard]] const Slot* liveSlot(FlowId f) const;
 
   /// Integrates a resource's delivered bytes up to `t` at its current
   /// aggregate rate. Idempotent for a given `t`.
   void settleResource(Resource& res, sim::Time t);
   /// Integrates a flow's remaining bytes up to `t` at its current rate.
-  void settleFlow(Flow& f, sim::Time t);
+  void settleFlow(Slot& f, sim::Time t);
 
+  /// Takes a slot off the free list (or grows flows_) for a new flow.
+  SlotId acquireSlot();
   /// Inserts the flow into the incidence lists of its path resources.
-  void attachFlow(FlowId id);
+  void attachFlow(SlotId s);
   /// Removes the flow from the incidence lists (O(path) via back-refs).
-  void detachFlow(FlowId id);
+  void detachFlow(SlotId s);
 
   /// Expands pendingDirtyRes_/pendingSeedFlows_ into the union of connected
   /// components touching them (compRes_/compFlows_).
@@ -248,33 +298,39 @@ class FlowNet {
     return resources_[r].mark == markEpoch_;
   }
 
-  // Indexed 4-ary min-heap over active flows keyed by (finishAt, id).
-  [[nodiscard]] bool heapBefore(FlowId a, FlowId b) const noexcept;
+  // Indexed 4-ary min-heap over active flows keyed by (finishAt, seq).
+  [[nodiscard]] bool heapBefore(SlotId a, SlotId b) const noexcept;
   void heapSiftUp(std::size_t i);
   void heapSiftDown(std::size_t i);
-  void heapUpdate(FlowId id);  // insert/move/remove per flows_[id].finishAt
-  void heapRemove(FlowId id);
+  void heapUpdate(SlotId s);  // insert/move/remove per flows_[s].finishAt
+  void heapRemove(SlotId s);
 
   sim::Engine& engine_;
   std::vector<Resource> resources_;
-  std::vector<Flow> flows_;  // indexed by FlowId; flows are never removed
+  /// Live flows, plus slots on freeSlots_ awaiting reuse.
+  std::vector<Slot> flows_;
+  std::vector<SlotId> freeSlots_;
+  /// slotOf_[id]: the live slot of FlowId `id`, kNoSlot once it finished.
+  std::vector<SlotId> slotOf_;
+  /// What completion() hands out for a finished flow.
+  std::shared_ptr<sim::Trigger> firedTrigger_;
   std::size_t activeCount_ = 0;
   std::uint64_t generation_ = 0;
   std::vector<RatesListener> listeners_;
   bool recomputing_ = false;
   bool recomputePending_ = false;
 
-  std::vector<FlowId> heap_;  // completion index; positions in Flow::heapPos
+  std::vector<SlotId> heap_;  // completion index; positions in Slot::heapPos
 
   // Recompute staging and scratch (members to avoid per-event allocation).
   std::uint64_t markEpoch_ = 0;
   std::vector<ResourceId> pendingDirtyRes_;
-  std::vector<FlowId> pendingSeedFlows_;
+  std::vector<SlotId> pendingSeedFlows_;
   std::vector<ResourceId> compRes_;
-  std::vector<FlowId> compFlows_;
-  std::vector<FlowId> unfrozen_;
-  std::vector<FlowId> still_;
-  std::vector<FlowId> finishedNow_;
+  std::vector<SlotId> compFlows_;
+  std::vector<SlotId> unfrozen_;
+  std::vector<SlotId> still_;
+  std::vector<SlotId> finishedNow_;
 };
 
 inline bool AffectedResources::contains(ResourceId r) const noexcept {

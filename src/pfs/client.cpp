@@ -77,7 +77,6 @@ std::shared_ptr<sim::Trigger> PfsClient::writeRange(const std::string& fileName,
       spec.rateCap = ctx_.perStreamCap * streams * share;
     }
     spec.group = ctx_.appId;
-    spec.label = file.name() + "@" + std::to_string(s);
     flows.push_back(net_.start(spec));
   }
   engine_.spawn(joinFlows(net_, std::move(flows), &file, len, done));

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "net/flow_net.hpp"
-#include "net/flow_net_reference.hpp"
+#include "tests/support/flow_net_reference.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/task.hpp"
@@ -252,15 +252,16 @@ Script makeScript(std::uint64_t seed) {
     if (rng.uniform01() < 0.25) {
       // Sample with replacement: paths may repeat a resource, which both
       // allocators must account per occurrence (weight, delivered bytes)
-      // but once for throughput/groups.
-      const int pathLen = static_cast<int>(rng.uniformInt(1, 3));
+      // but once for throughput/groups. Up to 6 hops, past what a FlowNet
+      // slot stores inline.
+      const int pathLen = static_cast<int>(rng.uniformInt(1, 6));
       for (int k = 0; k < pathLen; ++k) {
         op.spec.path.push_back(
             static_cast<ResourceId>(rng.uniformInt(0, resources - 1)));
       }
     } else {
       const int pathLen =
-          static_cast<int>(rng.uniformInt(1, std::min(3, resources)));
+          static_cast<int>(rng.uniformInt(1, std::min(6, resources)));
       std::vector<int> pool(static_cast<std::size_t>(resources));
       for (int r = 0; r < resources; ++r) {
         pool[static_cast<std::size_t>(r)] = r;

@@ -1,4 +1,4 @@
-#include "net/flow_net_reference.hpp"
+#include "tests/support/flow_net_reference.hpp"
 
 #include <algorithm>
 #include <cmath>
