@@ -1,7 +1,9 @@
 // Benchmark of the sharded simulation core (platform::Cluster + batched
 // equal-time dispatch).
 //
-// Three tiers, all JSON on stdout (committed baseline: BENCH_cluster.json):
+// Seven tiers, all JSON on stdout (committed baseline: BENCH_cluster.json):
+// serial_100k, cluster_1m, cluster_arbiter, cluster_fig04, cluster_fig09,
+// cluster_fig10 and storage_2k, plus the `--smoke` CI tripwire.
 //
 //  * serial_100k — one shard, the exact 100k-flow scenario of
 //    bench/perf_flownet.cpp's largest tier (same generator, same seed), run
@@ -50,6 +52,14 @@
 //    interference factors; exits non-zero unless interruption rescues the
 //    small app where FCFS strands it, at near-zero cost for the big one.
 //
+//  * cluster_fig10 — machine-wide Figure 10: interruption granularity on
+//    the surveyor shard spec, A writing 4 files against B's one, B's start
+//    swept over ~1.5 file periods with the hook between files or between
+//    collective-buffering rounds. Exits non-zero unless round-level frees B
+//    at every offset while file-level shows the paper's saw (B waits out
+//    A's current file), or if the file-level dt=0 pair's fingerprint
+//    diverges across 1/2 workers.
+//
 // `--smoke` runs a small cluster at 1 and 2 workers — once pure flows, once
 // with the global arbiter in the loop, once as a machine-wide I/O campaign
 // (writers on distinct shards, shared PFS, Interrupt policy) — and exits
@@ -64,13 +74,11 @@
 // silently regress).
 
 #include <algorithm>
-#include <chrono>
+#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/cluster_scenario.hpp"
@@ -86,13 +94,15 @@
 #include "platform/presets.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
+#include "sim/wall_timer.hpp"
 #include "storage/server.hpp"
 #include "workload/ior.hpp"
 
 namespace {
 
+using benchutil::Fingerprint;
+using benchutil::Json;
 using calciom::GlobalArbiter;
-using calciom::core::DecisionRecord;
 using calciom::core::makePolicy;
 using calciom::core::PolicyKind;
 using calciom::core::Session;
@@ -112,23 +122,6 @@ using calciom::storage::StorageServer;
 // Determinism fingerprint: FNV-1a over every shard's deterministic counters,
 // clock bits and per-resource delivered-byte bits. wallSeconds is explicitly
 // NOT folded in (it is the one nondeterministic EngineStats field).
-
-class Fingerprint {
- public:
-  void fold(std::uint64_t v) noexcept {
-    h_ ^= v;
-    h_ *= 0x100000001B3ULL;
-  }
-  void foldBits(double v) noexcept {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    fold(bits);
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
-
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
 
 std::uint64_t clusterFingerprint(Cluster& cl) {
   Fingerprint fp;
@@ -161,19 +154,7 @@ std::uint64_t arbiterFingerprint(Cluster& cl, const GlobalArbiter& ga) {
   fp.fold(ga.pausesIssued());
   fp.fold(ga.messagesMerged());
   fp.fold(ga.exchanges());
-  for (const DecisionRecord& d : ga.decisions()) {
-    fp.foldBits(d.time);
-    fp.fold(d.requester);
-    fp.fold(static_cast<std::uint64_t>(d.action));
-    fp.fold(d.accessors.size());
-    for (std::uint32_t a : d.accessors) {
-      fp.fold(a);
-    }
-    for (const auto& c : d.costs) {
-      fp.fold(static_cast<std::uint64_t>(c.action));
-      fp.foldBits(c.metricCost);
-    }
-  }
+  fp.foldDecisions(ga.decisions());
   return fp.value();
 }
 
@@ -215,11 +196,17 @@ struct RunResult {
   bool complete = false;
 };
 
-/// Windowed counter deltas + fingerprint, shared by every tier's collection
-/// path. `base` is the stats snapshot at the start of the measured window
-/// (default-constructed for whole-campaign tiers).
-void fillRun(RunResult& out, const calciom::platform::ClusterStats& stats,
-             const calciom::platform::ClusterStats& base) {
+/// Runs `cl` to completion with `workers` threads under the external
+/// timer and collects the run: counter deltas since `base`, the stats
+/// snapshot at the start of the measured window (default-constructed for
+/// whole-campaign tiers), the shard fingerprint and the completion flag.
+RunResult timedRun(Cluster& cl, unsigned workers,
+                   const calciom::platform::ClusterStats& base = {}) {
+  const calciom::sim::Stopwatch wall;
+  cl.run(workers);
+  RunResult out;
+  out.wallSeconds = wall.seconds();
+  const auto stats = cl.stats();
   out.cpuSeconds = stats.cpuSeconds - base.cpuSeconds;
   out.events = stats.total.processedEvents - base.total.processedEvents;
   out.eventsPerSecond = out.wallSeconds > 0.0
@@ -237,6 +224,9 @@ void fillRun(RunResult& out, const calciom::platform::ClusterStats& stats,
   out.exchangesEmpty = stats.barrierExchangesEmpty - base.barrierExchangesEmpty;
   out.barriersSkipped = stats.barriersSkipped - base.barriersSkipped;
   out.pooledRounds = stats.pooledRounds - base.pooledRounds;
+  out.fingerprint = clusterFingerprint(cl);
+  out.complete = cl.empty();
+  return out;
 }
 
 /// Builds the cluster for a tier, runs it to completion with `workers`
@@ -271,16 +261,7 @@ RunResult runFlowTier(const FlowTier& tier, unsigned workers, double warmup) {
   // and rounds all describe the post-warmup window and events/batches is a
   // meaningful storm size. (maxQueueDepth stays campaign-cumulative: a
   // high-water mark has no window.)
-  const auto baseStats = cl.stats();
-  const auto t0 = std::chrono::steady_clock::now();
-  cl.run(workers);
-  const auto t1 = std::chrono::steady_clock::now();
-  RunResult out;
-  out.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
-  fillRun(out, cl.stats(), baseStats);
-  out.fingerprint = clusterFingerprint(cl);
-  out.complete = cl.empty();
-  return out;
+  return timedRun(cl, workers, cl.stats());
 }
 
 // ---------------------------------------------------------------------------
@@ -330,16 +311,9 @@ StorageResult runStorageTier(const StorageTier& tier, unsigned workers) {
       }
     }
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  cl.run(workers);
-  const auto t1 = std::chrono::steady_clock::now();
-  const auto stats = cl.stats();
   StorageResult out;
-  out.run.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
-  fillRun(out.run, stats, {});
-  out.run.fingerprint = clusterFingerprint(cl);
-  out.run.complete = cl.empty();
-  out.totalScheduled = stats.total.scheduledEvents;
+  out.run = timedRun(cl, workers);
+  out.totalScheduled = cl.stats().total.scheduledEvents;
   for (auto& shard : servers) {
     for (auto& srv : shard) {
       const auto& prof = srv->transitionProfile();
@@ -429,14 +403,9 @@ ArbiterResult runArbiterTier(const ArbiterTier& tier, unsigned workers) {
                                tier.rounds, tier.roundSeconds, start, idle));
     }
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  cl.run(workers);
-  const auto t1 = std::chrono::steady_clock::now();
   ArbiterResult out;
-  out.run.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
-  fillRun(out.run, cl.stats(), {});
+  out.run = timedRun(cl, workers);
   out.run.fingerprint = arbiterFingerprint(cl, ga);
-  out.run.complete = cl.empty();
   out.decisions = ga.decisions().size();
   out.merged = ga.messagesMerged();
   out.exchanges = ga.exchanges();
@@ -474,19 +443,7 @@ std::uint64_t machineWideFingerprint(const ClusterRunResult& r) {
   fp.fold(r.pausesIssued);
   fp.fold(r.storage.requestsForwarded);
   fp.fold(r.storage.completionsForwarded);
-  for (const DecisionRecord& d : r.decisions) {
-    fp.foldBits(d.time);
-    fp.fold(d.requester);
-    fp.fold(static_cast<std::uint64_t>(d.action));
-    fp.fold(d.accessors.size());
-    for (std::uint32_t a : d.accessors) {
-      fp.fold(a);
-    }
-    for (const auto& c : d.costs) {
-      fp.fold(static_cast<std::uint64_t>(c.action));
-      fp.foldBits(c.metricCost);
-    }
-  }
+  fp.foldDecisions(r.decisions);
   for (const calciom::platform::RequestTrace& t : r.requestLog) {
     fp.fold(t.appId);
     fp.fold(t.originShard);
@@ -503,10 +460,14 @@ std::uint64_t machineWideFingerprint(const ClusterRunResult& r) {
   return fp.value();
 }
 
-/// Two writers on distinct compute shards (0 and 1), storage on shard 2.
-ClusterRunResult runMachineWidePair(
-    const MachineSpec& machine, const IorConfig& a, const IorConfig& b,
-    PolicyKind policy, unsigned workers, double syncHorizonSeconds = 0.25,
+/// Writers on distinct compute shards (the i-th on shard i), storage on
+/// shard 2. An app runs alone on the same 3-shard platform (identical
+/// exchange overheads, so alone/with ratios isolate interference), where
+/// the policy is irrelevant.
+ClusterRunResult runMachineWide(
+    const MachineSpec& machine, const std::vector<IorConfig>& apps,
+    unsigned workers, double syncHorizonSeconds,
+    PolicyKind policy = PolicyKind::Fcfs,
     calciom::core::HookGranularity granularity =
         calciom::core::HookGranularity::PerRound) {
   ClusterScenarioConfig cfg;
@@ -516,22 +477,9 @@ ClusterRunResult runMachineWidePair(
   cfg.policy = policy;
   cfg.workers = workers;
   cfg.granularity = granularity;
-  cfg.apps = {ClusterAppPlan{a, 0}, ClusterAppPlan{b, 1}};
-  return calciom::analysis::runCluster(cfg);
-}
-
-/// One writer alone on the same 3-shard platform (identical exchange
-/// overheads, so alone/with ratios isolate interference).
-ClusterRunResult runMachineWideAlone(const MachineSpec& machine,
-                                     const IorConfig& app, unsigned workers,
-                                     double syncHorizonSeconds = 0.25) {
-  ClusterScenarioConfig cfg;
-  cfg.machine = machine;
-  cfg.shards = 3;
-  cfg.syncHorizonSeconds = syncHorizonSeconds;
-  cfg.policy = PolicyKind::Fcfs;  // no contention: policy is irrelevant
-  cfg.workers = workers;
-  cfg.apps = {ClusterAppPlan{app, 0}};
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    cfg.apps.push_back(ClusterAppPlan{apps[i], i});
+  }
   return calciom::analysis::runCluster(cfg);
 }
 
@@ -542,85 +490,74 @@ double appThroughput(const AppStats& app) {
 
 // ---------------------------------------------------------------------------
 
-void printRun(const char* indent, unsigned workers, const RunResult& r,
-              bool last) {
+/// One run's fields, written into the inline object the caller opened
+/// (and closes, after any tier-specific extras such as speedup_vs_1).
+Json& runFields(Json& json, unsigned workers, const RunResult& r) {
   // wall_s is the external timer, cpu_s the sum of shard-loop timers;
   // they are separate columns on purpose (RunResult::cpuSeconds).
-  std::printf(
-      "%s{\"workers\": %u, \"wall_s\": %.6f, \"cpu_s\": %.6f, "
-      "\"events\": %llu, "
-      "\"events_per_s\": %.0f, \"batches\": %llu, \"sync_rounds\": %llu, "
-      "\"horizon_steps\": %llu, \"solo_rounds\": %llu, "
-      "\"dispatched_shards\": %llu, \"exchanges_nonempty\": %llu, "
-      "\"exchanges_empty\": %llu, \"barriers_skipped\": %llu, "
-      "\"pooled_rounds\": %llu, "
-      "\"max_queue_depth\": %zu, \"fingerprint\": \"%016llx\", "
-      "\"complete\": %s}%s\n",
-      indent, workers, r.wallSeconds, r.cpuSeconds,
-      static_cast<unsigned long long>(r.events), r.eventsPerSecond,
-      static_cast<unsigned long long>(r.dispatchBatches),
-      static_cast<unsigned long long>(r.syncRounds),
-      static_cast<unsigned long long>(r.horizonSteps),
-      static_cast<unsigned long long>(r.soloRounds),
-      static_cast<unsigned long long>(r.dispatchedShards),
-      static_cast<unsigned long long>(r.exchangesNonEmpty),
-      static_cast<unsigned long long>(r.exchangesEmpty),
-      static_cast<unsigned long long>(r.barriersSkipped),
-      static_cast<unsigned long long>(r.pooledRounds), r.maxQueueDepth,
-      static_cast<unsigned long long>(r.fingerprint),
-      r.complete ? "true" : "false", last ? "" : ",");
+  return json.num("workers", workers)
+      .fixed("wall_s", r.wallSeconds, 6)
+      .fixed("cpu_s", r.cpuSeconds, 6)
+      .num("events", r.events)
+      .fixed("events_per_s", r.eventsPerSecond, 0)
+      .num("batches", r.dispatchBatches)
+      .num("sync_rounds", r.syncRounds)
+      .num("horizon_steps", r.horizonSteps)
+      .num("solo_rounds", r.soloRounds)
+      .num("dispatched_shards", r.dispatchedShards)
+      .num("exchanges_nonempty", r.exchangesNonEmpty)
+      .num("exchanges_empty", r.exchangesEmpty)
+      .num("barriers_skipped", r.barriersSkipped)
+      .num("pooled_rounds", r.pooledRounds)
+      .num("max_queue_depth", r.maxQueueDepth)
+      .hex("fingerprint", r.fingerprint)
+      .flag("complete", r.complete);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  if (argc > 1) {
-    if (argc == 2 && std::strcmp(argv[1], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke]\n"
-                   "  --smoke  small cluster at 1/2 workers; exit 1 unless\n"
-                   "           runs complete with identical fingerprints\n"
-                   "           and the 2-worker flow run uses the pool\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  const bool smoke = benchutil::smokeFlag(
+      argc, argv,
+      "  --smoke  small cluster at 1/2 workers; exit 1 unless\n"
+      "           runs complete with identical fingerprints\n"
+      "           and the 2-worker flow run uses the pool\n");
 
   // Workers start their first flow within the first 2.05 simulated seconds
   // (startDelay is uniform in [0, 2)); measuring from there sees the full
   // advertised concurrency. Matches perf_flownet.
   constexpr double kWarmup = 2.05;
+  constexpr auto kInline = Json::Style::Inline;
 
   bool ok = true;
-  benchutil::jsonHeader("perf_cluster", smoke ? "smoke" : "full");
+  Json json;
+  benchutil::jsonHeader(json, "perf_cluster", smoke ? "smoke" : "full");
 
   if (smoke) {
     const FlowTier tier{4, 64, 1000, 2, 0xC1C10ull};
     const RunResult r1 = runFlowTier(tier, 1, kWarmup);
     const RunResult r2 = runFlowTier(tier, 2, kWarmup);
-    std::printf("  \"smoke\": {\n    \"flows\": %d,\n    \"runs\": [\n",
-                static_cast<int>(tier.shards) * tier.workersPerShard *
-                    tier.flowsPerWorker);
-    printRun("      ", 1, r1, false);
-    printRun("      ", 2, r2, true);
-    std::printf("    ]\n  },\n");
+    json.object("smoke")
+        .num("flows", static_cast<int>(tier.shards) * tier.workersPerShard *
+                          tier.flowsPerWorker)
+        .array("runs");
+    runFields(json.object(kInline), 1, r1).close();
+    runFields(json.object(kInline), 2, r2).close();
+    json.close().close();
     const bool flowsOk =
         r1.complete && r2.complete && r1.fingerprint == r2.fingerprint;
-    std::fprintf(stderr, "smoke: fingerprints %016llx / %016llx -> %s\n",
-                 static_cast<unsigned long long>(r1.fingerprint),
-                 static_cast<unsigned long long>(r2.fingerprint),
+    std::fprintf(stderr,
+                 "smoke: fingerprints %016" PRIx64 " / %016" PRIx64 " -> %s\n",
+                 r1.fingerprint, r2.fingerprint,
                  flowsOk ? "OK" : "DETERMINISM REGRESSION");
     // Parallel-path tripwire: four busy flow shards must hand at least one
     // round to the pool at 2 workers. A work estimate that stops seeing
     // work silently serializes every campaign; this makes it fail CI (and
     // keeps the TSan job running shard loops concurrently).
     const bool pooledOk = r1.pooledRounds == 0 && r2.pooledRounds > 0;
-    std::fprintf(stderr, "smoke: pooled rounds %llu / %llu -> %s\n",
-                 static_cast<unsigned long long>(r1.pooledRounds),
-                 static_cast<unsigned long long>(r2.pooledRounds),
+    std::fprintf(stderr,
+                 "smoke: pooled rounds %" PRIu64 " / %" PRIu64 " -> %s\n",
+                 r1.pooledRounds, r2.pooledRounds,
                  pooledOk ? "OK" : "PARALLEL PATH NEVER ENGAGED");
     // Same tripwire with the global arbiter in the loop: the fingerprint
     // folds every DecisionRecord, so cross-shard coordination must be
@@ -628,22 +565,20 @@ int main(int argc, char** argv) {
     const ArbiterTier atier{4, 2, 2, 4, 0.1};
     const ArbiterResult a1 = runArbiterTier(atier, 1);
     const ArbiterResult a2 = runArbiterTier(atier, 2);
-    std::printf("  \"smoke_global_arbiter\": {\n    \"apps\": %d, "
-                "\"decisions\": %llu,\n    \"runs\": [\n",
-                static_cast<int>(atier.shards) * atier.appsPerShard,
-                static_cast<unsigned long long>(a1.decisions));
-    printRun("      ", 1, a1.run, false);
-    printRun("      ", 2, a2.run, true);
-    std::printf("    ]\n  },\n");
+    json.object("smoke_global_arbiter")
+        .num("apps", static_cast<int>(atier.shards) * atier.appsPerShard)
+        .num("decisions", a1.decisions)
+        .array("runs");
+    runFields(json.object(kInline), 1, a1.run).close();
+    runFields(json.object(kInline), 2, a2.run).close();
+    json.close().close();
     const bool arbiterOk = a1.run.complete && a2.run.complete &&
                            a1.run.fingerprint == a2.run.fingerprint &&
                            a1.decisions > 0;
     std::fprintf(stderr,
-                 "smoke_global_arbiter: fingerprints %016llx / %016llx "
-                 "(%llu decisions) -> %s\n",
-                 static_cast<unsigned long long>(a1.run.fingerprint),
-                 static_cast<unsigned long long>(a2.run.fingerprint),
-                 static_cast<unsigned long long>(a1.decisions),
+                 "smoke_global_arbiter: fingerprints %016" PRIx64
+                 " / %016" PRIx64 " (%" PRIu64 " decisions) -> %s\n",
+                 a1.run.fingerprint, a2.run.fingerprint, a1.decisions,
                  arbiterOk ? "OK" : "DETERMINISM REGRESSION");
     // Machine-wide I/O gate: two real writers on distinct compute shards,
     // one shared PFS on the storage shard, Interrupt policy. The
@@ -672,31 +607,27 @@ int main(int argc, char** argv) {
     small.pattern = calciom::io::contiguousPattern(1u << 20);
     small.startOffset = 0.8;
     const ClusterRunResult m1 =
-        runMachineWidePair(mw, big, small, PolicyKind::Interrupt, 1);
+        runMachineWide(mw, {big, small}, 1, 0.25, PolicyKind::Interrupt);
     const ClusterRunResult m2 =
-        runMachineWidePair(mw, big, small, PolicyKind::Interrupt, 2);
+        runMachineWide(mw, {big, small}, 2, 0.25, PolicyKind::Interrupt);
     const std::uint64_t mfp1 = machineWideFingerprint(m1);
     const std::uint64_t mfp2 = machineWideFingerprint(m2);
-    std::printf(
-        "  \"smoke_machine_wide\": {\n"
-        "    \"apps\": 2, \"decisions\": %zu, \"pauses\": %zu, "
-        "\"requests_forwarded\": %llu,\n"
-        "    \"bytes_delivered\": %.0f,\n"
-        "    \"fingerprints\": [\"%016llx\", \"%016llx\"]\n  },\n",
-        m1.decisions.size(), m1.pausesIssued,
-        static_cast<unsigned long long>(m1.storage.requestsForwarded),
-        m1.bytesDelivered, static_cast<unsigned long long>(mfp1),
-        static_cast<unsigned long long>(mfp2));
+    json.object("smoke_machine_wide")
+        .num("apps", 2)
+        .num("decisions", m1.decisions.size())
+        .num("pauses", m1.pausesIssued)
+        .num("requests_forwarded", m1.storage.requestsForwarded)
+        .fixed("bytes_delivered", m1.bytesDelivered, 0)
+        .array("fingerprints", kInline).hex(mfp1).hex(mfp2).close()
+        .close();
     const bool machineWideOk =
         mfp1 == mfp2 && m1.pausesIssued > 0 &&
         m1.storage.requestsForwarded > 0 &&
         m1.storage.requestsForwarded == m1.storage.completionsForwarded;
     std::fprintf(stderr,
-                 "smoke_machine_wide: fingerprints %016llx / %016llx "
-                 "(%zu decisions, %zu pauses) -> %s\n",
-                 static_cast<unsigned long long>(mfp1),
-                 static_cast<unsigned long long>(mfp2), m1.decisions.size(),
-                 m1.pausesIssued,
+                 "smoke_machine_wide: fingerprints %016" PRIx64
+                 " / %016" PRIx64 " (%zu decisions, %zu pauses) -> %s\n",
+                 mfp1, mfp2, m1.decisions.size(), m1.pausesIssued,
                  machineWideOk ? "OK" : "DETERMINISM REGRESSION");
     // Barrier-tax gate: the full cluster_arbiter tier at 1 worker, pinned
     // to its recorded decision fingerprint AND to at least a 2x reduction
@@ -711,20 +642,17 @@ int main(int argc, char** argv) {
     const bool barrierTaxOk = gate.run.complete &&
                               gate.run.fingerprint == kArbiterFingerprint &&
                               gate.run.syncRounds * 2 <= kLegacyGridRounds;
-    std::printf("  \"smoke_barrier_tax\": {\n"
-                "    \"expected_fingerprint\": \"%016llx\", "
-                "\"legacy_grid_rounds\": %llu,\n",
-                static_cast<unsigned long long>(kArbiterFingerprint),
-                static_cast<unsigned long long>(kLegacyGridRounds));
-    printRun("    \"run\": ", 1, gate.run, true);
-    std::printf("  }\n}\n");
+    json.object("smoke_barrier_tax")
+        .hex("expected_fingerprint", kArbiterFingerprint)
+        .num("legacy_grid_rounds", kLegacyGridRounds);
+    runFields(json.object("run", kInline), 1, gate.run).close();
+    json.close().close();
     std::fprintf(stderr,
-                 "smoke_barrier_tax: fingerprint %016llx (want %016llx), "
-                 "sync_rounds %llu (want <= %llu) -> %s\n",
-                 static_cast<unsigned long long>(gate.run.fingerprint),
-                 static_cast<unsigned long long>(kArbiterFingerprint),
-                 static_cast<unsigned long long>(gate.run.syncRounds),
-                 static_cast<unsigned long long>(kLegacyGridRounds / 2),
+                 "smoke_barrier_tax: fingerprint %016" PRIx64
+                 " (want %016" PRIx64 "), sync_rounds %" PRIu64
+                 " (want <= %" PRIu64 ") -> %s\n",
+                 gate.run.fingerprint, kArbiterFingerprint,
+                 gate.run.syncRounds, kLegacyGridRounds / 2,
                  barrierTaxOk ? "OK" : "BARRIER TAX REGRESSION");
     ok = flowsOk && pooledOk && arbiterOk && machineWideOk && barrierTaxOk;
     return ok ? 0 : 1;
@@ -736,62 +664,46 @@ int main(int argc, char** argv) {
     // 100k-flow tier, so the event stream is identical.
     const FlowTier tier{1, 2048, 100000, 2, 0xCA1C10Full + 2};
     const RunResult r = runFlowTier(tier, 1, kWarmup);
-    std::printf("  \"serial_100k\": {\n");
-    std::printf("    \"flows\": 200000, \"note\": "
-                "\"perf_flownet 100k tier, cluster path, 1 worker\",\n");
-    printRun("    \"run\": ", 1, r, true);
-    std::printf("  },\n");
+    json.object("serial_100k")
+        .num("flows", 200000)
+        .str("note", "perf_flownet 100k tier, cluster path, 1 worker");
+    runFields(json.object("run", kInline), 1, r).close();
+    json.close();
     ok = ok && r.complete;
   }
 
   // --- thread scaling at 1M flows.
   {
     const FlowTier tier{16, 512, 15625, 4, 0xC1A57E2ull};
-    const int totalFlows = static_cast<int>(tier.shards) *
-                           tier.workersPerShard * tier.flowsPerWorker;
-    std::printf("  \"cluster_1m\": {\n    \"flows\": %d, \"shards\": %zu,\n",
-                totalFlows, tier.shards);
     const std::vector<unsigned> counts = {1, 2, 4, 8};
     std::vector<RunResult> runs;
     runs.reserve(counts.size());
     for (unsigned w : counts) {
       runs.push_back(runFlowTier(tier, w, kWarmup));
     }
+    json.object("cluster_1m")
+        .num("flows", static_cast<int>(tier.shards) * tier.workersPerShard *
+                          tier.flowsPerWorker)
+        .num("shards", tier.shards)
+        .array("runs");
     bool deterministic = true;
-    std::printf("    \"runs\": [\n");
     for (std::size_t i = 0; i < runs.size(); ++i) {
       const RunResult& r = runs[i];
       ok = ok && r.complete;
       deterministic = deterministic && r.fingerprint == runs[0].fingerprint;
       const double speedup =
           r.wallSeconds > 0.0 ? runs[0].wallSeconds / r.wallSeconds : 0.0;
-      std::printf(
-          "      {\"workers\": %u, \"wall_s\": %.6f, \"cpu_s\": %.6f, "
-          "\"events\": %llu, "
-          "\"events_per_s\": %.0f, \"batches\": %llu, \"sync_rounds\": %llu, "
-          "\"solo_rounds\": %llu, \"dispatched_shards\": %llu, "
-          "\"pooled_rounds\": %llu, "
-          "\"max_queue_depth\": %zu, \"speedup_vs_1\": %.2f, "
-          "\"fingerprint\": \"%016llx\", \"complete\": %s}%s\n",
-          counts[i], r.wallSeconds, r.cpuSeconds,
-          static_cast<unsigned long long>(r.events),
-          r.eventsPerSecond, static_cast<unsigned long long>(r.dispatchBatches),
-          static_cast<unsigned long long>(r.syncRounds),
-          static_cast<unsigned long long>(r.soloRounds),
-          static_cast<unsigned long long>(r.dispatchedShards),
-          static_cast<unsigned long long>(r.pooledRounds), r.maxQueueDepth,
-          speedup, static_cast<unsigned long long>(r.fingerprint),
-          r.complete ? "true" : "false", i + 1 < runs.size() ? "," : "");
+      runFields(json.object(kInline), counts[i], r)
+          .fixed("speedup_vs_1", speedup, 2)
+          .close();
     }
-    std::printf("    ],\n");
-    std::printf("    \"deterministic_across_workers\": %s,\n",
-                deterministic ? "true" : "false");
     // On a 1-hardware-thread container the speedup column measures
     // executor overhead, not parallelism (ROADMAP multi-core-baseline
     // caveat, machine-readable so dashboards cannot misread the curve).
-    std::printf("    \"executor_overhead_only\": %s\n",
-                std::thread::hardware_concurrency() <= 1 ? "true" : "false");
-    std::printf("  },\n");
+    json.close()
+        .flag("deterministic_across_workers", deterministic)
+        .flag("executor_overhead_only", benchutil::hardwareThreads() <= 1)
+        .close();
     ok = ok && deterministic;
   }
 
@@ -804,32 +716,26 @@ int main(int argc, char** argv) {
     for (unsigned w : counts) {
       runs.push_back(runArbiterTier(tier, w));
     }
+    json.object("cluster_arbiter")
+        .num("shards", tier.shards)
+        .num("apps", static_cast<int>(tier.shards) * tier.appsPerShard)
+        .num("phases_per_app", tier.phases)
+        .num("decisions", runs[0].decisions)
+        .num("messages_merged", runs[0].merged)
+        .num("barrier_exchanges", runs[0].exchanges)
+        .num("grants", runs[0].grants)
+        .num("pauses", runs[0].pauses)
+        .array("runs");
     bool deterministic = true;
-    std::printf("  \"cluster_arbiter\": {\n");
-    std::printf("    \"shards\": %zu, \"apps\": %d, \"phases_per_app\": %d,\n",
-                tier.shards, static_cast<int>(tier.shards) * tier.appsPerShard,
-                tier.phases);
-    std::printf("    \"decisions\": %llu, \"messages_merged\": %llu, "
-                "\"barrier_exchanges\": %llu, \"grants\": %llu, "
-                "\"pauses\": %llu,\n",
-                static_cast<unsigned long long>(runs[0].decisions),
-                static_cast<unsigned long long>(runs[0].merged),
-                static_cast<unsigned long long>(runs[0].exchanges),
-                static_cast<unsigned long long>(runs[0].grants),
-                static_cast<unsigned long long>(runs[0].pauses));
-    std::printf("    \"runs\": [\n");
     for (std::size_t i = 0; i < runs.size(); ++i) {
       const ArbiterResult& r = runs[i];
       ok = ok && r.run.complete;
       deterministic =
           deterministic && r.run.fingerprint == runs[0].run.fingerprint &&
           r.decisions == runs[0].decisions;
-      printRun("      ", counts[i], r.run, i + 1 == runs.size());
+      runFields(json.object(kInline), counts[i], r.run).close();
     }
-    std::printf("    ],\n");
-    std::printf("    \"deterministic_across_workers\": %s\n",
-                deterministic ? "true" : "false");
-    std::printf("  },\n");
+    json.close().flag("deterministic_across_workers", deterministic).close();
     ok = ok && deterministic;
   }
 
@@ -846,21 +752,20 @@ int main(int argc, char** argv) {
     // figure's axes measure interference, not the exchange.
     constexpr double kFigHorizon = 0.02;
     const ClusterRunResult aloneA =
-        runMachineWideAlone(machine, appA, 1, kFigHorizon);
+        runMachineWide(machine, {appA}, 1, kFigHorizon);
     const double aloneAThroughput = appThroughput(aloneA.apps[0]);
 
-    std::printf("  \"cluster_fig04\": {\n");
-    std::printf("    \"machine\": \"%s\", \"shards\": 3, "
-                "\"a_cores\": 336, \"alone_a_mb_s\": %.0f,\n",
-                machine.name.c_str(), aloneAThroughput / 1e6);
-    std::printf("    \"points\": [\n");
+    json.object("cluster_fig04")
+        .str("machine", machine.name)
+        .num("shards", 3)
+        .num("a_cores", 336)
+        .fixed("alone_a_mb_s", aloneAThroughput / 1e6, 0)
+        .array("points");
     double slowdownAt8 = 0.0;
     double slowdownAt336 = 0.0;
     std::uint64_t fp1 = 0;  // the 336/336 worker-1 fingerprint, from the loop
     bool complete = aloneA.storage.requestsForwarded > 0;
-    const int coresList[] = {8, 64, 336};
-    for (std::size_t i = 0; i < 3; ++i) {
-      const int cores = coresList[i];
+    for (const int cores : {8, 64, 336}) {
       IorConfig appB;
       appB.name = "B";
       appB.processes = cores;
@@ -870,9 +775,9 @@ int main(int argc, char** argv) {
       // most expensive alone campaign.
       const ClusterRunResult aloneB =
           cores == 336 ? aloneA
-                       : runMachineWideAlone(machine, appB, 1, kFigHorizon);
-      const ClusterRunResult pair = runMachineWidePair(
-          machine, appA, appB, PolicyKind::Interfere, 1, kFigHorizon);
+                       : runMachineWide(machine, {appB}, 1, kFigHorizon);
+      const ClusterRunResult pair = runMachineWide(
+          machine, {appA, appB}, 1, kFigHorizon, PolicyKind::Interfere);
       const double aggregate = pair.bytesDelivered / pair.spanSeconds;
       const double slowdown =
           appThroughput(aloneB.apps[0]) / appThroughput(pair.apps[1]);
@@ -885,32 +790,33 @@ int main(int argc, char** argv) {
         fp1 = fp;
       }
       complete = complete && pair.storage.requestsForwarded > 0;
-      std::printf("      {\"b_cores\": %d, \"aggregate_mb_s\": %.0f, "
-                  "\"b_alone_mb_s\": %.0f, \"b_with_a_mb_s\": %.0f, "
-                  "\"b_slowdown\": %.2f, \"fingerprint\": \"%016llx\"}%s\n",
-                  cores, aggregate / 1e6,
-                  appThroughput(aloneB.apps[0]) / 1e6,
-                  appThroughput(pair.apps[1]) / 1e6, slowdown,
-                  static_cast<unsigned long long>(fp), i + 1 < 3 ? "," : "");
+      json.object(kInline)
+          .num("b_cores", cores)
+          .fixed("aggregate_mb_s", aggregate / 1e6, 0)
+          .fixed("b_alone_mb_s", appThroughput(aloneB.apps[0]) / 1e6, 0)
+          .fixed("b_with_a_mb_s", appThroughput(pair.apps[1]) / 1e6, 0)
+          .fixed("b_slowdown", slowdown, 2)
+          .hex("fingerprint", fp)
+          .close();
     }
-    std::printf("    ],\n");
+    json.close();
     // Worker-count invariance on the largest pair (the worker-1 run is the
     // loop's 336-core point — no need to pay for it twice), decision
     // stream + delivered bytes folded in.
     IorConfig appB336 = appA;
     appB336.name = "B";
-    std::uint64_t fp2 = machineWideFingerprint(runMachineWidePair(
-        machine, appA, appB336, PolicyKind::Interfere, 2, kFigHorizon));
-    std::uint64_t fp4 = machineWideFingerprint(runMachineWidePair(
-        machine, appA, appB336, PolicyKind::Interfere, 4, kFigHorizon));
+    const std::uint64_t fp2 = machineWideFingerprint(runMachineWide(
+        machine, {appA, appB336}, 2, kFigHorizon, PolicyKind::Interfere));
+    const std::uint64_t fp4 = machineWideFingerprint(runMachineWide(
+        machine, {appA, appB336}, 4, kFigHorizon, PolicyKind::Interfere));
     const bool deterministic = fp1 == fp2 && fp1 == fp4;
     // Paper shape: B=8 is crushed (~6x), equal apps are not; interference
     // is machine-wide real, not an artifact of the serial runner.
     const bool shape =
         slowdownAt8 > 3.0 && slowdownAt336 < slowdownAt8 / 1.5;
-    std::printf("    \"deterministic_across_workers\": %s,\n",
-                deterministic ? "true" : "false");
-    std::printf("    \"shape_ok\": %s\n  },\n", shape ? "true" : "false");
+    json.flag("deterministic_across_workers", deterministic)
+        .flag("shape_ok", shape)
+        .close();
     ok = ok && deterministic && shape && complete;
   }
 
@@ -929,17 +835,18 @@ int main(int argc, char** argv) {
     appB.startOffset = 2.0;
     constexpr double kFigHorizon = 0.02;
     const ClusterRunResult aloneA =
-        runMachineWideAlone(machine, appA, 1, kFigHorizon);
+        runMachineWide(machine, {appA}, 1, kFigHorizon);
     IorConfig appBAlone = appB;
     appBAlone.startOffset = 0.0;
     const ClusterRunResult aloneB =
-        runMachineWideAlone(machine, appBAlone, 1, kFigHorizon);
+        runMachineWide(machine, {appBAlone}, 1, kFigHorizon);
 
-    std::printf("  \"cluster_fig09\": {\n");
-    std::printf("    \"machine\": \"%s\", \"shards\": 3, "
-                "\"split\": \"744/24\", \"dt_s\": 2.0,\n",
-                machine.name.c_str());
-    std::printf("    \"policies\": [\n");
+    json.object("cluster_fig09")
+        .str("machine", machine.name)
+        .num("shards", 3)
+        .str("split", "744/24")
+        .fixed("dt_s", 2.0, 1)
+        .array("policies");
     struct PolicyRow {
       const char* name;
       PolicyKind kind;
@@ -948,28 +855,27 @@ int main(int argc, char** argv) {
     } rows[] = {{"interfering", PolicyKind::Interfere, 0.0, 0.0},
                 {"fcfs", PolicyKind::Fcfs, 0.0, 0.0},
                 {"interruption", PolicyKind::Interrupt, 0.0, 0.0}};
-    for (std::size_t i = 0; i < 3; ++i) {
-      const ClusterRunResult pair = runMachineWidePair(
-          machine, appA, appB, rows[i].kind, 1, kFigHorizon);
-      rows[i].factorA =
+    for (PolicyRow& row : rows) {
+      const ClusterRunResult pair =
+          runMachineWide(machine, {appA, appB}, 1, kFigHorizon, row.kind);
+      row.factorA =
           pair.apps[0].totalIoSeconds() / aloneA.apps[0].totalIoSeconds();
-      rows[i].factorB =
+      row.factorB =
           pair.apps[1].totalIoSeconds() / aloneB.apps[0].totalIoSeconds();
-      std::printf("      {\"policy\": \"%s\", \"factor_a\": %.2f, "
-                  "\"factor_b\": %.2f, \"pauses\": %zu, "
-                  "\"fingerprint\": \"%016llx\"}%s\n",
-                  rows[i].name, rows[i].factorA, rows[i].factorB,
-                  pair.pausesIssued,
-                  static_cast<unsigned long long>(machineWideFingerprint(pair)),
-                  i + 1 < 3 ? "," : "");
+      json.object(kInline)
+          .str("policy", row.name)
+          .fixed("factor_a", row.factorA, 2)
+          .fixed("factor_b", row.factorB, 2)
+          .num("pauses", pair.pausesIssued)
+          .hex("fingerprint", machineWideFingerprint(pair))
+          .close();
     }
-    std::printf("    ],\n");
     // Paper shape (Fig 9b/9d): FCFS strands the small app behind the big
     // one; interruption rescues it at near-zero cost for the big app.
     const bool shape = rows[1].factorB > 2.0 * rows[2].factorB &&
                        rows[2].factorB < 2.5 && rows[2].factorA < 1.3 &&
                        rows[0].factorB > 2.0;
-    std::printf("    \"shape_ok\": %s\n  },\n", shape ? "true" : "false");
+    json.close().flag("shape_ok", shape).close();
     ok = ok && shape;
   }
 
@@ -998,45 +904,48 @@ int main(int argc, char** argv) {
     using calciom::core::HookGranularity;
 
     const ClusterRunResult aloneA =
-        runMachineWideAlone(machine, appA, 1, kFigHorizon);
+        runMachineWide(machine, {appA}, 1, kFigHorizon);
     const ClusterRunResult aloneB =
-        runMachineWideAlone(machine, appB, 1, kFigHorizon);
+        runMachineWide(machine, {appB}, 1, kFigHorizon);
     const double aloneASeconds = aloneA.apps[0].totalIoSeconds();
     const double aloneBSeconds = aloneB.apps[0].totalIoSeconds();
     const double filePeriod = aloneASeconds / 4.0;
 
-    std::printf("  \"cluster_fig10\": {\n");
-    std::printf("    \"machine\": \"%s\", \"shards\": 3, \"split\": "
-                "\"256/256\", \"a_files\": 4,\n",
-                machine.name.c_str());
-    std::printf("    \"alone_a_s\": %.3f, \"alone_b_s\": %.3f, "
-                "\"file_period_s\": %.3f,\n",
-                aloneASeconds, aloneBSeconds, filePeriod);
+    json.object("cluster_fig10")
+        .str("machine", machine.name)
+        .num("shards", 3)
+        .str("split", "256/256")
+        .num("a_files", 4)
+        .fixed("alone_a_s", aloneASeconds, 3)
+        .fixed("alone_b_s", aloneBSeconds, 3)
+        .fixed("file_period_s", filePeriod, 3)
+        .array("points");
     // Sweep ~1.5 file periods so the file-level saw rises and resets.
     constexpr int kPoints = 8;
     double fileB[kPoints];
     double roundB[kPoints];
-    std::printf("    \"points\": [\n");
     for (int i = 0; i < kPoints; ++i) {
       const double dt = 1.5 * filePeriod * static_cast<double>(i) /
                         static_cast<double>(kPoints - 1);
       IorConfig b = appB;
       b.startOffset = dt;
       const ClusterRunResult file =
-          runMachineWidePair(machine, appA, b, PolicyKind::Interrupt, 1,
-                             kFigHorizon, HookGranularity::PerFile);
+          runMachineWide(machine, {appA, b}, 1, kFigHorizon,
+                         PolicyKind::Interrupt, HookGranularity::PerFile);
       const ClusterRunResult round =
-          runMachineWidePair(machine, appA, b, PolicyKind::Interrupt, 1,
-                             kFigHorizon, HookGranularity::PerRound);
+          runMachineWide(machine, {appA, b}, 1, kFigHorizon,
+                         PolicyKind::Interrupt, HookGranularity::PerRound);
       fileB[i] = file.apps[1].totalIoSeconds();
       roundB[i] = round.apps[1].totalIoSeconds();
-      std::printf("      {\"dt_s\": %.3f, \"b_file_level_s\": %.3f, "
-                  "\"b_round_level_s\": %.3f, \"file_pauses\": %zu, "
-                  "\"round_pauses\": %zu}%s\n",
-                  dt, fileB[i], roundB[i], file.pausesIssued,
-                  round.pausesIssued, i + 1 < kPoints ? "," : "");
+      json.object(kInline)
+          .fixed("dt_s", dt, 3)
+          .fixed("b_file_level_s", fileB[i], 3)
+          .fixed("b_round_level_s", roundB[i], 3)
+          .num("file_pauses", file.pausesIssued)
+          .num("round_pauses", round.pausesIssued)
+          .close();
     }
-    std::printf("    ],\n");
+    json.close();
     double fileBMax = fileB[0];
     double fileBMin = fileB[0];
     double roundBMax = roundB[0];
@@ -1047,11 +956,11 @@ int main(int argc, char** argv) {
     }
     // Worker-count invariance on the dt=0 file-level pair.
     const std::uint64_t ffp1 = machineWideFingerprint(
-        runMachineWidePair(machine, appA, appB, PolicyKind::Interrupt, 1,
-                           kFigHorizon, HookGranularity::PerFile));
+        runMachineWide(machine, {appA, appB}, 1, kFigHorizon,
+                       PolicyKind::Interrupt, HookGranularity::PerFile));
     const std::uint64_t ffp2 = machineWideFingerprint(
-        runMachineWidePair(machine, appA, appB, PolicyKind::Interrupt, 2,
-                           kFigHorizon, HookGranularity::PerFile));
+        runMachineWide(machine, {appA, appB}, 2, kFigHorizon,
+                       PolicyKind::Interrupt, HookGranularity::PerFile));
     const bool deterministic = ffp1 == ffp2;
     // Paper shape (Fig 10a/b): round-level frees B almost immediately at
     // every dt; file-level makes B wait out A's current file somewhere in
@@ -1059,13 +968,12 @@ int main(int argc, char** argv) {
     const bool shape = roundBMax < aloneBSeconds + 0.75 * filePeriod &&
                        fileBMax > aloneBSeconds + 0.6 * filePeriod &&
                        fileBMax - fileBMin > 0.5 * filePeriod;
-    std::printf("    \"b_file_level_max_s\": %.3f, "
-                "\"b_file_level_min_s\": %.3f, "
-                "\"b_round_level_max_s\": %.3f,\n",
-                fileBMax, fileBMin, roundBMax);
-    std::printf("    \"deterministic_across_workers\": %s,\n",
-                deterministic ? "true" : "false");
-    std::printf("    \"shape_ok\": %s\n  },\n", shape ? "true" : "false");
+    json.fixed("b_file_level_max_s", fileBMax, 3)
+        .fixed("b_file_level_min_s", fileBMin, 3)
+        .fixed("b_round_level_max_s", roundBMax, 3)
+        .flag("deterministic_across_workers", deterministic)
+        .flag("shape_ok", shape)
+        .close();
     ok = ok && deterministic && shape;
   }
 
@@ -1083,23 +991,22 @@ int main(int argc, char** argv) {
             ? static_cast<double>(sr.transitionsStale) /
                   static_cast<double>(sr.transitionsScheduled)
             : 0.0;
-    std::printf("  \"storage_2k\": {\n");
-    std::printf("    \"servers\": %d, \"writers\": %d,\n",
-                static_cast<int>(tier.shards) * tier.serversPerShard,
-                static_cast<int>(tier.shards) * tier.serversPerShard *
-                    tier.appsPerServer);
-    printRun("    \"run\": ", 1, sr.run, false);
-    std::printf("    \"transitions\": {\"scheduled\": %llu, \"fired\": %llu, "
-                "\"stale\": %llu, \"share_of_scheduled\": %.4f, "
-                "\"stale_fraction\": %.4f}\n",
-                static_cast<unsigned long long>(sr.transitionsScheduled),
-                static_cast<unsigned long long>(sr.transitionsFired),
-                static_cast<unsigned long long>(sr.transitionsStale),
-                transitionShare, staleShare);
-    std::printf("  }\n");
+    json.object("storage_2k")
+        .num("servers", static_cast<int>(tier.shards) * tier.serversPerShard)
+        .num("writers", static_cast<int>(tier.shards) * tier.serversPerShard *
+                            tier.appsPerServer);
+    runFields(json.object("run", kInline), 1, sr.run).close();
+    json.object("transitions", kInline)
+        .num("scheduled", sr.transitionsScheduled)
+        .num("fired", sr.transitionsFired)
+        .num("stale", sr.transitionsStale)
+        .fixed("share_of_scheduled", transitionShare, 4)
+        .fixed("stale_fraction", staleShare, 4)
+        .close()
+        .close();
     ok = ok && sr.run.complete;
   }
 
-  std::printf("}\n");
+  json.close();
   return ok ? 0 : 1;
 }

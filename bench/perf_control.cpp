@@ -24,67 +24,21 @@
 // of .github/workflows/ci.yml, where the sweep drives the arbiter vote
 // under the rule 7 purity probe).
 
-#include <chrono>
+#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "analysis/replay.hpp"
 #include "bench/bench_util.hpp"
 #include "calciom/policy.hpp"
+#include "sim/wall_timer.hpp"
 
 namespace {
 
+using benchutil::Json;
 using calciom::core::PolicyKind;
 using namespace calciom::analysis::replay;
-
-class Fingerprint {
- public:
-  void fold(std::uint64_t v) noexcept {
-    h_ ^= v;
-    h_ *= 0x100000001B3ULL;
-  }
-  void foldBits(double v) noexcept {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    fold(bits);
-  }
-  void foldString(const std::string& s) noexcept {
-    for (char c : s) {
-      fold(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
-
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
-
-/// Everything deterministic about a control-loop replay: the decision
-/// stream, grant schedule and divergence JSON (as perf_replay folds them).
-std::uint64_t controlFingerprint(const ReplayResult& r) {
-  Fingerprint fp;
-  fp.fold(r.jobs);
-  fp.fold(r.captured.size());
-  for (const calciom::core::DecisionRecord& d : r.decisions) {
-    fp.foldBits(d.time);
-    fp.fold(d.requester);
-    fp.fold(static_cast<std::uint64_t>(d.action));
-    fp.fold(d.accessors.size());
-    for (std::uint32_t a : d.accessors) {
-      fp.fold(a);
-    }
-  }
-  for (const calciom::core::GrantRecord& g : r.grants) {
-    fp.foldBits(g.time);
-    fp.fold(g.app);
-    fp.fold(g.resume ? 1u : 0u);
-  }
-  fp.foldString(toJson(r.divergence));
-  return fp.value();
-}
 
 ReplayConfig sliceConfig(double horizonSeconds, double sliceDays) {
   ReplayConfig cfg;
@@ -111,10 +65,10 @@ struct SweepPoint {
 };
 
 SweepPoint sweepAt(double horizon, double sliceDays) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const calciom::sim::Stopwatch wall;
   const ReplayResult r = replayCluster(sliceConfig(horizon, sliceDays));
-  const auto t1 = std::chrono::steady_clock::now();
   SweepPoint p;
+  p.wallSeconds = wall.seconds();
   p.horizon = horizon;
   p.matchedGrants = r.divergence.matchedGrants;
   p.unmatchedGrants = r.divergence.unmatchedGrants;
@@ -126,26 +80,27 @@ SweepPoint sweepAt(double horizon, double sliceDays) {
   p.cpuSecondsWaitedDelta = r.divergence.cpuSecondsWaitedDelta;
   p.syncRounds = r.syncRounds;
   p.horizonSteps = r.horizonSteps;
-  p.fingerprint = controlFingerprint(r);
-  p.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
+  p.fingerprint = benchutil::replayFingerprint(r);
   p.engineCpuSeconds = r.engineCpuSeconds;
   return p;
 }
 
-void printPoint(const SweepPoint& p, bool last) {
-  std::printf(
-      "    {\"horizon_s\": %g, \"mean_drift_s\": %.6f, \"max_drift_s\": "
-      "%.6f, \"drift_per_horizon\": %.4f, \"cpu_seconds_waited_delta\": "
-      "%.6g, \"sync_rounds\": %llu, \"horizon_steps\": %llu, "
-      "\"matched_grants\": %zu, "
-      "\"unmatched_grants\": %zu, \"wall_s\": %.6f, \"cpu_s\": %.6f, "
-      "\"fingerprint\": \"%016llx\"}%s\n",
-      p.horizon, p.meanDriftSeconds, p.maxDriftSeconds,
-      p.horizon > 0.0 ? p.meanDriftSeconds / p.horizon : 0.0,
-      p.cpuSecondsWaitedDelta, static_cast<unsigned long long>(p.syncRounds),
-      static_cast<unsigned long long>(p.horizonSteps), p.matchedGrants,
-      p.unmatchedGrants, p.wallSeconds, p.engineCpuSeconds,
-      static_cast<unsigned long long>(p.fingerprint), last ? "" : ",");
+void printPoint(Json& json, const SweepPoint& p) {
+  json.object(Json::Style::Inline)
+      .general("horizon_s", p.horizon)
+      .fixed("mean_drift_s", p.meanDriftSeconds, 6)
+      .fixed("max_drift_s", p.maxDriftSeconds, 6)
+      .fixed("drift_per_horizon",
+             p.horizon > 0.0 ? p.meanDriftSeconds / p.horizon : 0.0, 4)
+      .general("cpu_seconds_waited_delta", p.cpuSecondsWaitedDelta)
+      .num("sync_rounds", p.syncRounds)
+      .num("horizon_steps", p.horizonSteps)
+      .num("matched_grants", p.matchedGrants)
+      .num("unmatched_grants", p.unmatchedGrants)
+      .fixed("wall_s", p.wallSeconds, 6)
+      .fixed("cpu_s", p.engineCpuSeconds, 6)
+      .hex("fingerprint", p.fingerprint)
+      .close();
 }
 
 /// The shape gates. Drift must grow monotonically and ~linearly with the
@@ -165,12 +120,10 @@ bool checkSweepShape(const std::vector<SweepPoint>& pts) {
     }
     if (pts[i].horizonSteps >= pts[i - 1].horizonSteps) {
       std::fprintf(stderr,
-                   "horizon_sweep: horizon_steps NOT decreasing (%llu at "
-                   "h=%g >= %llu at h=%g)\n",
-                   static_cast<unsigned long long>(pts[i].horizonSteps),
-                   pts[i].horizon,
-                   static_cast<unsigned long long>(pts[i - 1].horizonSteps),
-                   pts[i - 1].horizon);
+                   "horizon_sweep: horizon_steps NOT decreasing (%" PRIu64
+                   " at h=%g >= %" PRIu64 " at h=%g)\n",
+                   pts[i].horizonSteps, pts[i].horizon,
+                   pts[i - 1].horizonSteps, pts[i - 1].horizon);
       ok = false;
     }
   }
@@ -191,53 +144,41 @@ bool checkSweepShape(const std::vector<SweepPoint>& pts) {
   // Sublinear cost: barrier work shrinks (>= 2x) while drift grows.
   if (hi.horizonSteps * 2 > lo.horizonSteps) {
     std::fprintf(stderr,
-                 "horizon_sweep: horizon_steps only fell %llu -> %llu "
-                 "(< 2x) across a %.0fx horizon ratio\n",
-                 static_cast<unsigned long long>(lo.horizonSteps),
-                 static_cast<unsigned long long>(hi.horizonSteps), hRatio);
+                 "horizon_sweep: horizon_steps only fell %" PRIu64
+                 " -> %" PRIu64 " (< 2x) across a %.0fx horizon ratio\n",
+                 lo.horizonSteps, hi.horizonSteps, hRatio);
     ok = false;
   }
   std::fprintf(stderr,
                "horizon_sweep: drift %.3f..%.3f s (ratio %.2f vs horizon "
-               "ratio %.0f), horizon_steps %llu..%llu -> %s\n",
+               "ratio %.0f), horizon_steps %" PRIu64 "..%" PRIu64 " -> %s\n",
                lo.meanDriftSeconds, hi.meanDriftSeconds, driftRatio, hRatio,
-               static_cast<unsigned long long>(lo.horizonSteps),
-               static_cast<unsigned long long>(hi.horizonSteps),
-               ok ? "OK" : "SHAPE BROKEN");
+               lo.horizonSteps, hi.horizonSteps, ok ? "OK" : "SHAPE BROKEN");
   return ok;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  if (argc > 1) {
-    if (argc == 2 && std::strcmp(argv[1], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke]\n"
-                   "  --smoke  3-point mini-sweep on a 2-day slice;\n"
-                   "           exit 1 on a shape violation\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  const bool smoke = benchutil::smokeFlag(
+      argc, argv,
+      "  --smoke  3-point mini-sweep on a 2-day slice;\n"
+      "           exit 1 on a shape violation\n");
 
-  benchutil::jsonHeader("perf_control", smoke ? "smoke" : "full");
+  Json json;
+  benchutil::jsonHeader(json, "perf_control", smoke ? "smoke" : "full");
 
   const double sliceDays = smoke ? 2.0 : 4.0;
   const std::vector<double> horizons =
       smoke ? std::vector<double>{4.0, 16.0, 64.0}
             : std::vector<double>{2.0, 4.0, 8.0, 16.0, 32.0, 64.0};
 
-  std::printf("  \"slice_days\": %g,\n", sliceDays);
-  std::printf("  \"horizon_sweep\": [\n");
+  json.general("slice_days", sliceDays).array("horizon_sweep");
   std::vector<SweepPoint> pts;
-  for (const double& h : horizons) {
+  for (const double h : horizons) {
     pts.push_back(sweepAt(h, sliceDays));
-    printPoint(pts.back(), &h == &horizons.back());
+    printPoint(json, pts.back());
   }
-  std::printf("  ]\n}\n");
+  json.close().close();
   return checkSweepShape(pts) ? 0 : 1;
 }

@@ -43,10 +43,12 @@
 // arbiter crash injected (crash-recovery liveness). Exits non-zero on any
 // violation.
 
+#include <array>
+#include <cinttypes>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <vector>
+#include <string>
 
 #include "bench/bench_util.hpp"
 #include "calciom/policy.hpp"
@@ -55,6 +57,7 @@
 
 namespace {
 
+using benchutil::Json;
 using calciom::core::PolicyKind;
 using calciom::fault::ChaosConfig;
 using calciom::fault::ChaosResult;
@@ -67,11 +70,13 @@ using calciom::fault::withArbiterCrash;
 
 /// The sweep campaign: enough apps and rounds that serialization, pauses
 /// and retries all happen, small enough that a 5-point sweep is cheap.
+constexpr int kApps = 4;
+
 ChaosConfig sweepConfig(ChaosTransport transport) {
   ChaosConfig cfg;
   cfg.transport = transport;
   cfg.policy = PolicyKind::Fcfs;
-  cfg.apps = 4;
+  cfg.apps = kApps;
   cfg.phases = 3;
   cfg.roundsPerPhase = 4;
   cfg.roundSeconds = 0.4;
@@ -96,58 +101,49 @@ bool recoveredCleanly(const ChaosResult& r) {
          r.arbiterRestarts == r.arbiterCrashes && r.checkpoints >= 1;
 }
 
-/// One JSON object per run; `extra` is spliced in as the leading fields
-/// (e.g. "\"loss\": 0.10, ") so sweep points stay a single flat object.
-/// The per-class injected-fault counters come straight from the Injector
-/// and the crash-recovery path, so the committed baseline records what
-/// each seeded schedule actually inflicted.
-void printChaosRun(const char* indent, const std::string& extra,
-                   const ChaosResult& r, bool last) {
+/// Finishes one run's inline object. The caller opens it and writes its
+/// own leading fields (loss level, seed, transport), so sweep points stay a
+/// single flat object. The per-class injected-fault counters come straight
+/// from the Injector and the crash-recovery path, so the committed baseline
+/// records what each seeded schedule actually inflicted.
+void chaosRun(Json& json, const ChaosResult& r) {
   // wall_s (external timer) and cpu_s (event-loop time) are the only
   // nondeterministic columns; cpu_s_waited is *simulated* core-seconds.
-  std::printf(
-      "%s{%s\"survivors\": %d, \"completed\": %d, \"degraded\": %d, "
-      "\"rounds\": %llu, \"sim_s\": %.3f, \"wall_s\": %.6f, "
-      "\"cpu_s\": %.6f, \"tput_rounds_per_s\": %.3f, "
-      "\"cpu_s_waited\": %.3f, \"lease_reclaims\": %zu, "
-      "\"msgs_seen\": %llu, \"msgs_dropped\": %llu, \"msgs_delayed\": %llu, "
-      "\"msgs_duplicated\": %llu, \"msgs_reordered\": %llu, "
-      "\"blackout_discarded\": %llu, \"app_crashes\": %llu, "
-      "\"arbiter_crashes\": %llu, \"arbiter_restarts\": %llu, "
-      "\"crash_discarded\": %llu, \"recover_cmds\": %llu, "
-      "\"reinstated\": %llu, \"recover_answers\": %llu, "
-      "\"stale_cmds\": %llu, \"checkpoints\": %llu, "
-      "\"wal_appended\": %llu, \"wal_dropped\": %llu, "
-      "\"fingerprint\": \"%016llx\", \"complete\": %s}%s\n",
-      indent, extra.c_str(), r.survivors, r.survivorsCompleted,
-      r.degradedSessions,
-      static_cast<unsigned long long>(r.roundsCompleted), r.simSeconds,
-      r.wallSeconds, r.engineCpuSeconds,
-      r.throughputRoundsPerSecond, r.cpuSecondsWaited, r.leaseReclaims,
-      static_cast<unsigned long long>(r.messagesSeen),
-      static_cast<unsigned long long>(r.messagesDropped),
-      static_cast<unsigned long long>(r.messagesDelayed),
-      static_cast<unsigned long long>(r.messagesDuplicated),
-      static_cast<unsigned long long>(r.messagesReordered),
-      static_cast<unsigned long long>(r.blackoutDiscarded),
-      static_cast<unsigned long long>(r.appCrashesInjected),
-      static_cast<unsigned long long>(r.arbiterCrashes),
-      static_cast<unsigned long long>(r.arbiterRestarts),
-      static_cast<unsigned long long>(r.crashDiscarded),
-      static_cast<unsigned long long>(r.recoverCommandsIssued),
-      static_cast<unsigned long long>(r.reinstatedAccessors),
-      static_cast<unsigned long long>(r.recoverAnswers),
-      static_cast<unsigned long long>(r.staleArbiterCommands),
-      static_cast<unsigned long long>(r.checkpoints),
-      static_cast<unsigned long long>(r.walAppended),
-      static_cast<unsigned long long>(r.walDropped),
-      static_cast<unsigned long long>(r.fingerprint),
-      runCompleted(r) ? "true" : "false", last ? "" : ",");
+  json.num("survivors", r.survivors)
+      .num("completed", r.survivorsCompleted)
+      .num("degraded", r.degradedSessions)
+      .num("rounds", r.roundsCompleted)
+      .fixed("sim_s", r.simSeconds, 3)
+      .fixed("wall_s", r.wallSeconds, 6)
+      .fixed("cpu_s", r.engineCpuSeconds, 6)
+      .fixed("tput_rounds_per_s", r.throughputRoundsPerSecond, 3)
+      .fixed("cpu_s_waited", r.cpuSecondsWaited, 3)
+      .num("lease_reclaims", r.leaseReclaims)
+      .num("msgs_seen", r.messagesSeen)
+      .num("msgs_dropped", r.messagesDropped)
+      .num("msgs_delayed", r.messagesDelayed)
+      .num("msgs_duplicated", r.messagesDuplicated)
+      .num("msgs_reordered", r.messagesReordered)
+      .num("blackout_discarded", r.blackoutDiscarded)
+      .num("app_crashes", r.appCrashesInjected)
+      .num("arbiter_crashes", r.arbiterCrashes)
+      .num("arbiter_restarts", r.arbiterRestarts)
+      .num("crash_discarded", r.crashDiscarded)
+      .num("recover_cmds", r.recoverCommandsIssued)
+      .num("reinstated", r.reinstatedAccessors)
+      .num("recover_answers", r.recoverAnswers)
+      .num("stale_cmds", r.staleArbiterCommands)
+      .num("checkpoints", r.checkpoints)
+      .num("wal_appended", r.walAppended)
+      .num("wal_dropped", r.walDropped)
+      .hex("fingerprint", r.fingerprint)
+      .flag("complete", runCompleted(r))
+      .close();
 }
 
 /// Zero-fault bit-identity on one transport: installed-but-disabled
 /// injector vs no injector at all. Everything deterministic must agree.
-bool zeroFaultGate(ChaosTransport transport) {
+bool zeroFaultGate(Json& json, ChaosTransport transport) {
   ChaosConfig with = sweepConfig(transport);
   with.installInjector = true;  // Plan{} is disabled: a pure pass-through
   ChaosConfig without = with;
@@ -159,85 +155,76 @@ bool zeroFaultGate(ChaosTransport transport) {
                   a.cpuSecondsWaited == b.cpuSecondsWaited &&
                   a.messagesDropped == 0 && runCompleted(a) &&
                   runCompleted(b);
-  std::printf(
-      "    {\"transport\": \"%s\", \"fingerprints\": [\"%016llx\", "
-      "\"%016llx\"], \"grants\": [%zu, %zu], \"bit_identical\": %s}%s\n",
-      transportName(transport), static_cast<unsigned long long>(a.fingerprint),
-      static_cast<unsigned long long>(b.fingerprint), a.grants, b.grants,
-      ok ? "true" : "false",
-      transport == ChaosTransport::SameEngine ? "," : "");
-  std::fprintf(stderr, "zero_fault[%s]: %016llx / %016llx -> %s\n",
-               transportName(transport),
-               static_cast<unsigned long long>(a.fingerprint),
-               static_cast<unsigned long long>(b.fingerprint),
+  json.object(Json::Style::Inline)
+      .str("transport", transportName(transport))
+      .array("fingerprints").hex(a.fingerprint).hex(b.fingerprint).close()
+      .array("grants").num(a.grants).num(b.grants).close()
+      .flag("bit_identical", ok)
+      .close();
+  std::fprintf(stderr,
+               "zero_fault[%s]: %016" PRIx64 " / %016" PRIx64 " -> %s\n",
+               transportName(transport), a.fingerprint, b.fingerprint,
                ok ? "OK" : "BIT-IDENTITY REGRESSION");
   return ok;
+}
+
+/// Runs `plan` on both transports and writes them as the runs of a `name`
+/// object, left open for the caller's verdict fields.
+std::array<ChaosResult, 2> seedRuns(Json& json, const char* name,
+                                    std::uint64_t seed, const Plan& plan) {
+  json.object(name).num("seed", seed).array("runs");
+  std::array<ChaosResult, 2> out;
+  for (std::size_t i = 0; i < 2; ++i) {
+    const ChaosTransport transport =
+        i == 0 ? ChaosTransport::SameEngine : ChaosTransport::Cluster;
+    ChaosConfig cfg = sweepConfig(transport);
+    cfg.plan = plan;
+    out[i] = runChaos(cfg);
+    chaosRun(json.object(Json::Style::Inline)
+                 .str("transport", transportName(transport)),
+             out[i]);
+  }
+  json.close();
+  return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  if (argc > 1) {
-    if (argc == 2 && std::strcmp(argv[1], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke]\n"
-                   "  --smoke  zero-fault bit-identity gate + one fixed\n"
-                   "           chaos seed; exit 1 on any violation\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  const bool smoke = benchutil::smokeFlag(
+      argc, argv,
+      "  --smoke  zero-fault bit-identity gate + one fixed\n"
+      "           chaos seed; exit 1 on any violation\n");
 
   // The fixed seed every smoke run replays; full mode sweeps more.
   constexpr std::uint64_t kSmokeSeed = 0xC4A05011ull;
 
   bool ok = true;
-  benchutil::jsonHeader("perf_faults", smoke ? "smoke" : "full", kSmokeSeed);
+  Json json;
+  benchutil::jsonHeader(json, "perf_faults", smoke ? "smoke" : "full",
+                        kSmokeSeed);
 
   if (smoke) {
-    std::printf("  \"zero_fault_gate\": [\n");
-    const bool zfSame = zeroFaultGate(ChaosTransport::SameEngine);
-    const bool zfCluster = zeroFaultGate(ChaosTransport::Cluster);
-    std::printf("  ],\n");
+    json.array("zero_fault_gate");
+    const bool zfSame = zeroFaultGate(json, ChaosTransport::SameEngine);
+    const bool zfCluster = zeroFaultGate(json, ChaosTransport::Cluster);
+    json.close();
     // One fixed chaos seed on each transport: liveness + safety sanity.
-    ChaosConfig cfg = sweepConfig(ChaosTransport::SameEngine);
-    cfg.plan = chaosPlan(kSmokeSeed, cfg.apps);
-    const ChaosResult same = runChaos(cfg);
-    cfg = sweepConfig(ChaosTransport::Cluster);
-    cfg.plan = chaosPlan(kSmokeSeed, cfg.apps);
-    const ChaosResult clus = runChaos(cfg);
-    std::printf("  \"chaos_seed\": {\n    \"seed\": %llu,\n    \"runs\": [\n",
-                static_cast<unsigned long long>(kSmokeSeed));
-    printChaosRun("      ", "\"transport\": \"same_engine\", ", same, false);
-    printChaosRun("      ", "\"transport\": \"cluster\", ", clus, true);
-    std::printf("    ]\n  },\n");
+    const Plan plan = chaosPlan(kSmokeSeed, kApps);
+    const auto [same, clus] = seedRuns(json, "chaos_seed", kSmokeSeed, plan);
+    json.close();
     const bool chaosOk = runCompleted(same) && runCompleted(clus);
-    std::fprintf(stderr, "chaos_seed %llx: %s\n",
-                 static_cast<unsigned long long>(kSmokeSeed),
+    std::fprintf(stderr, "chaos_seed %" PRIx64 ": %s\n", kSmokeSeed,
                  chaosOk ? "OK" : "LIVENESS REGRESSION");
     // Same seed again, now with the arbiter itself dying mid-campaign:
     // crash-recovery liveness on both transports.
-    cfg = sweepConfig(ChaosTransport::SameEngine);
-    cfg.plan = withArbiterCrash(chaosPlan(kSmokeSeed, cfg.apps), kSmokeSeed);
-    const ChaosResult crashSame = runChaos(cfg);
-    cfg = sweepConfig(ChaosTransport::Cluster);
-    cfg.plan = withArbiterCrash(chaosPlan(kSmokeSeed, cfg.apps), kSmokeSeed);
-    const ChaosResult crashClus = runChaos(cfg);
-    std::printf("  \"arbiter_crash_seed\": {\n    \"seed\": %llu,\n"
-                "    \"runs\": [\n",
-                static_cast<unsigned long long>(kSmokeSeed));
-    printChaosRun("      ", "\"transport\": \"same_engine\", ", crashSame,
-                  false);
-    printChaosRun("      ", "\"transport\": \"cluster\", ", crashClus, true);
+    const auto [crashSame, crashClus] =
+        seedRuns(json, "arbiter_crash_seed", kSmokeSeed,
+                 withArbiterCrash(plan, kSmokeSeed));
     const bool recoverOk =
         recoveredCleanly(crashSame) && recoveredCleanly(crashClus);
-    std::printf("    ],\n    \"recovered\": %s\n  }\n}\n",
-                recoverOk ? "true" : "false");
-    std::fprintf(stderr, "arbiter_crash_seed %llx: %s\n",
-                 static_cast<unsigned long long>(kSmokeSeed),
+    json.flag("recovered", recoverOk).close().close();
+    std::fprintf(stderr, "arbiter_crash_seed %" PRIx64 ": %s\n", kSmokeSeed,
                  recoverOk ? "OK" : "RECOVERY REGRESSION");
     ok = zfSame && zfCluster && chaosOk && recoverOk;
     return ok ? 0 : 1;
@@ -247,8 +234,8 @@ int main(int argc, char** argv) {
   const double lossPoints[] = {0.0, 0.01, 0.05, 0.10, 0.20};
   for (const ChaosTransport transport :
        {ChaosTransport::SameEngine, ChaosTransport::Cluster}) {
-    std::printf("  \"loss_sweep_%s\": {\n    \"points\": [\n",
-                transportName(transport));
+    json.object(std::string("loss_sweep_") + transportName(transport))
+        .array("points");
     double tputFree = 0.0;
     double tputAt10 = 0.0;
     bool complete = true;
@@ -260,9 +247,8 @@ int main(int argc, char** argv) {
       cfg.plan.delayProbability = lossPoints[i] > 0.0 ? 0.1 : 0.0;
       cfg.plan.maxDelaySeconds = 0.25;
       const ChaosResult r = runChaos(cfg);
-      char extra[32];
-      std::snprintf(extra, sizeof extra, "\"loss\": %.2f, ", lossPoints[i]);
-      printChaosRun("      ", extra, r, i + 1 == 5);
+      chaosRun(json.object(Json::Style::Inline).fixed("loss", lossPoints[i], 2),
+               r);
       if (lossPoints[i] == 0.0) {
         tputFree = r.throughputRoundsPerSecond;
       }
@@ -274,10 +260,12 @@ int main(int argc, char** argv) {
     // The "graceful, no cliff-to-deadlock" gate: 10% loss costs at most
     // half the fault-free throughput, and everything still completes.
     const bool graceful = tputAt10 >= 0.5 * tputFree;
-    std::printf("    ],\n    \"tput_free\": %.3f, \"tput_at_10pct\": %.3f,\n",
-                tputFree, tputAt10);
-    std::printf("    \"graceful\": %s, \"all_complete\": %s\n  },\n",
-                graceful ? "true" : "false", complete ? "true" : "false");
+    json.close()
+        .fixed("tput_free", tputFree, 3)
+        .fixed("tput_at_10pct", tputAt10, 3)
+        .flag("graceful", graceful)
+        .flag("all_complete", complete)
+        .close();
     std::fprintf(stderr, "loss_sweep[%s]: tput %.3f -> %.3f @10%% loss -> %s\n",
                  transportName(transport), tputFree, tputAt10,
                  graceful && complete ? "OK" : "DEGRADATION CLIFF");
@@ -287,7 +275,7 @@ int main(int argc, char** argv) {
   // --- crash sweep: 0..3 of 4 apps die mid-campaign, reported / silent
   // --- alternating. Survivors must always finish; the arbiter must drain.
   {
-    std::printf("  \"crash_sweep\": {\n    \"points\": [\n");
+    json.object("crash_sweep").array("points");
     bool complete = true;
     for (int crashes = 0; crashes <= 3; ++crashes) {
       ChaosConfig cfg = sweepConfig(ChaosTransport::SameEngine);
@@ -300,13 +288,10 @@ int main(int argc, char** argv) {
                       0.9 + 1.1 * static_cast<double>(c), c % 2 == 0});
       }
       const ChaosResult r = runChaos(cfg);
-      char extra[32];
-      std::snprintf(extra, sizeof extra, "\"crashes\": %d, ", crashes);
-      printChaosRun("      ", extra, r, crashes == 3);
+      chaosRun(json.object(Json::Style::Inline).num("crashes", crashes), r);
       complete = complete && runCompleted(r);
     }
-    std::printf("    ],\n    \"all_survivors_complete\": %s\n  },\n",
-                complete ? "true" : "false");
+    json.close().flag("all_survivors_complete", complete).close();
     std::fprintf(stderr, "crash_sweep: %s\n",
                  complete ? "OK" : "SURVIVOR STALLED");
     ok = ok && complete;
@@ -315,32 +300,30 @@ int main(int argc, char** argv) {
   // --- chaos mix: full fault cocktail on the Cluster transport, worker-
   // --- count invariance of the decision-stream fingerprint under faults.
   {
-    std::printf("  \"chaos_mix\": {\n    \"seeds\": [\n");
+    json.object("chaos_mix").array("seeds");
     bool deterministic = true;
     bool complete = true;
     const std::uint64_t seeds[] = {kSmokeSeed, kSmokeSeed + 17,
                                    kSmokeSeed + 34};
-    for (std::size_t i = 0; i < 3; ++i) {
+    for (const std::uint64_t seed : seeds) {
       ChaosConfig cfg = sweepConfig(ChaosTransport::Cluster);
-      cfg.plan = chaosPlan(seeds[i], cfg.apps);
+      cfg.plan = chaosPlan(seed, cfg.apps);
       cfg.workers = 1;
       const ChaosResult r1 = runChaos(cfg);
       cfg.workers = 2;
       const ChaosResult r2 = runChaos(cfg);
       const bool agree = r1.fingerprint == r2.fingerprint;
-      char extra[96];
-      std::snprintf(extra, sizeof extra,
-                    "\"seed\": %llu, \"workers_agree\": %s, ",
-                    static_cast<unsigned long long>(seeds[i]),
-                    agree ? "true" : "false");
-      printChaosRun("      ", extra, r1, i + 1 == 3);
+      chaosRun(json.object(Json::Style::Inline)
+                   .num("seed", seed)
+                   .flag("workers_agree", agree),
+               r1);
       deterministic = deterministic && agree;
       complete = complete && runCompleted(r1) && runCompleted(r2);
     }
-    std::printf("    ],\n    \"deterministic_across_workers\": %s, "
-                "\"all_complete\": %s\n  },\n",
-                deterministic ? "true" : "false",
-                complete ? "true" : "false");
+    json.close()
+        .flag("deterministic_across_workers", deterministic)
+        .flag("all_complete", complete)
+        .close();
     std::fprintf(stderr, "chaos_mix: %s\n",
                  deterministic && complete ? "OK" : "DETERMINISM REGRESSION");
     ok = ok && deterministic && complete;
@@ -350,33 +333,29 @@ int main(int argc, char** argv) {
   // --- fault cocktail and must recover from checkpoint + WAL + session
   // --- reconciliation; every crash pairs with a completed restart.
   {
-    std::printf("  \"arbiter_crash_sweep\": {\n    \"points\": [\n");
+    json.object("arbiter_crash_sweep").array("points");
     bool recovered = true;
     const std::uint64_t seeds[] = {kSmokeSeed, kSmokeSeed + 5,
                                    kSmokeSeed + 23};
-    std::size_t point = 0;
     for (const ChaosTransport transport :
          {ChaosTransport::SameEngine, ChaosTransport::Cluster}) {
-      for (std::size_t i = 0; i < 3; ++i, ++point) {
+      for (const std::uint64_t seed : seeds) {
         ChaosConfig cfg = sweepConfig(transport);
-        cfg.plan = withArbiterCrash(chaosPlan(seeds[i], cfg.apps), seeds[i]);
+        cfg.plan = withArbiterCrash(chaosPlan(seed, cfg.apps), seed);
         const ChaosResult r = runChaos(cfg);
-        char extra[96];
-        std::snprintf(extra, sizeof extra,
-                      "\"transport\": \"%s\", \"seed\": %llu, ",
-                      transportName(transport),
-                      static_cast<unsigned long long>(seeds[i]));
-        printChaosRun("      ", extra, r, point + 1 == 6);
+        chaosRun(json.object(Json::Style::Inline)
+                     .str("transport", transportName(transport))
+                     .num("seed", seed),
+                 r);
         recovered = recovered && recoveredCleanly(r);
       }
     }
-    std::printf("    ],\n    \"all_recovered\": %s\n  }\n",
-                recovered ? "true" : "false");
+    json.close().flag("all_recovered", recovered).close();
     std::fprintf(stderr, "arbiter_crash_sweep: %s\n",
                  recovered ? "OK" : "RECOVERY REGRESSION");
     ok = ok && recovered;
   }
 
-  std::printf("}\n");
+  json.close();
   return ok ? 0 : 1;
 }

@@ -19,11 +19,8 @@
 //
 // The committed baseline lives in BENCH_flownet.json.
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -32,6 +29,7 @@
 #include "tests/support/flow_net_reference.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
+#include "sim/wall_timer.hpp"
 
 namespace {
 
@@ -41,6 +39,7 @@ using calciom::net::ResourceId;
 using calciom::scenarios::flowWorker;
 using calciom::scenarios::FlowScenario;
 using calciom::scenarios::makeClusteredScenario;
+using benchutil::Json;
 using calciom::sim::Engine;
 
 struct RunResult {
@@ -70,14 +69,13 @@ RunResult runScenario(const FlowScenario& sc, double warmupTime,
   }
   eng.runUntil(warmupTime);
   const std::uint64_t base = eng.processedEvents();
-  const auto t0 = std::chrono::steady_clock::now();
+  const calciom::sim::Stopwatch wall;
   while (!eng.empty() && eng.processedEvents() - base < eventBudget) {
     eng.runUntil(eng.nextEventTime());
   }
-  const auto t1 = std::chrono::steady_clock::now();
   RunResult out;
+  out.wallSeconds = wall.seconds();
   out.events = eng.processedEvents() - base;
-  out.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
   out.eventsPerSecond =
       out.wallSeconds > 0.0 ? static_cast<double>(out.events) / out.wallSeconds
                             : 0.0;
@@ -86,14 +84,14 @@ RunResult runScenario(const FlowScenario& sc, double warmupTime,
   return out;
 }
 
-void printRun(const char* key, const RunResult& r, bool last) {
-  std::printf(
-      "      \"%s\": {\"events\": %llu, \"wall_s\": %.6f, "
-      "\"events_per_s\": %.0f, \"max_queue_depth\": %zu, "
-      "\"complete\": %s}%s\n",
-      key, static_cast<unsigned long long>(r.events), r.wallSeconds,
-      r.eventsPerSecond, r.maxQueueDepth, r.ranToCompletion ? "true" : "false",
-      last ? "" : ",");
+void printRun(Json& json, const char* key, const RunResult& r) {
+  json.object(key, Json::Style::Inline)
+      .num("events", r.events)
+      .fixed("wall_s", r.wallSeconds, 6)
+      .fixed("events_per_s", r.eventsPerSecond, 0)
+      .num("max_queue_depth", r.maxQueueDepth)
+      .flag("complete", r.ranToCompletion)
+      .close();
 }
 
 struct Tier {
@@ -106,18 +104,8 @@ struct Tier {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  if (argc > 1) {
-    if (argc == 2 && std::strcmp(argv[1], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke]\n"
-                   "  --smoke  1k-flow tier only, exit 1 on <2x speedup\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  const bool smoke = benchutil::smokeFlag(
+      argc, argv, "  --smoke  1k-flow tier only, exit 1 on <2x speedup\n");
   constexpr std::uint64_t kNoBudget = ~0ULL;
 
   // Workers start their first flow within the first 2.05 simulated seconds;
@@ -134,8 +122,9 @@ int main(int argc, char** argv) {
   }
 
   double smokeSpeedup = -1.0;
-  benchutil::jsonHeader("perf_flownet", smoke ? "smoke" : "full");
-  std::printf("  \"cases\": [\n");
+  Json json;
+  benchutil::jsonHeader(json, "perf_flownet", smoke ? "smoke" : "full");
+  json.array("cases");
   for (std::size_t t = 0; t < tiers.size(); ++t) {
     const Tier& tier = tiers[t];
     const FlowScenario sc = makeClusteredScenario(0xCA1C10Full + t, tier.clusters,
@@ -146,22 +135,24 @@ int main(int argc, char** argv) {
     if (haveRef) {
       ref = runScenario<ReferenceFlowNet>(sc, kWarmup, tier.referenceBudget);
     }
-    std::printf("    {\"flows\": %d, \"clusters\": %d, \"resources\": %zu,\n",
-                tier.flows, tier.clusters, sc.capacities.size());
-    printRun("incremental", inc, !haveRef);
+    json.object()
+        .num("flows", tier.flows)
+        .num("clusters", tier.clusters)
+        .num("resources", sc.capacities.size());
+    printRun(json, "incremental", inc);
     if (haveRef) {
-      printRun("reference", ref, false);
+      printRun(json, "reference", ref);
       const double speedup = ref.eventsPerSecond > 0.0
                                  ? inc.eventsPerSecond / ref.eventsPerSecond
                                  : 0.0;
-      std::printf("      \"speedup_events_per_s\": %.2f\n", speedup);
+      json.fixed("speedup_events_per_s", speedup, 2);
       if (tier.flows == 1000) {
         smokeSpeedup = speedup;
       }
     }
-    std::printf("    }%s\n", t + 1 < tiers.size() ? "," : "");
+    json.close();
   }
-  std::printf("  ]\n}\n");
+  json.close().close();
 
   if (smoke) {
     const bool ok = smokeSpeedup >= 2.0;

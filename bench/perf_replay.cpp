@@ -25,72 +25,22 @@
 // exactly zero-divergent and the cluster path bit-identical at 1 and 2
 // workers — the CI tripwire for the replay harness.
 
-#include <chrono>
+#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <thread>
 
 #include "analysis/replay.hpp"
 #include "bench/bench_util.hpp"
 #include "calciom/policy.hpp"
+#include "sim/wall_timer.hpp"
 
 namespace {
 
+using benchutil::Json;
+using benchutil::replayFingerprint;
 using calciom::core::PolicyKind;
 using namespace calciom::analysis::replay;
-
-class Fingerprint {
- public:
-  void fold(std::uint64_t v) noexcept {
-    h_ ^= v;
-    h_ *= 0x100000001B3ULL;
-  }
-  void foldBits(double v) noexcept {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    fold(bits);
-  }
-  void foldString(const std::string& s) noexcept {
-    for (char c : s) {
-      fold(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
-
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
-
-/// Everything deterministic about a replay: the decision stream (time
-/// bits, requester, accessor set, action, dynamic costs), the grant
-/// schedule, the captured-event count and the divergence JSON.
-std::uint64_t replayFingerprint(const ReplayResult& r) {
-  Fingerprint fp;
-  fp.fold(r.jobs);
-  fp.fold(r.captured.size());
-  for (const calciom::core::DecisionRecord& d : r.decisions) {
-    fp.foldBits(d.time);
-    fp.fold(d.requester);
-    fp.fold(static_cast<std::uint64_t>(d.action));
-    fp.fold(d.accessors.size());
-    for (std::uint32_t a : d.accessors) {
-      fp.fold(a);
-    }
-    for (const auto& c : d.costs) {
-      fp.fold(static_cast<std::uint64_t>(c.action));
-      fp.foldBits(c.metricCost);
-    }
-  }
-  for (const calciom::core::GrantRecord& g : r.grants) {
-    fp.foldBits(g.time);
-    fp.fold(g.app);
-    fp.fold(g.resume ? 1u : 0u);
-  }
-  fp.foldString(toJson(r.divergence));
-  return fp.value();
-}
 
 struct TimedReplay {
   ReplayResult result;
@@ -102,11 +52,10 @@ struct TimedReplay {
 
 template <class Fn>
 TimedReplay timed(Fn&& run) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const calciom::sim::Stopwatch wall;
   TimedReplay out;
   out.result = run();
-  const auto t1 = std::chrono::steady_clock::now();
-  out.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
+  out.wallSeconds = wall.seconds();
   if (out.wallSeconds > 0.0) {
     out.eventsPerSecond =
         static_cast<double>(out.result.engineEvents) / out.wallSeconds;
@@ -117,33 +66,40 @@ TimedReplay timed(Fn&& run) {
 
 constexpr double kInteractiveSpeedup = 43200.0;  // a month in < 1 minute
 
-const char* policyName(PolicyKind k) {
-  return calciom::core::toString(k);
+/// The interactive-speed gate of `tier`'s `policy` run; a miss is reported
+/// on stderr.
+bool interactive(const char* tier, PolicyKind policy, const TimedReplay& t) {
+  const bool ok = t.simSpeedup >= kInteractiveSpeedup;
+  if (!ok) {
+    std::fprintf(stderr,
+                 "%s/%s: sim_speedup %.0f below the interactive gate %.0f\n",
+                 tier, toString(policy), t.simSpeedup, kInteractiveSpeedup);
+  }
+  return ok;
 }
 
-void printReplay(const char* indent, const TimedReplay& t, bool last) {
+void printReplay(Json& json, const TimedReplay& t) {
   const ReplayResult& r = t.result;
   // wall_s is the external timer around the whole replay (stream decode +
   // oracle + divergence included); cpu_s is time inside the event loops
   // only. Separate columns — see ClusterStats::cpuSeconds for why their
   // sum is meaningless.
-  std::printf(
-      "%s{\"jobs\": %llu, \"decisions\": %zu, \"grants\": %zu, "
-      "\"captured_events\": %zu, \"engine_events\": %llu, "
-      "\"sync_rounds\": %llu, \"peak_stream_buffered\": %zu,\n"
-      "%s \"trace_span_s\": %.0f, \"wall_s\": %.6f, \"cpu_s\": %.6f, "
-      "\"events_per_s\": %.0f, "
-      "\"sim_speedup\": %.0f, \"fingerprint\": \"%016llx\",\n"
-      "%s \"divergence\": %s}%s\n",
-      indent, static_cast<unsigned long long>(r.jobs), r.decisions.size(),
-      r.grants.size(), r.captured.size(),
-      static_cast<unsigned long long>(r.engineEvents),
-      static_cast<unsigned long long>(r.syncRounds), r.peakStreamBuffered,
-      indent, r.traceSpanSeconds, t.wallSeconds, r.engineCpuSeconds,
-      t.eventsPerSecond,
-      t.simSpeedup,
-      static_cast<unsigned long long>(replayFingerprint(r)), indent,
-      toJson(r.divergence).c_str(), last ? "" : ",");
+  json.object(Json::Style::Inline)
+      .num("jobs", r.jobs)
+      .num("decisions", r.decisions.size())
+      .num("grants", r.grants.size())
+      .num("captured_events", r.captured.size())
+      .num("engine_events", r.engineEvents)
+      .num("sync_rounds", r.syncRounds)
+      .num("peak_stream_buffered", r.peakStreamBuffered)
+      .fixed("trace_span_s", r.traceSpanSeconds, 0)
+      .fixed("wall_s", t.wallSeconds, 6)
+      .fixed("cpu_s", r.engineCpuSeconds, 6)
+      .fixed("events_per_s", t.eventsPerSecond, 0)
+      .fixed("sim_speedup", t.simSpeedup, 0)
+      .hex("fingerprint", replayFingerprint(r))
+      .raw("divergence", toJson(r.divergence))
+      .close();
 }
 
 ReplayConfig monthConfig(PolicyKind policy) {
@@ -158,40 +114,29 @@ ReplayConfig monthConfig(PolicyKind policy) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  if (argc > 1) {
-    if (argc == 2 && std::strcmp(argv[1], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke]\n"
-                   "  --smoke  2-day slice; exit 1 unless the session path\n"
-                   "           is exactly zero-divergent and the cluster\n"
-                   "           path is bit-identical at 1/2 workers\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  const bool smoke = benchutil::smokeFlag(
+      argc, argv,
+      "  --smoke  2-day slice; exit 1 unless the session path\n"
+      "           is exactly zero-divergent and the cluster\n"
+      "           path is bit-identical at 1/2 workers\n");
 
   bool ok = true;
-  benchutil::jsonHeader("perf_replay", smoke ? "smoke" : "full");
+  Json json;
+  benchutil::jsonHeader(json, "perf_replay", smoke ? "smoke" : "full");
 
   if (smoke) {
     ReplayConfig cfg = monthConfig(PolicyKind::Dynamic);
     cfg.model.horizonSeconds = 3600.0 * 24 * 2;  // short slice
     const TimedReplay session = timed([&] { return replaySession(cfg); });
-    ReplayConfig c1 = cfg;
-    c1.workers = 1;
-    const TimedReplay cluster1 = timed([&] { return replayCluster(c1); });
-    ReplayConfig c2 = cfg;
-    c2.workers = 2;
-    const TimedReplay cluster2 = timed([&] { return replayCluster(c2); });
-    std::printf("  \"smoke_session\":\n");
-    printReplay("    ", session, false);
-    std::printf("  \"smoke_cluster\": [\n");
-    printReplay("    ", cluster1, false);
-    printReplay("    ", cluster2, true);
-    std::printf("  ]\n}\n");
+    cfg.workers = 1;
+    const TimedReplay cluster1 = timed([&] { return replayCluster(cfg); });
+    cfg.workers = 2;
+    const TimedReplay cluster2 = timed([&] { return replayCluster(cfg); });
+    printReplay(json.key("smoke_session"), session);
+    json.array("smoke_cluster");
+    printReplay(json, cluster1);
+    printReplay(json, cluster2);
+    json.close().close();
     const std::uint64_t f1 = replayFingerprint(cluster1.result);
     const std::uint64_t f2 = replayFingerprint(cluster2.result);
     const bool sessionOk = session.result.divergence.exactlyZero() &&
@@ -202,10 +147,8 @@ int main(int argc, char** argv) {
             toJson(cluster2.result.divergence);
     std::fprintf(stderr,
                  "smoke_replay: session zero-divergence %s; cluster "
-                 "fingerprints %016llx / %016llx -> %s\n",
-                 sessionOk ? "OK" : "BROKEN",
-                 static_cast<unsigned long long>(f1),
-                 static_cast<unsigned long long>(f2),
+                 "fingerprints %016" PRIx64 " / %016" PRIx64 " -> %s\n",
+                 sessionOk ? "OK" : "BROKEN", f1, f2,
                  clusterOk ? "OK" : "DETERMINISM REGRESSION");
     return sessionOk && clusterOk ? 0 : 1;
   }
@@ -214,69 +157,52 @@ int main(int argc, char** argv) {
                                  PolicyKind::Dynamic};
 
   // --- session path: the month against the same-engine arbiter.
-  std::printf("  \"session_month\": {\n");
-  for (std::size_t i = 0; i < 3; ++i) {
+  json.object("session_month");
+  for (const PolicyKind policy : policies) {
     const TimedReplay t =
-        timed([&] { return replaySession(monthConfig(policies[i])); });
-    std::printf("    \"%s\":\n", policyName(policies[i]));
-    printReplay("      ", t, i + 1 == 3);
+        timed([&] { return replaySession(monthConfig(policy)); });
+    printReplay(json.key(toString(policy)), t);
     const bool zero = t.result.divergence.exactlyZero();
-    const bool interactive = t.simSpeedup >= kInteractiveSpeedup;
     if (!zero) {
       std::fprintf(stderr, "session_month/%s: DIVERGED from the oracle\n",
-                   policyName(policies[i]));
+                   toString(policy));
     }
-    if (!interactive) {
-      std::fprintf(stderr,
-                   "session_month/%s: sim_speedup %.0f below the "
-                   "interactive gate %.0f\n",
-                   policyName(policies[i]), t.simSpeedup,
-                   kInteractiveSpeedup);
-    }
-    ok = ok && zero && interactive && !t.result.decisions.empty();
+    ok = interactive("session_month", policy, t) && ok && zero &&
+         !t.result.decisions.empty();
   }
-  std::printf("  },\n");
+  json.close();
 
   // --- cluster path: the month through the GlobalArbiter, divergence vs
   // --- the zero-sampling oracle is the measurement.
-  std::printf("  \"cluster_month\": {\n");
-  for (std::size_t i = 0; i < 3; ++i) {
+  json.object("cluster_month");
+  for (const PolicyKind policy : policies) {
     const TimedReplay t =
-        timed([&] { return replayCluster(monthConfig(policies[i])); });
-    std::printf("    \"%s\":\n", policyName(policies[i]));
-    printReplay("      ", t, false);
-    const bool interactive = t.simSpeedup >= kInteractiveSpeedup;
-    if (!interactive) {
-      std::fprintf(stderr,
-                   "cluster_month/%s: sim_speedup %.0f below the "
-                   "interactive gate %.0f\n",
-                   policyName(policies[i]), t.simSpeedup,
-                   kInteractiveSpeedup);
-    }
+        timed([&] { return replayCluster(monthConfig(policy)); });
+    printReplay(json.key(toString(policy)), t);
     // The cluster path samples at the sync horizon, so it must diverge
     // (a zero report here would mean the oracle saw the barrier times,
     // not the emission times) — and every oracle grant must find its
     // online counterpart app-by-app.
     const bool measured = !t.result.divergence.exactlyZero() &&
                           t.result.divergence.matchedGrants > 0;
-    ok = ok && interactive && measured && !t.result.decisions.empty();
-    if (policies[i] == PolicyKind::Dynamic) {
-      ReplayConfig c2 = monthConfig(policies[i]);
+    ok = interactive("cluster_month", policy, t) && ok && measured &&
+         !t.result.decisions.empty();
+    if (policy == PolicyKind::Dynamic) {
+      ReplayConfig c2 = monthConfig(policy);
       c2.workers = 2;
       const TimedReplay t2 = timed([&] { return replayCluster(c2); });
-      std::printf("    \"%s_workers2\":\n", policyName(policies[i]));
-      printReplay("      ", t2, true);
+      printReplay(json.key(std::string(toString(policy)) + "_workers2"), t2);
       const bool deterministic =
           replayFingerprint(t.result) == replayFingerprint(t2.result);
       if (!deterministic) {
         std::fprintf(stderr,
                      "cluster_month/%s: fingerprint diverged across "
                      "worker counts\n",
-                     policyName(policies[i]));
+                     toString(policy));
       }
       ok = ok && deterministic;
     }
   }
-  std::printf("  }\n}\n");
+  json.close().close();
   return ok ? 0 : 1;
 }

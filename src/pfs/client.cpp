@@ -77,7 +77,7 @@ std::shared_ptr<sim::Trigger> PfsClient::writeRange(const std::string& fileName,
       spec.rateCap = ctx_.perStreamCap * streams * share;
     }
     spec.group = ctx_.appId;
-    flows.push_back(net_.start(spec));
+    flows.push_back(net_.start(std::move(spec)));
   }
   engine_.spawn(joinFlows(net_, std::move(flows), &file, len, done));
   return done;
