@@ -10,8 +10,8 @@
 
 #include "calciom/arbiter_core.hpp"
 #include "calciom/descriptor.hpp"
+#include "calciom/wire.hpp"
 #include "io/writer.hpp"
-#include "mpi/info.hpp"
 #include "net/flow_net.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
@@ -155,8 +155,8 @@ BENCHMARK(BM_Xoshiro);
 
 /// One Session-shaped Inform through its life: built from a descriptor and
 /// stamped like Session::sendToArbiter, copied once as the capture log
-/// does, then decoded by the arbiter's admission reads (type dispatch,
-/// incarnation, sequence, epoch) and IoDescriptor::fromInfo.
+/// does, then read by the arbiter's admission checks (type dispatch,
+/// incarnation, sequence, epoch) and its descriptor copy.
 void BM_CoordinationMessage(benchmark::State& state) {
   const core::IoDescriptor desc{.appId = 4242,
                                 .appName = "job4242",
@@ -166,18 +166,17 @@ void BM_CoordinationMessage(benchmark::State& state) {
                                 .roundsPerFile = 96,
                                 .bytesPerRound = 1ull << 29,
                                 .estAloneSeconds = 61.234567};
-  std::int64_t seq = 0;
+  std::uint64_t seq = 0;
   for (auto _ : state) {
-    mpi::Info wire = desc.toInfo();
-    wire.set(core::msg::kType, core::msg::kInform);
-    wire.setInt(core::msg::kSeq, ++seq);
-    wire.setInt(core::msg::kEpoch, 3);
-    const mpi::Info captured = wire;
-    const auto type = captured.find(core::msg::kType);
-    const auto inc = captured.getIntOr(core::msg::kIncarnation, 0);
-    const auto s = captured.getIntOr(core::msg::kSeq, 0);
-    const auto epoch = captured.getIntOr(core::msg::kEpoch, 0);
-    const core::IoDescriptor back = core::IoDescriptor::fromInfo(captured);
+    core::Message wire = core::Message::inform(desc);
+    wire.setSeq(++seq);
+    wire.setEpoch(3);
+    const core::Message captured = wire;
+    const auto type = captured.type();
+    const auto inc = captured.incarnation();
+    const auto s = captured.seq();
+    const auto epoch = captured.epoch();
+    const core::IoDescriptor back = captured.descriptor();
     benchmark::DoNotOptimize(type);
     benchmark::DoNotOptimize(inc + s + epoch);
     benchmark::DoNotOptimize(back.estAloneSeconds);

@@ -25,13 +25,13 @@ Arbiter::~Arbiter() {
 
 void Arbiter::openPort() {
   ports_.openPort(msg::arbiterPort(),
-                  [this](std::uint32_t from, mpi::Info payload) {
-                    onMessage(from, std::move(payload));
+                  [this](std::uint32_t from, const Message& payload) {
+                    onMessage(from, payload);
                   });
   portOpen_ = true;
 }
 
-void Arbiter::onMessage(std::uint32_t from, mpi::Info payload) {
+void Arbiter::onMessage(std::uint32_t from, const Message& payload) {
   if (host_.down()) {
     return;  // a closed port should make this unreachable, but be explicit
   }

@@ -93,7 +93,7 @@ class Arbiter {
   }
 
  private:
-  void onMessage(std::uint32_t from, mpi::Info payload);
+  void onMessage(std::uint32_t from, const Message& payload);
   /// Sends and clears every command in `scratch_` through the port
   /// registry (one latency hop each, like any cross-application message).
   void dispatchCommands();

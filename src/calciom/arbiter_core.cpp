@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
+#include <concepts>
 #include <cstdio>
 #include <set>
 #include <string_view>
@@ -74,16 +76,13 @@ ArbiterCore::ArbiterCore(std::unique_ptr<Policy> policy)
 }
 
 void ArbiterCore::onMessage(sim::Time now, std::uint32_t from,
-                            const mpi::Info& payload, Commands& out) {
-  const auto type = payload.find(msg::kType);
-  CALCIOM_EXPECTS(type.has_value());
-  // Admission filters. Both are opt-in by key presence: messages without
-  // kSeq / kIncarnation (legacy senders, hand-crafted test traffic) skip
-  // them entirely, which is what keeps the hardened core's behavior
+                            const Message& payload, Commands& out) {
+  // Admission filters. Both are opt-in by stamp: messages with a zero seq /
+  // incarnation (legacy senders, hand-crafted test traffic) skip them
+  // entirely, which is what keeps the hardened core's behavior
   // bit-identical on pre-hardening streams.
-  const auto inc =
-      static_cast<std::uint64_t>(payload.getIntOr(msg::kIncarnation, 0));
-  const auto seq = static_cast<std::uint64_t>(payload.getIntOr(msg::kSeq, 0));
+  const std::uint64_t inc = payload.incarnation();
+  const std::uint64_t seq = payload.seq();  // throws on a command type
   if (AppRecord* const known = apps_.find(from); known != nullptr) {
     AppRecord& rec = *known;
     if (inc < rec.incarnation) {
@@ -112,18 +111,24 @@ void ArbiterCore::onMessage(sim::Time now, std::uint32_t from,
       rec.lastHeard = now;
     }
   }
-  if (*type == msg::kInform) {
-    onInform(now, from, payload, out);
-  } else if (*type == msg::kRelease) {
-    onRelease(from, payload);
-  } else if (*type == msg::kComplete) {
-    onComplete(now, from, out);
-  } else if (*type == msg::kPauseAck) {
-    onPauseAck(now, from, payload, out);
-  } else if (*type == msg::kHeartbeat) {
-    onHeartbeat(now, from, payload, out);
-  } else {
-    CALCIOM_ENSURES(false);  // unknown message type
+  switch (payload.type()) {
+    case MessageType::Inform:
+      onInform(now, from, payload, out);
+      break;
+    case MessageType::Release:
+      onRelease(from, payload);
+      break;
+    case MessageType::Complete:
+      onComplete(now, from, out);
+      break;
+    case MessageType::PauseAck:
+      onPauseAck(now, from, payload, out);
+      break;
+    case MessageType::Heartbeat:
+      onHeartbeat(now, from, payload, out);
+      break;
+    default:
+      CALCIOM_ENSURES(false);  // a command addressed to the arbiter
   }
   if (audit_) {
     auditInvariants();
@@ -145,15 +150,14 @@ PolicyContext ArbiterCore::buildContext(sim::Time now,
 }
 
 void ArbiterCore::onInform(sim::Time now, std::uint32_t app,
-                           const mpi::Info& payload, Commands& out) {
-  if (recovering_ && payload.has(msg::kSessionState)) {
+                           const Message& payload, Commands& out) {
+  if (recovering_ && payload.sessionState() != SessionState::None) {
     // A session answering our Recover broadcast: its Inform carries the
     // full local view, including the protocol state it believes it is in.
     applyRecoveryReport(now, app, payload, out);
     return;
   }
-  const auto epoch =
-      static_cast<std::uint64_t>(payload.getIntOr(msg::kEpoch, 0));
+  const std::uint64_t epoch = payload.epoch();
   AppRecord* const existing = apps_.find(app);
   if (existing != nullptr && existing->state != AppState::Idle && epoch != 0) {
     AppRecord& known = *existing;
@@ -163,7 +167,7 @@ void ArbiterCore::onInform(sim::Time now, std::uint32_t app,
       // request must not be re-queued — that would double-book the app.
       // Refresh the descriptor; if access was already granted, the Grant is
       // what got lost: say it again (cmdSeq-filtered at the session).
-      known.desc = IoDescriptor::fromInfo(payload);
+      known.desc = payload.descriptor();
       if (known.state == AppState::Accessing) {
         emit(now, app, CommandType::Grant, out);
       }
@@ -178,15 +182,13 @@ void ArbiterCore::onInform(sim::Time now, std::uint32_t app,
   // The only insert of a regular message; onComplete above moves no record,
   // and nothing below inserts or erases while `rec` is held.
   AppRecord& rec = apps_.upsert(app);
-  rec.desc = IoDescriptor::fromInfo(payload);
+  rec.desc = payload.descriptor();
   rec.state = AppState::Waiting;
   rec.progress = 0.0;
   rec.requestTime = now;
   rec.epoch = epoch;
-  rec.incarnation =
-      static_cast<std::uint64_t>(payload.getIntOr(msg::kIncarnation, 0));
-  rec.lastSeq = std::max(
-      rec.lastSeq, static_cast<std::uint64_t>(payload.getIntOr(msg::kSeq, 0)));
+  rec.incarnation = payload.incarnation();
+  rec.lastSeq = std::max(rec.lastSeq, payload.seq());
   rec.lastHeard = now;
 
   if (recovering_) {
@@ -242,13 +244,13 @@ void ArbiterCore::onInform(sim::Time now, std::uint32_t app,
   }
 }
 
-void ArbiterCore::onRelease(std::uint32_t app, const mpi::Info& payload) {
+void ArbiterCore::onRelease(std::uint32_t app, const Message& payload) {
   AppRecord* const rec = apps_.find(app);
   if (rec == nullptr) {
     return;
   }
-  rec->progress =
-      std::clamp(payload.getDoubleOr(msg::kProgress, rec->progress), 0.0, 1.0);
+  rec->progress = std::clamp(payload.progress().value_or(rec->progress),
+                             0.0, 1.0);
 }
 
 void ArbiterCore::onComplete(sim::Time now, std::uint32_t app, Commands& out) {
@@ -293,15 +295,15 @@ void ArbiterCore::onComplete(sim::Time now, std::uint32_t app, Commands& out) {
 }
 
 void ArbiterCore::onPauseAck(sim::Time now, std::uint32_t app,
-                             const mpi::Info& payload, Commands& out) {
+                             const Message& payload, Commands& out) {
   AppRecord* const rec = apps_.find(app);
   if (rec == nullptr || rec->state != AppState::PauseRequested) {
     // Unknown app, or a replayed/reordered ack for a pause that already
     // settled (the app has since resumed or completed): a no-op.
     return;
   }
-  rec->progress =
-      std::clamp(payload.getDoubleOr(msg::kProgress, rec->progress), 0.0, 1.0);
+  rec->progress = std::clamp(payload.progress().value_or(rec->progress),
+                             0.0, 1.0);
   applyPauseAck(now, app, out);
 }
 
@@ -329,7 +331,7 @@ void ArbiterCore::applyPauseAck(sim::Time now, std::uint32_t app,
 }
 
 void ArbiterCore::onHeartbeat(sim::Time now, std::uint32_t app,
-                              const mpi::Info& payload, Commands& out) {
+                              const Message& payload, Commands& out) {
   AppRecord* const found = apps_.find(app);
   if (found == nullptr) {
     if (recovering_) {
@@ -348,14 +350,13 @@ void ArbiterCore::onHeartbeat(sim::Time now, std::uint32_t app,
   AppRecord& rec = *found;
   rec.lastHeard = now;  // the renewal (idempotent with onMessage's update)
   rec.progress =
-      std::clamp(payload.getDoubleOr(msg::kProgress, rec.progress), 0.0, 1.0);
-  const auto epoch =
-      static_cast<std::uint64_t>(payload.getIntOr(msg::kEpoch, 0));
-  const auto state = payload.find(msg::kSessionState);
-  if (!state.has_value() || epoch == 0) {
+      std::clamp(payload.progress().value_or(rec.progress), 0.0, 1.0);
+  const std::uint64_t epoch = payload.epoch();
+  const SessionState state = payload.sessionState();
+  if (state == SessionState::None || epoch == 0) {
     return;  // plain keepalive: renewal only
   }
-  if (epoch > rec.epoch || *state == "idle") {
+  if (epoch > rec.epoch || state == SessionState::Idle) {
     // The session is already past the phase we still hold open: its
     // Complete was lost. Close the phase; a next-phase Inform (possibly a
     // retry) re-registers it.
@@ -370,24 +371,24 @@ void ArbiterCore::onHeartbeat(sim::Time now, std::uint32_t app,
   switch (rec.state) {
     case AppState::Accessing:
       // The session missed the message that made it an accessor.
-      if (*state == "waiting" && canRepair(now, rec)) {
+      if (state == SessionState::Waiting && canRepair(now, rec)) {
         emit(now, app, CommandType::Grant, out);
-      } else if (*state == "paused" && canRepair(now, rec)) {
+      } else if (state == SessionState::Paused && canRepair(now, rec)) {
         emit(now, app, CommandType::Resume, out);
       }
       break;
     case AppState::PauseRequested:
-      if (*state == "paused") {
+      if (state == SessionState::Paused) {
         // The PauseAck was lost; the heartbeat is as good as the ack.
         applyPauseAck(now, app, out);
-      } else if (*state == "accessing" && canRepair(now, rec)) {
+      } else if (state == SessionState::Accessing && canRepair(now, rec)) {
         emit(now, app, CommandType::Pause, out);  // the Pause was lost
-      } else if (*state == "waiting" && canRepair(now, rec)) {
+      } else if (state == SessionState::Waiting && canRepair(now, rec)) {
         emit(now, app, CommandType::Grant, out);  // it missed the Grant too
       }
       break;
     case AppState::Waiting:
-      if (recovering_ && *state == "accessing") {
+      if (recovering_ && state == SessionState::Accessing) {
         // Restored record says Waiting, the live session says it holds the
         // grant — issued inside the un-checkpointed tail. Reinstate, as a
         // recovery report would: revoking a real grant mid-write is the
@@ -586,10 +587,10 @@ void ArbiterCore::detachAccessor(std::uint32_t app) {
 }
 
 void ArbiterCore::applyRecoveryReport(sim::Time now, std::uint32_t app,
-                                      const mpi::Info& payload, Commands& out) {
-  const std::string_view claim = *payload.find(msg::kSessionState);
+                                      const Message& payload, Commands& out) {
+  const SessionState claim = payload.sessionState();
   const AppRecord* const found = apps_.find(app);
-  if (claim == "idle") {
+  if (claim == SessionState::Idle) {
     // The phase the restored record holds open already closed at the
     // session (its Complete died in the crash window). Close it here too.
     if (found != nullptr && found->state != AppState::Idle) {
@@ -602,21 +603,16 @@ void ArbiterCore::applyRecoveryReport(sim::Time now, std::uint32_t app,
   // The insert may move every record: `found` is dead from here, and
   // nothing below inserts or erases while `rec` is held.
   AppRecord& rec = apps_.upsert(app);
-  rec.desc = IoDescriptor::fromInfo(payload);
+  rec.desc = payload.descriptor();
   rec.progress =
-      std::clamp(payload.getDoubleOr(msg::kProgress, rec.progress), 0.0, 1.0);
-  const auto epoch =
-      static_cast<std::uint64_t>(payload.getIntOr(msg::kEpoch, 0));
-  if (epoch != 0) {
-    rec.epoch = epoch;
+      std::clamp(payload.progress().value_or(rec.progress), 0.0, 1.0);
+  if (payload.epoch() != 0) {
+    rec.epoch = payload.epoch();
   }
-  const auto inc =
-      static_cast<std::uint64_t>(payload.getIntOr(msg::kIncarnation, 0));
-  if (inc != 0) {
-    rec.incarnation = inc;
+  if (payload.incarnation() != 0) {
+    rec.incarnation = payload.incarnation();
   }
-  rec.lastSeq = std::max(
-      rec.lastSeq, static_cast<std::uint64_t>(payload.getIntOr(msg::kSeq, 0)));
+  rec.lastSeq = std::max(rec.lastSeq, payload.seq());
   rec.lastHeard = now;
   if (!known) {
     // The checkpoint predates this app entirely: conservative clocks, so
@@ -629,7 +625,7 @@ void ArbiterCore::applyRecoveryReport(sim::Time now, std::uint32_t app,
   detachAccessor(app);
   removeFrom(waitQueue_, app);
   removeFrom(pausedStack_, app);
-  if (claim == "accessing") {
+  if (claim == SessionState::Accessing) {
     // The session holds a grant the restored state may have lost in the
     // un-checkpointed tail. The session's view wins: under an exclusive
     // policy at most one in-epoch session can legitimately believe this
@@ -644,14 +640,14 @@ void ArbiterCore::applyRecoveryReport(sim::Time now, std::uint32_t app,
     }
     rec.state = AppState::Accessing;
     attachAccessor(app);
-  } else if (claim == "paused") {
+  } else if (claim == SessionState::Paused) {
     if (prior != AppState::Paused) {
       rec.pausedAt = now;  // the real pause settled inside the lost tail
     }
     rec.state = AppState::Paused;
     pausedStack_.push_back(app);
   } else {
-    // "waiting" — or an unrecognized claim, treated as the weakest one.
+    // Waiting.
     if (prior == AppState::Accessing || prior == AppState::PauseRequested) {
       // The restored state granted access but the Grant command died with
       // the crash: reconcile toward the arbiter's grant, as the heartbeat
@@ -779,24 +775,13 @@ void ArbiterCore::beginRecovery(sim::Time now, double windowSeconds,
   }
 }
 
-mpi::Info encodeCommand(const ArbiterCommand& cmd) {
-  mpi::Info payload;
-  payload.set(msg::kType, toWire(cmd.type));
-  if (cmd.cmdSeq != 0) {
-    payload.setInt(msg::kCmdSeq, static_cast<std::int64_t>(cmd.cmdSeq));
-  }
-  if (cmd.epoch != 0) {
-    payload.setInt(msg::kEpoch, static_cast<std::int64_t>(cmd.epoch));
-  }
-  if (cmd.incarnation != 0) {
-    payload.setInt(msg::kIncarnation,
-                   static_cast<std::int64_t>(cmd.incarnation));
-  }
-  if (cmd.arbiterIncarnation != 0) {
-    payload.setInt(msg::kArbiterIncarnation,
-                   static_cast<std::int64_t>(cmd.arbiterIncarnation));
-  }
-  return payload;
+Message encodeCommand(const ArbiterCommand& cmd) {
+  Message m = Message::command(cmd.type);
+  m.setCmdSeq(cmd.cmdSeq);
+  m.setEpoch(cmd.epoch);
+  m.setIncarnation(cmd.incarnation);
+  m.setArbiterIncarnation(cmd.arbiterIncarnation);
+  return m;
 }
 
 namespace {
@@ -810,34 +795,50 @@ void appendBits(std::string& out, double v) {
                     std::bit_cast<std::uint64_t>(v)));
   out += buf;
 }
+
+/// `tag` then the decimal digits of `v`, as std::to_string renders them,
+/// appended in place: no temporary string, so no `" " + to_string(x)`
+/// concatenation for -O3 to inline into a spurious -Wrestrict (GCC 12).
+template <std::integral T>
+void appendInt(std::string& out, std::string_view tag, T v) {
+  char buf[24];
+  const auto end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+  out += tag;
+  out.append(buf, end);
+}
 }  // namespace
 
 std::string encodeSnapshot(const ArbiterSnapshot& s) {
   std::string out = "calciom-snapshot v1\nt ";
   appendBits(out, s.takenAt);
-  out += "\ninc " + std::to_string(s.arbiterIncarnation);
-  out += "\ncounters g " + std::to_string(s.grants) + " p " +
-         std::to_string(s.pauses) + " lr " + std::to_string(s.leaseReclaims) +
-         " ma " + std::to_string(s.maxAccessors) + " w ";
+  appendInt(out, "\ninc ", s.arbiterIncarnation);
+  appendInt(out, "\ncounters g ", s.grants);
+  appendInt(out, " p ", s.pauses);
+  appendInt(out, " lr ", s.leaseReclaims);
+  appendInt(out, " ma ", s.maxAccessors);
+  out += " w ";
   appendBits(out, s.cpuSecondsWaited);
-  out += "\npending ";
-  out += s.pendingInterrupter ? std::to_string(*s.pendingInterrupter)
-                              : std::string("-");
-  out += " acks " + std::to_string(s.pendingAcks);
-  const auto idList = [&out](const char* tag,
+  if (s.pendingInterrupter) {
+    appendInt(out, "\npending ", *s.pendingInterrupter);
+  } else {
+    out += "\npending -";
+  }
+  appendInt(out, " acks ", s.pendingAcks);
+  const auto idList = [&out](std::string_view tag,
                              const std::vector<std::uint32_t>& v) {
     out += "\n";
     out += tag;
     for (const std::uint32_t id : v) {
-      out += " " + std::to_string(id);
+      appendInt(out, " ", id);
     }
   };
   idList("acc", s.accessors);
   idList("queue", s.waitQueue);
   idList("paused", s.pausedStack);
   for (const auto& a : s.apps) {
-    out += "\napp " + std::to_string(a.id) + " s" + std::to_string(a.state) +
-           " pr ";
+    appendInt(out, "\napp ", a.id);
+    appendInt(out, " s", a.state);
+    out += " pr ";
     appendBits(out, a.progress);
     out += " rt ";
     appendBits(out, a.requestTime);
@@ -845,34 +846,40 @@ std::string encodeSnapshot(const ArbiterSnapshot& s) {
     appendBits(out, a.grantTime);
     out += " pa ";
     appendBits(out, a.pausedAt);
-    out += " in " + std::to_string(a.incarnation) + " sq " +
-           std::to_string(a.lastSeq) + " ep " + std::to_string(a.epoch) +
-           " cs " + std::to_string(a.cmdSeq) + " lh ";
+    appendInt(out, " in ", a.incarnation);
+    appendInt(out, " sq ", a.lastSeq);
+    appendInt(out, " ep ", a.epoch);
+    appendInt(out, " cs ", a.cmdSeq);
+    out += " lh ";
     appendBits(out, a.lastHeard);
     out += " lc ";
     appendBits(out, a.lastCommandAt);
-    out += " d " + std::to_string(a.desc.appId) + " " +
-           std::to_string(a.desc.cores) + " " +
-           std::to_string(a.desc.totalBytes) + " " +
-           std::to_string(a.desc.files) + " " +
-           std::to_string(a.desc.roundsPerFile) + " " +
-           std::to_string(a.desc.bytesPerRound) + " ";
+    appendInt(out, " d ", a.desc.appId);
+    appendInt(out, " ", a.desc.cores);
+    appendInt(out, " ", a.desc.totalBytes);
+    appendInt(out, " ", a.desc.files);
+    appendInt(out, " ", a.desc.roundsPerFile);
+    appendInt(out, " ", a.desc.bytesPerRound);
+    out += " ";
     appendBits(out, a.desc.estAloneSeconds);
-    out += " " + a.desc.appName;
+    out += " ";
+    out += a.desc.appName;
   }
   for (const auto& d : s.decisions) {
     out += "\nd ";
     appendBits(out, d.time);
-    out += " " + std::to_string(d.requester) + " a" +
-           std::to_string(static_cast<int>(d.action));
+    appendInt(out, " ", d.requester);
+    appendInt(out, " a", static_cast<int>(d.action));
     for (const std::uint32_t id : d.accessors) {
-      out += " " + std::to_string(id);
+      appendInt(out, " ", id);
     }
     for (const auto& c : d.costs) {
-      out += " c" + std::to_string(static_cast<int>(c.action)) + ":";
+      appendInt(out, " c", static_cast<int>(c.action));
+      out += ":";
       appendBits(out, c.metricCost);
       for (const auto& t : c.terms) {
-        out += "," + std::to_string(t.cores) + ":";
+        appendInt(out, ",", t.cores);
+        out += ":";
         appendBits(out, t.ioSeconds);
         out += ":";
         appendBits(out, t.aloneSeconds);
@@ -882,7 +889,7 @@ std::string encodeSnapshot(const ArbiterSnapshot& s) {
   for (const auto& g : s.grantLog) {
     out += "\ng ";
     appendBits(out, g.time);
-    out += " " + std::to_string(g.app);
+    appendInt(out, " ", g.app);
     out += g.resume ? " r" : " g";
   }
   out += "\n";

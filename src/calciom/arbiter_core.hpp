@@ -41,9 +41,9 @@
 /// stopped heartbeating and onHeartbeat() reconciles divergent views
 /// (resending lost Grant/Pause/Resume, accepting a "paused" heartbeat as an
 /// implicit PauseAck, a next-epoch heartbeat as an implicit Complete). All
-/// of it is inert by default: messages without the new keys skip every
-/// filter, and a zero LeaseConfig disables the timers, so pre-hardening
-/// traffic drives the exact pre-hardening state machine.
+/// of it is inert by default: messages with zero stamps skip every filter,
+/// and a zero LeaseConfig disables the timers, so pre-hardening traffic
+/// drives the exact pre-hardening state machine.
 
 #include <cstdint>
 #include <memory>
@@ -54,55 +54,10 @@
 #include "calciom/descriptor.hpp"
 #include "calciom/flat_id_map.hpp"
 #include "calciom/policy.hpp"
-#include "mpi/info.hpp"
+#include "calciom/wire.hpp"
 #include "sim/time.hpp"
 
 namespace calciom::core {
-
-/// Wire message types (Info key "calciom.type").
-namespace msg {
-inline constexpr const char* kType = "calciom.type";
-inline constexpr const char* kProgress = "calciom.progress";
-inline constexpr const char* kInform = "inform";
-inline constexpr const char* kRelease = "release";
-inline constexpr const char* kComplete = "complete";
-inline constexpr const char* kPauseAck = "pause_ack";
-inline constexpr const char* kGrant = "grant";
-inline constexpr const char* kPause = "pause";
-inline constexpr const char* kResume = "resume";
-/// Lease renewal + state report, sent periodically by hardened sessions.
-inline constexpr const char* kHeartbeat = "heartbeat";
-/// Arbiter → session, after a restart: "re-Inform with your full local
-/// view". Sessions with an active phase answer with their Inform payload
-/// plus kSessionState; idle ones answer with a (idempotent) Complete.
-inline constexpr const char* kRecover = "recover";
-
-// Hardening keys (all optional; absent = filters skipped, legacy behavior).
-/// Per-session monotone message sequence (duplicate/reorder suppression).
-inline constexpr const char* kSeq = "calciom.seq";
-/// Per-session phase counter; commands echo the epoch they belong to.
-inline constexpr const char* kEpoch = "calciom.epoch";
-/// Per-app monotone command sequence (session-side replay suppression).
-inline constexpr const char* kCmdSeq = "calciom.cmd_seq";
-/// Scheduler-assigned incarnation of a (possibly reused) application id.
-inline constexpr const char* kIncarnation = "calciom.incarnation";
-/// Session's own protocol state in a heartbeat: "waiting" | "accessing" |
-/// "paused" | "idle" — the arbiter reconciles its record against it.
-inline constexpr const char* kSessionState = "calciom.session_state";
-/// Incarnation of the arbiter *process* itself, stamped on every command
-/// once the arbiter has restarted at least once. Sessions fence commands
-/// carrying a lower value — stale pre-crash traffic still in flight — and
-/// reset their command-sequence filter when the value grows (a restarted
-/// arbiter's per-app command counters resume from its checkpoint). The
-/// mirror image of the app-side kIncarnation fence.
-inline constexpr const char* kArbiterIncarnation = "calciom.arbiter_inc";
-
-/// Port names.
-[[nodiscard]] inline std::string arbiterPort() { return "calciom/arbiter"; }
-[[nodiscard]] inline std::string appPort(std::uint32_t appId) {
-  return "calciom/app/" + std::to_string(appId);
-}
-}  // namespace msg
 
 /// One scheduling decision, kept for experiment traces (Fig 11 reports the
 /// strategy CALCioM chose at each dt).
@@ -140,33 +95,14 @@ struct GrantRecord {
   bool operator==(const GrantRecord&) const = default;
 };
 
-/// The three instructions an arbiter can give an application. A closed enum
-/// rather than a wire string: commands can now be delayed and replayed by
-/// the fault injector, and an enum cannot dangle or alias the way the
-/// previous `const char*` (compared by pointer identity in places) could.
-enum class CommandType { Grant, Pause, Resume, Recover };
-
-/// Wire form of a command type (the msg::kGrant / kPause / kResume /
-/// kRecover value carried under msg::kType).
-[[nodiscard]] constexpr const char* toWire(CommandType t) noexcept {
-  switch (t) {
-    case CommandType::Grant:
-      return msg::kGrant;
-    case CommandType::Pause:
-      return msg::kPause;
-    case CommandType::Resume:
-      return msg::kResume;
-    case CommandType::Recover:
-      return msg::kRecover;
-  }
-  return "?";
-}
+/// The instructions an arbiter can give an application: the command types
+/// of the wire (Grant, Pause, Resume, Recover).
+using CommandType = MessageType;
 
 /// An outbound instruction of the decision core: deliver `type` to
 /// application `app`. How — and at what simulated cost — is the frontend's
 /// business. `epoch`/`cmdSeq`/`incarnation` echo the target record so the
-/// session can discard stale or replayed commands; frontends serialize the
-/// nonzero ones (msg::kEpoch / kCmdSeq / kIncarnation).
+/// session can discard stale or replayed commands (zero = not stamped).
 struct ArbiterCommand {
   std::uint32_t app = 0;
   CommandType type = CommandType::Grant;
@@ -174,16 +110,14 @@ struct ArbiterCommand {
   std::uint64_t cmdSeq = 0;
   std::uint64_t incarnation = 0;
   /// Incarnation of the arbiter process that issued the command; 0 until
-  /// the arbiter has been restarted at least once, so a never-crashed run
-  /// serializes no msg::kArbiterIncarnation key and stays bit-identical.
+  /// the arbiter has been restarted at least once, so the sessions of a
+  /// never-crashed run see no arbiter-incarnation stamp.
   std::uint64_t arbiterIncarnation = 0;
 };
 
-/// Wire payload of `cmd`: msg::kType, plus each of msg::kCmdSeq / kEpoch /
-/// kIncarnation / kArbiterIncarnation whose value is nonzero. Unsequenced
-/// receivers thus see legacy payloads, and a never-crashed arbiter's wire
-/// format carries no arbiter-incarnation key. Shared by both transports.
-[[nodiscard]] mpi::Info encodeCommand(const ArbiterCommand& cmd);
+/// Wire form of `cmd`: the command's type with its epoch, command sequence,
+/// incarnation and arbiter incarnation stamps. Shared by both transports.
+[[nodiscard]] Message encodeCommand(const ArbiterCommand& cmd);
 
 /// Dead-accessor reclamation knobs; zero (the default) disables each timer
 /// so an unconfigured core behaves exactly like the pre-lease protocol.
@@ -260,26 +194,26 @@ class ArbiterCore {
   ArbiterCore(const ArbiterCore&) = delete;
   ArbiterCore& operator=(const ArbiterCore&) = delete;
 
-  /// Dispatches a wire message by its msg::kType key. `now` is the
+  /// Dispatches a wire message by its type. `now` is the
   /// simulated time the transport assigns to the message (arrival time for
   /// the same-engine frontend, barrier time for the global one); commands
   /// produced by the transition are appended to `out`.
-  void onMessage(sim::Time now, std::uint32_t from, const mpi::Info& payload,
+  void onMessage(sim::Time now, std::uint32_t from, const Message& payload,
                  Commands& out);
 
   // Typed entry points (what onMessage fans out to). The admission filters
   // — sequence, incarnation — live in onMessage only; calling a typed entry
   // directly bypasses them (unit tests and replay oracles rely on that).
-  void onInform(sim::Time now, std::uint32_t app, const mpi::Info& payload,
+  void onInform(sim::Time now, std::uint32_t app, const Message& payload,
                 Commands& out);
-  void onRelease(std::uint32_t app, const mpi::Info& payload);
+  void onRelease(std::uint32_t app, const Message& payload);
   void onComplete(sim::Time now, std::uint32_t app, Commands& out);
-  void onPauseAck(sim::Time now, std::uint32_t app, const mpi::Info& payload,
+  void onPauseAck(sim::Time now, std::uint32_t app, const Message& payload,
                   Commands& out);
   /// Lease renewal + state reconciliation; see LeaseConfig and the file
   /// comment. Heartbeats from unknown apps are ignored (the app either
   /// never informed or was already reclaimed — its Inform retry re-admits).
-  void onHeartbeat(sim::Time now, std::uint32_t app, const mpi::Info& payload,
+  void onHeartbeat(sim::Time now, std::uint32_t app, const Message& payload,
                    Commands& out);
 
   /// Periodic lease sweep, called by the frontend's timer (same-engine
@@ -448,13 +382,13 @@ class ArbiterCore {
   void attachAccessor(std::uint32_t app);
   void detachAccessor(std::uint32_t app);
   void auditInvariants() const;
-  /// Applies one session recovery report (a re-Inform carrying
-  /// msg::kSessionState, arriving inside the reconciliation window): the
-  /// session's claimed state wins for "accessing"/"paused"/"idle" — the
-  /// restored record may predate the lost tail — while a "waiting" claim
-  /// against a restored Accessing record re-emits the lost Grant.
+  /// Applies one session recovery report (a re-Inform carrying a session
+  /// state, arriving inside the reconciliation window): the session's
+  /// claimed state wins for Accessing/Paused/Idle — the restored record may
+  /// predate the lost tail — while a Waiting claim against a restored
+  /// Accessing record re-emits the lost Grant.
   void applyRecoveryReport(sim::Time now, std::uint32_t app,
-                           const mpi::Info& payload, Commands& out);
+                           const Message& payload, Commands& out);
 
   std::unique_ptr<Policy> policy_;
   /// A record for every app seen, in ascending id order. Inserts and

@@ -10,6 +10,11 @@
 /// latency, sync-horizon sampling) cost — the paper's claim that runtime
 /// Inform/Grant/Pause tracks the offline schedule, made measurable.
 ///
+/// Each event holds the typed wire message (`core::Message`, wire.hpp) the
+/// session sent — a fixed record, so a month-scale log is one flat vector
+/// and copying or freeing an event allocates nothing for the short
+/// application names campaigns use.
+///
 /// Capture is shard-local and append-only: each `core::Session` records
 /// into the `EventLog` it was pointed at (`Session::captureTo`), so in a
 /// sharded campaign every log's order is a pure function of its shard's
@@ -24,17 +29,17 @@
 #include <utility>
 #include <vector>
 
-#include "mpi/info.hpp"
+#include "calciom/wire.hpp"
 #include "sim/time.hpp"
 
 namespace calciom::core {
 
 /// One application→arbiter message as emitted by a Session: the full wire
-/// payload (msg::kType included) at the session engine's clock.
+/// message at the session engine's clock.
 struct CapturedEvent {
   sim::Time time = 0.0;
   std::uint32_t app = 0;
-  mpi::Info payload;
+  Message payload;
 };
 
 /// Append-only, shard-local capture log. Not thread-safe by design: one log
@@ -42,8 +47,8 @@ struct CapturedEvent {
 /// component.
 class EventLog {
  public:
-  void record(sim::Time t, std::uint32_t app, mpi::Info payload) {
-    events_.push_back(CapturedEvent{t, app, std::move(payload)});
+  void record(sim::Time t, std::uint32_t app, const Message& payload) {
+    events_.push_back(CapturedEvent{t, app, payload});
   }
 
   [[nodiscard]] const std::vector<CapturedEvent>& events() const noexcept {

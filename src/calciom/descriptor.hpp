@@ -5,8 +5,9 @@
 /// content of the paper's Prepare()/Inform() calls: knowledge gathered from
 /// every level of the I/O stack — the application level contributes file
 /// counts and byte totals, the MPI-I/O level contributes collective
-/// buffering rounds and per-round volumes. Serialized to/from an MPI_Info
-/// (string key/value) exactly as the paper's API does.
+/// buffering rounds and per-round volumes. It travels as a typed field of
+/// the Inform message (wire.hpp); `toInfo`/`fromInfo` map it to and from
+/// the MPI_Info hints the paper's Prepare() takes (`Session::prepare`).
 
 #include <cstdint>
 #include <string>
@@ -29,7 +30,7 @@ struct IoDescriptor {
   /// The application's estimate of the phase duration without contention.
   double estAloneSeconds = 0.0;
 
-  /// Info keys used on the wire.
+  /// Info keys of the Prepare() hints.
   static constexpr const char* kAppId = "calciom.app_id";
   static constexpr const char* kAppName = "calciom.app_name";
   static constexpr const char* kCores = "calciom.cores";

@@ -16,7 +16,7 @@ ArbiterStub::ArbiterStub(mpi::PortRegistry& ports)
     : ports_(ports), affinity_(&ports.engine()) {
   CALCIOM_EXPECTS(!ports_.hasPort(core::msg::arbiterPort()));
   ports_.openPort(core::msg::arbiterPort(),
-                  [this](std::uint32_t from, mpi::Info payload) {
+                  [this](std::uint32_t from, core::Message payload) {
                     // Deliveries land on the owning shard's engine, so this
                     // only fires from its loop; the guard documents — and in
                     // CALCIOM_SHARD_CHECKS builds traps — any future path
@@ -219,7 +219,7 @@ bool GlobalArbiter::deliverCommands(sim::Time barrierTime) {
   // the scheduled deliveries and the injector's per-shard message-index
   // sequence, so grouped delivery is bit-identical to a per-command loop —
   // the grouping only hoists route/engine/ports/blackout resolution and
-  // the delivery timestamp to once per shard, and coalesces payload
+  // the delivery timestamp to once per shard, and coalesces command
   // storage into one shared batch per shard instead of one closure-owned
   // copy per command.
   if (shardGroups_.size() < cluster_.shardCount()) {
@@ -270,25 +270,22 @@ bool GlobalArbiter::deliverCommands(sim::Time barrierTime) {
       blackoutDiscarded_ += group.size();  // the shard is unreachable both ways
       continue;
     }
-    auto batch = std::make_shared<std::vector<mpi::PortRegistry::Delivery>>();
+    auto batch = std::make_shared<std::vector<core::ArbiterCommand>>();
     batch->reserve(group.size());
     for (const std::size_t c : group) {
       const core::ArbiterCommand& cmd = scratch_[c];
-      mpi::PortRegistry::Delivery d;
-      d.port = core::msg::appPort(cmd.app);
-      d.fromApp = 0;
-      d.payload = core::encodeCommand(cmd);
       sim::Time at = baseAt;
       if (injector != nullptr) {
-        const mpi::DeliveryFilter::Verdict v =
-            injector->onSend(d.port, 0, d.payload);
+        const mpi::DeliveryFilter::Verdict v = injector->onSend(
+            core::msg::appPort(cmd.app), 0, core::encodeCommand(cmd));
         if (v.duplicate) {
           // The copy first (smaller seq), matching the filtered send path.
-          eng.scheduleAt(
-              at + std::max(v.duplicateExtraDelaySeconds, 0.0),
-              [&ports, port = d.port, copy = d.payload]() mutable {
-                ports.deliverNow(port, /*fromApp=*/0, std::move(copy));
-              });
+          eng.scheduleAt(at + std::max(v.duplicateExtraDelaySeconds, 0.0),
+                         [&ports, cmd] {
+                           ports.deliverNow(core::msg::appPort(cmd.app),
+                                            /*fromApp=*/0,
+                                            core::encodeCommand(cmd));
+                         });
         }
         if (v.drop) {
           continue;
@@ -296,17 +293,19 @@ bool GlobalArbiter::deliverCommands(sim::Time barrierTime) {
         at += std::max(v.extraDelaySeconds, 0.0);
       }
       const std::size_t idx = batch->size();
-      batch->push_back(std::move(d));
+      batch->push_back(cmd);
       // One engine event per command, on purpose: event counts, queue
       // depths, and same-instant seq interleaving are part of the
       // deterministic observable surface, so a single merged event per
       // shard is not an option — the coalescing lives in the shared batch
-      // storage and the registry's memoized resolution.
-      eng.scheduleAt(at, [&ports, batch, idx]() mutable {
-        mpi::PortRegistry::Delivery& entry = (*batch)[idx];
+      // storage and the registry's memoized resolution. The command is
+      // encoded, and its port named, only when it lands.
+      eng.scheduleAt(at, [&ports, batch, idx] {
+        const core::ArbiterCommand& entry = (*batch)[idx];
         // The hop latency is already in the event's timestamp; deliverNow
         // must not add a second one.
-        ports.deliverNow(entry.port, entry.fromApp, std::move(entry.payload));
+        ports.deliverNow(core::msg::appPort(entry.app), /*fromApp=*/0,
+                         core::encodeCommand(entry));
       });
       deliveredAny = true;
     }

@@ -44,7 +44,7 @@
 #include "calciom/arbiter_core.hpp"
 #include "calciom/flat_id_map.hpp"
 #include "calciom/recovery.hpp"
-#include "mpi/info.hpp"
+#include "calciom/wire.hpp"
 #include "mpi/port.hpp"
 #include "sim/barrier_hook.hpp"
 #include "sim/shard_affinity.hpp"
@@ -70,7 +70,7 @@ class ArbiterStub {
     /// the barrier applies every message at the barrier instant.
     std::uint64_t seq = 0;
     std::uint32_t fromApp = 0;
-    mpi::Info payload;
+    core::Message payload;
   };
 
   /// Claims msg::arbiterPort() in `ports` (the shard must not also run a
@@ -225,7 +225,7 @@ class GlobalArbiter final : public sim::BarrierHook {
   /// dead-id discard set before eviction. Must comfortably exceed the worst
   /// in-flight delay measured in rounds (a fault-delayed message from a
   /// dead predecessor can only be discarded while the id is still
-  /// remembered); beyond that, the incarnation fence (msg::kIncarnation)
+  /// remembered); beyond that, the incarnation fence (Message::incarnation)
   /// catches stamped stragglers on its own.
   static constexpr std::uint64_t kDeadRetentionRounds = 1024;
 

@@ -23,7 +23,7 @@ void CheckpointStore::append(WalEntry entry) {
 }
 
 void CheckpointStore::logMessage(sim::Time now, std::uint32_t from,
-                                 const mpi::Info& payload) {
+                                 const Message& payload) {
   append(WalEntry{now, from, /*termination=*/false, payload});
 }
 

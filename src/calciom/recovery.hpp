@@ -30,18 +30,19 @@
 #include <vector>
 
 #include "calciom/arbiter_core.hpp"
-#include "mpi/info.hpp"
+#include "calciom/wire.hpp"
 #include "sim/time.hpp"
 
 namespace calciom::core {
 
 /// One decision-core input captured in the write-ahead log: either a wire
-/// message (`onMessage`) or a job-scheduler termination.
+/// message (`onMessage`, stored typed, as it arrived) or a job-scheduler
+/// termination.
 struct WalEntry {
   sim::Time time = 0.0;
   std::uint32_t app = 0;
   bool termination = false;
-  mpi::Info payload;  // empty for terminations
+  Message payload;  // unused for terminations
 };
 
 class CheckpointStore {
@@ -55,7 +56,7 @@ class CheckpointStore {
   void checkpoint(const ArbiterCore& core, sim::Time now);
 
   /// Appends one wire input to the WAL (drops it, counted, once full).
-  void logMessage(sim::Time now, std::uint32_t from, const mpi::Info& payload);
+  void logMessage(sim::Time now, std::uint32_t from, const Message& payload);
   /// Appends one scheduler termination to the WAL.
   void logTermination(sim::Time now, std::uint32_t app);
 
@@ -131,7 +132,7 @@ class ArbiterHost {
 
   /// Logs the input to the WAL (only while checkpointing), then applies it
   /// to the core; commands are appended to `out`.
-  void onMessage(sim::Time now, std::uint32_t from, const mpi::Info& payload,
+  void onMessage(sim::Time now, std::uint32_t from, const Message& payload,
                  ArbiterCore::Commands& out) {
     if (checkpointing()) {
       store_.logMessage(now, from, payload);

@@ -14,8 +14,8 @@ Session::Session(sim::Engine& engine, mpi::PortRegistry& ports,
   CALCIOM_EXPECTS(cfg_.informRetrySeconds >= 0.0);
   CALCIOM_EXPECTS(cfg_.degradeAfterSeconds >= 0.0);
   ports_.openPort(msg::appPort(cfg_.appId),
-                  [this](std::uint32_t from, mpi::Info payload) {
-                    onMessage(from, std::move(payload));
+                  [this](std::uint32_t /*from*/, const Message& payload) {
+                    onMessage(payload);
                   });
   portOpen_ = true;
 }
@@ -60,14 +60,20 @@ void Session::inform(const io::PhaseInfo& phase) {
   if (!cfg_.appName.empty()) {
     desc.appName = cfg_.appName;
   }
-  mpi::Info wire = desc.toInfo();
-  for (const mpi::Info& extra : preparedStack_) {
-    wire.merge(extra);
+  if (!preparedStack_.empty()) {
+    // Prepare() hints override the phase's values key by key, the MPI_Info
+    // way: fold them once over the descriptor's own Info form.
+    mpi::Info hints = desc.toInfo();
+    for (const mpi::Info& extra : preparedStack_) {
+      hints.merge(extra);
+    }
+    desc = IoDescriptor::fromInfo(hints);
   }
-  informWire_ = wire;  // kept unstamped: each retransmission gets fresh kSeq
+  // Kept unstamped: each retransmission gets a fresh seq.
+  informWire_ = Message::inform(std::move(desc));
   ++informsSent_;
   // Through sendToArbiter so the replay capture sees informs too.
-  sendToArbiter(msg::kInform, std::move(wire));
+  sendToArbiter(informWire_);
   armInformTimer();
   armHeartbeat();
 }
@@ -88,9 +94,7 @@ sim::Task Session::release(double progress, bool pausableBoundary) {
   if (pausableBoundary && pauseRequested_) {
     pauseRequested_ = false;
     resumeGate_.close();
-    mpi::Info ack;
-    ack.setDouble(msg::kProgress, progress);
-    sendToArbiter(msg::kPauseAck, std::move(ack));
+    sendToArbiter(Message::pauseAck(progress));
     ++pausesHonored_;
     armPauseDeadline(++pauseGen_);
     const sim::Time t0 = engine_.now();
@@ -99,9 +103,7 @@ sim::Task Session::release(double progress, bool pausableBoundary) {
     co_return;
   }
   if (cfg_.sendProgressUpdates) {
-    mpi::Info upd;
-    upd.setDouble(msg::kProgress, progress);
-    sendToArbiter(msg::kRelease, std::move(upd));
+    sendToArbiter(Message::release(progress));
   }
 }
 
@@ -131,7 +133,7 @@ sim::Task Session::endPhase() {
   authGate_.close();
   // Sent even after a degraded phase: it is the cheap half of rejoining
   // (if the lease already reclaimed the record, the arbiter ignores it).
-  sendToArbiter(msg::kComplete);
+  sendToArbiter(Message::complete());
   co_return;
 }
 
@@ -170,16 +172,13 @@ void Session::degrade() {
   resumeGate_.open();
 }
 
-void Session::onMessage(std::uint32_t /*from*/, mpi::Info payload) {
+void Session::onMessage(const Message& payload) {
   if (killed_) {
     return;  // a closed port should make this unreachable, but be explicit
   }
-  const auto type = payload.find(msg::kType);
-  CALCIOM_EXPECTS(type.has_value());
-  // Command admission filters, all opt-in by key presence (legacy arbiters
-  // send none of these keys and every filter passes).
-  const auto inc =
-      static_cast<std::uint64_t>(payload.getIntOr(msg::kIncarnation, 0));
+  // Command admission filters, all opt-in by stamp (legacy arbiters stamp
+  // nothing and every filter passes).
+  const std::uint64_t inc = payload.incarnation();
   if (cfg_.incarnation != 0 && inc != 0 && inc != cfg_.incarnation) {
     return;  // addressed to another incarnation of this (reused) id
   }
@@ -191,8 +190,8 @@ void Session::onMessage(std::uint32_t /*from*/, mpi::Info payload) {
   // said may contradict it. A *higher* incarnation is first contact with a
   // newer restart: adopt it and reset the command-sequence filter, whose
   // counter restarted from the arbiter's checkpoint.
-  const auto arbInc = static_cast<std::uint64_t>(
-      payload.getIntOr(msg::kArbiterIncarnation, 0));
+  // Throws on a session message type: only commands reach a session.
+  const std::uint64_t arbInc = payload.arbiterIncarnation();
   if (arbInc < arbiterInc_) {
     ++staleArbiterCommands_;
     return;
@@ -201,13 +200,11 @@ void Session::onMessage(std::uint32_t /*from*/, mpi::Info payload) {
     arbiterInc_ = arbInc;
     lastCmdSeq_ = 0;
   }
-  const auto cmdEpoch =
-      static_cast<std::uint64_t>(payload.getIntOr(msg::kEpoch, 0));
+  const std::uint64_t cmdEpoch = payload.epoch();
   if (cmdEpoch != 0 && epoch_ != 0 && cmdEpoch != epoch_) {
     return;  // stale command from an earlier phase (or a stale record)
   }
-  const auto cmdSeq =
-      static_cast<std::uint64_t>(payload.getIntOr(msg::kCmdSeq, 0));
+  const std::uint64_t cmdSeq = payload.cmdSeq();
   if (cmdSeq != 0) {
     if (cmdSeq <= lastCmdSeq_) {
       return;  // duplicate or reordered-behind command
@@ -217,47 +214,46 @@ void Session::onMessage(std::uint32_t /*from*/, mpi::Info payload) {
   if (degraded_) {
     return;  // uncoordinated until the next phase; late commands are moot
   }
-  if (*type == msg::kGrant || *type == msg::kResume) {
-    authorized_ = true;
-    // A pause pending from before this command is obsolete: the arbiter
-    // (re)authorized us afterwards. Only reachable with retransmissions —
-    // in-order fault-free delivery never has a pause pending here.
-    pauseRequested_ = false;
-    ++pauseGen_;
-    authGate_.open();
-    resumeGate_.open();
-  } else if (*type == msg::kPause) {
-    pauseRequested_ = true;
-  } else if (*type == msg::kRecover) {
-    // The arbiter restarted and lost (some of) its state: answer with the
-    // full local view — the phase's Inform payload plus our protocol state
-    // — so the reconciliation window can rebuild the accessor set. Outside
-    // a phase there is nothing to rebuild; a Complete closes whatever
-    // stale record the restored checkpoint still holds open.
-    if (phaseActive_) {
-      mpi::Info view = informWire_;
-      view.setDouble(msg::kProgress, lastProgress_);
-      view.set(msg::kSessionState, protocolStateString());
-      ++recoverAnswers_;
-      sendToArbiter(msg::kInform, std::move(view));
-    } else {
-      sendToArbiter(msg::kComplete);
-    }
-  } else {
-    CALCIOM_ENSURES(false);  // unknown message type
+  switch (payload.type()) {
+    case MessageType::Grant:
+    case MessageType::Resume:
+      authorized_ = true;
+      // A pause pending from before this command is obsolete: the arbiter
+      // (re)authorized us afterwards. Only reachable with retransmissions —
+      // in-order fault-free delivery never has a pause pending here.
+      pauseRequested_ = false;
+      ++pauseGen_;
+      authGate_.open();
+      resumeGate_.open();
+      break;
+    case MessageType::Pause:
+      pauseRequested_ = true;
+      break;
+    case MessageType::Recover:
+      // The arbiter restarted and lost (some of) its state: answer with the
+      // full local view — the phase's Inform plus our progress and protocol
+      // state — so the reconciliation window can rebuild the accessor set.
+      // Outside a phase there is nothing to rebuild; a Complete closes
+      // whatever stale record the restored checkpoint still holds open.
+      if (phaseActive_) {
+        Message view = informWire_;
+        view.setProgress(lastProgress_);
+        view.setSessionState(protocolState());
+        ++recoverAnswers_;
+        sendToArbiter(std::move(view));
+      } else {
+        sendToArbiter(Message::complete());
+      }
+      break;
+    default:
+      CALCIOM_ENSURES(false);  // unreachable: arbiterIncarnation() threw
   }
 }
 
-void Session::sendToArbiter(const char* type, mpi::Info payload) {
-  payload.set(msg::kType, type);
-  payload.setInt(msg::kSeq, static_cast<std::int64_t>(++seq_));
-  if (epoch_ != 0) {
-    payload.setInt(msg::kEpoch, static_cast<std::int64_t>(epoch_));
-  }
-  if (cfg_.incarnation != 0) {
-    payload.setInt(msg::kIncarnation,
-                   static_cast<std::int64_t>(cfg_.incarnation));
-  }
+void Session::sendToArbiter(Message payload) {
+  payload.setSeq(++seq_);
+  payload.setEpoch(epoch_);
+  payload.setIncarnation(cfg_.incarnation);
   if (capture_ != nullptr) {
     capture_->record(engine_.now(), cfg_.appId, payload);
   }
@@ -277,11 +273,8 @@ void Session::armHeartbeat() {
     if (killed_ || degraded_ || !phaseActive_) {
       return;  // the chain dies; the next inform() restarts it
     }
-    mpi::Info hb;
-    hb.setDouble(msg::kProgress, lastProgress_);
-    hb.set(msg::kSessionState, protocolStateString());
     ++heartbeatsSent_;
-    sendToArbiter(msg::kHeartbeat, std::move(hb));
+    sendToArbiter(Message::heartbeat(lastProgress_, protocolState()));
     armHeartbeat();
   });
 }
@@ -304,7 +297,7 @@ void Session::armInformTimer() {
           return;
         }
         ++retriesSent_;
-        sendToArbiter(msg::kInform, informWire_);
+        sendToArbiter(informWire_);
         armInformTimer();
       });
 }
@@ -324,14 +317,14 @@ void Session::armPauseDeadline(std::uint64_t gen) {
   });
 }
 
-const char* Session::protocolStateString() const noexcept {
+SessionState Session::protocolState() const noexcept {
   if (!phaseActive_) {
-    return "idle";
+    return SessionState::Idle;
   }
   if (paused()) {
-    return "paused";
+    return SessionState::Paused;
   }
-  return authorized_ ? "accessing" : "waiting";
+  return authorized_ ? SessionState::Accessing : SessionState::Waiting;
 }
 
 }  // namespace calciom::core

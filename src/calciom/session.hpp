@@ -90,7 +90,10 @@ class Session final : public io::IoCoordinationHooks {
 
   // ---- The paper's API --------------------------------------------------
 
-  /// Stacks additional descriptor knowledge for the next Inform.
+  /// Stacks additional descriptor knowledge for the next Inform: MPI_Info
+  /// hints keyed like `IoDescriptor::toInfo`, later ones overriding earlier
+  /// ones and the phase's own values. inform() folds them into the
+  /// descriptor it sends; keys the descriptor does not know are ignored.
   void prepare(const mpi::Info& info);
   /// Pops the most recent Prepare.
   void complete();
@@ -149,8 +152,8 @@ class Session final : public io::IoCoordinationHooks {
   }
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
   [[nodiscard]] const SessionConfig& config() const noexcept { return cfg_; }
-  /// Recovery reports (re-Informs with kSessionState) sent in answer to a
-  /// restarted arbiter's Recover command.
+  /// Recovery reports (re-Informs carrying a session state) sent in answer
+  /// to a restarted arbiter's Recover command.
   [[nodiscard]] int recoverAnswers() const noexcept { return recoverAnswers_; }
   /// Commands fenced as stale pre-crash traffic (lower arbiter incarnation
   /// than the newest one seen, or none at all after a restart was seen).
@@ -171,8 +174,9 @@ class Session final : public io::IoCoordinationHooks {
   void captureTo(EventLog* log) noexcept { capture_ = log; }
 
  private:
-  void onMessage(std::uint32_t from, mpi::Info payload);
-  void sendToArbiter(const char* type, mpi::Info payload = {});
+  void onMessage(const Message& payload);
+  /// Stamps `payload` (seq, epoch, incarnation), captures it, sends it.
+  void sendToArbiter(Message payload);
   /// Arms (once) the self-rescheduling heartbeat; the chain dies on its own
   /// when the phase ends, the session degrades, or it is killed — the
   /// conditional re-arming is what lets the engine drain.
@@ -185,8 +189,8 @@ class Session final : public io::IoCoordinationHooks {
   void armPauseDeadline(std::uint64_t gen);
   /// Gives up on coordination for the rest of this phase; see file comment.
   void degrade();
-  /// The kSessionState value heartbeats report.
-  [[nodiscard]] const char* protocolStateString() const noexcept;
+  /// The protocol state heartbeats and recovery reports carry.
+  [[nodiscard]] SessionState protocolState() const noexcept;
 
   sim::Engine& engine_;
   mpi::PortRegistry& ports_;
@@ -207,19 +211,21 @@ class Session final : public io::IoCoordinationHooks {
   bool phaseActive_ = false;
   bool degraded_ = false;
   bool killed_ = false;
-  std::uint64_t seq_ = 0;        ///< monotone message stamp (kSeq)
-  std::uint64_t epoch_ = 0;      ///< current phase number (kEpoch)
+  std::uint64_t seq_ = 0;        ///< monotone message stamp
+  std::uint64_t epoch_ = 0;      ///< current phase number
   std::uint64_t lastCmdSeq_ = 0; ///< highest command sequence applied
   std::uint64_t retryGen_ = 0;   ///< invalidates pending Inform timers
   std::uint64_t pauseGen_ = 0;   ///< invalidates pending pause deadlines
   bool heartbeatArmed_ = false;
   sim::Time informTime_ = 0.0;
   double lastProgress_ = 0.0;
-  mpi::Info informWire_;  ///< last Inform payload, for retransmission
+  /// The phase's Inform, unstamped: retransmitted by the retry timer and
+  /// the base of a recovery report.
+  Message informWire_ = Message::inform({});
   int retriesSent_ = 0;
   int heartbeatsSent_ = 0;
   int degradedPhases_ = 0;
-  std::uint64_t arbiterInc_ = 0;  ///< highest kArbiterIncarnation seen
+  std::uint64_t arbiterInc_ = 0;  ///< highest arbiter incarnation seen
   int recoverAnswers_ = 0;
   int staleArbiterCommands_ = 0;
   /// Tombstone for timer events in flight at destruction (the engine has

@@ -40,14 +40,14 @@ double Injector::uniform(std::uint64_t index,
   return toUniform01(h);
 }
 
-mpi::DeliveryFilter::Verdict Injector::onSend(const std::string& port,
-                                              std::uint32_t /*fromApp*/,
-                                              const mpi::Info& /*payload*/) {
+mpi::DeliveryFilter::Verdict Injector::onSend(
+    std::string_view port, std::uint32_t /*fromApp*/,
+    const core::Message& /*payload*/) {
   Verdict v;
   // Fault only the coordination layer. The data path (FlowNet, PFS) has its
   // own failure model out of scope here, and a disabled plan must consume
   // no indices at all so enabling faults later never shifts earlier draws.
-  if (!plan_.messageFaultsEnabled() || port.rfind("calciom/", 0) != 0) {
+  if (!plan_.messageFaultsEnabled() || !port.starts_with("calciom/")) {
     return v;
   }
   const std::uint64_t i = nextIndex_++;

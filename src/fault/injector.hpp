@@ -34,7 +34,7 @@
 ///    reclaims the dead app's access.
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "mpi/port.hpp"
@@ -113,8 +113,8 @@ class Injector final : public mpi::DeliveryFilter {
   /// mpi::DeliveryFilter: decides the fate of one coordination message.
   /// Ports outside "calciom/" pass through untouched (and consume no hash
   /// index), as does every message of a plan without message faults.
-  [[nodiscard]] Verdict onSend(const std::string& port, std::uint32_t fromApp,
-                               const mpi::Info& payload) override;
+  [[nodiscard]] Verdict onSend(std::string_view port, std::uint32_t fromApp,
+                               const core::Message& payload) override;
 
   /// Whether this shard's arbiter stub is blacked out in sync round
   /// `round` (1-based): true if any of the last `blackoutRounds` rounds

@@ -3,36 +3,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
-#include <cmath>
 #include <cstdlib>
 #include <functional>
-#include <system_error>
 
 namespace calciom::mpi {
-
-namespace {
-/// Text the from_chars fast path may read: it starts the way a plain
-/// decimal does. Leading whitespace, '+', "inf"/"nan" and the empty string
-/// all take the strtoll/strtod fallback.
-bool startsPlainDecimal(std::string_view v) noexcept {
-  return !v.empty() &&
-         (v.front() == '-' || (v.front() >= '0' && v.front() <= '9'));
-}
-
-/// True when no digit of the mantissa (the text before any exponent) is
-/// nonzero, i.e. the text spells an exact zero rather than an underflow.
-bool zeroMantissa(std::string_view v) noexcept {
-  for (const char c : v) {
-    if (c == 'e' || c == 'E') {
-      break;
-    }
-    if (c >= '1' && c <= '9') {
-      return false;
-    }
-  }
-  return true;
-}
-}  // namespace
 
 std::vector<Info::Entry>::const_iterator Info::lowerBound(
     std::string_view key) const noexcept {
@@ -95,12 +69,6 @@ void Info::set(std::string_view key, std::string_view value) {
     }
     return;
   }
-  if (index_.empty()) {
-    // First insert: size both blocks for a whole command or progress
-    // payload up front, so building one never regrows either block.
-    index_.reserve(kReservedEntries);
-    text_.reserve(kReservedText);
-  }
   const Entry e{static_cast<std::uint32_t>(text_.size()),
                 static_cast<std::uint32_t>(key.size()),
                 static_cast<std::uint32_t>(value.size())};
@@ -133,15 +101,6 @@ std::optional<std::int64_t> Info::getInt(std::string_view key) const {
     return std::nullopt;
   }
   const char* text = valueText(*e);
-  if (startsPlainDecimal(valueOf(*e))) {
-    // from_chars reads the same optional '-' and digit run strtoll reads
-    // from such text and, like strtoll, ignores what follows. Overflow
-    // falls through, so the strtoll path owns the ERANGE answer.
-    std::int64_t v = 0;
-    if (std::from_chars(text, text + e->valLen, v).ec == std::errc{}) {
-      return v;
-    }
-  }
   errno = 0;
   char* end = nullptr;
   const long long parsed = std::strtoll(text, &end, 10);
@@ -157,18 +116,6 @@ std::optional<double> Info::getDouble(std::string_view key) const {
     return std::nullopt;
   }
   const char* text = valueText(*e);
-  if (startsPlainDecimal(valueOf(*e))) {
-    // Both parsers round correctly, so on text each reads whole they agree.
-    // Only a normal result or a zero spelled with zero digits is taken:
-    // strtod reports ERANGE for underflow and may for subnormals, which
-    // from_chars does not promise to mirror.
-    double v = 0.0;
-    const auto r = std::from_chars(text, text + e->valLen, v);
-    if (r.ec == std::errc{} && r.ptr == text + e->valLen &&
-        (std::isnormal(v) || (v == 0.0 && zeroMantissa(valueOf(*e))))) {
-      return v;
-    }
-  }
   errno = 0;
   char* end = nullptr;
   const double parsed = std::strtod(text, &end);

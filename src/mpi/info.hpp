@@ -3,38 +3,20 @@
 /// \file info.hpp
 /// MPI_Info-style string key/value dictionary. The paper's CALCioM API is
 /// deliberately generic: applications describe their upcoming I/O through an
-/// MPI_Info handed to Prepare(). We mirror that: descriptors exchanged
-/// between applications are serialized to/from Info objects.
+/// MPI_Info handed to Prepare(). We mirror that: `Session::prepare()` takes
+/// Info hints, and `IoDescriptor::toInfo`/`fromInfo` map a descriptor to and
+/// from them. Coordination messages themselves travel typed
+/// (calciom/wire.hpp), so Info is read once per phase, not per message.
 ///
 /// Storage is flat: one contiguous text buffer holding every entry as
 /// `key\0value\0`, plus one index of (offset, length) records kept sorted
-/// by key. A payload therefore costs two heap blocks whatever its entry
-/// count, copying it costs two allocations, and a lookup is a binary
-/// search over `std::string_view` keys with no temporary strings. The first
-/// insert reserves both blocks at a size that holds a whole command or
-/// progress payload, so building one allocates exactly twice.
-///
-/// Numeric reads parse the stored, NUL-terminated text in place. Their
-/// contract is `strtoll`/`strtod` (C locale), but plain decimal text — an
-/// optional '-' then digits, which is what setInt/setDouble write for every
-/// finite value — is read by `std::from_chars` instead, several times
-/// cheaper. The fast path is taken only where it provably returns what the
-/// strtoll/strtod code would: the text starts with '-' or a digit (so no
-/// whitespace, '+', hex, inf or nan); for doubles the whole value is
-/// consumed, and the result is a normal number or a zero whose mantissa
-/// digits are all zero. Both parsers round correctly, so they agree on such
-/// text; everything else — overflow, underflow, subnormals, trailing text
-/// after a double — falls back to the strtoll/strtod code unchanged, which
-/// owns every ERANGE answer. tests/mpi_test.cpp holds the two paths to
-/// each other.
+/// by key. A lookup is a binary search over `std::string_view` keys with no
+/// temporary strings.
 ///
 /// Numbers are rendered exactly as `std::to_string` renders them: decimal
-/// integers, and doubles as printf's `%f` (six decimals). That rendering
-/// is lossy — 1/3 travels as "0.333333" and values below 5e-7 as
-/// "0.000000" — and every decision fingerprint depends on it, because the
-/// arbiter decides on the values it parses back. Switching to a
-/// round-trip format (e.g. shortest `std::to_chars`) would move every
-/// pinned fingerprint, so it has to be its own, deliberate change.
+/// integers, and doubles as printf's `%f` (six decimals), so 1/3 is stored
+/// as "0.333333". Numeric reads are `strtoll`/`strtod` (C locale) on the
+/// stored, NUL-terminated text.
 
 #include <cstdint>
 #include <optional>
@@ -65,10 +47,9 @@ class Info {
     }
     return std::string(*v);
   }
-  /// strtoll / strtod on the stored text (with the exact from_chars fast
-  /// path of the file comment): nullopt when the key is absent, no digit
-  /// was consumed, or the value is out of range. Trailing garbage after a
-  /// number ("12abc") is ignored, as strtoll does.
+  /// strtoll / strtod on the stored text: nullopt when the key is absent,
+  /// no digit was consumed, or the value is out of range. Trailing garbage
+  /// after a number ("12abc") is ignored, as strtoll does.
   [[nodiscard]] std::optional<std::int64_t> getInt(
       std::string_view key) const;
   [[nodiscard]] std::optional<double> getDouble(std::string_view key) const;
@@ -116,12 +97,6 @@ class Info {
   [[nodiscard]] std::string_view valueOf(const Entry& e) const noexcept {
     return {text_.data() + e.off + e.keyLen + 1, e.valLen};
   }
-  /// First-insert capacity of the two blocks: a Grant, Release, PauseAck or
-  /// Complete payload (at most six entries, ~100 bytes of text) is built
-  /// without regrowth.
-  static constexpr std::size_t kReservedEntries = 6;
-  static constexpr std::size_t kReservedText = 128;
-
   [[nodiscard]] const char* valueText(const Entry& e) const noexcept {
     return text_.data() + e.off + e.keyLen + 1;
   }

@@ -5,8 +5,27 @@
 
 namespace calciom::mpi {
 
-bool PortRegistry::send(const std::string& port, std::uint32_t fromApp,
-                        Info payload) {
+void PortRegistry::openPort(std::string_view name, Handler handler) {
+  affinity_.check("mpi::PortRegistry::openPort");
+  CALCIOM_EXPECTS(handler != nullptr);
+  if (const auto it = ports_.find(name); it != ports_.end()) {
+    it->second = std::move(handler);
+  } else {
+    ports_.emplace(std::string(name), std::move(handler));
+  }
+  ++epoch_;
+}
+
+void PortRegistry::closePort(std::string_view name) {
+  affinity_.check("mpi::PortRegistry::closePort");
+  if (const auto it = ports_.find(name); it != ports_.end()) {
+    ports_.erase(it);
+  }
+  ++epoch_;
+}
+
+bool PortRegistry::send(std::string_view port, std::uint32_t fromApp,
+                        core::Message payload) {
   // A send schedules on this registry's engine: legal only from the owning
   // shard's loop or from setup/barrier context (rule 1).
   affinity_.check("mpi::PortRegistry::send");
@@ -29,8 +48,9 @@ bool PortRegistry::send(const std::string& port, std::uint32_t fromApp,
                           latency_ + std::max(v.extraDelaySeconds, 0.0));
 }
 
-bool PortRegistry::scheduleDelivery(const std::string& port,
-                                    std::uint32_t fromApp, Info payload,
+bool PortRegistry::scheduleDelivery(std::string_view port,
+                                    std::uint32_t fromApp,
+                                    core::Message payload,
                                     double delaySeconds) {
   // Routed at send time: a message to an unknown port belongs to the relay
   // even if the port opens while it is in flight (a connection is a
@@ -61,7 +81,7 @@ void PortRegistry::deliverParked(std::uint32_t slot) {
   // handler that sends re-enters the table and may reuse this very slot.
   InFlight& m = inFlight_[slot];
   const std::uint32_t fromApp = m.fromApp;
-  Info payload = std::move(m.payload);
+  core::Message payload = std::move(m.payload);
   if (m.relayed) {
     const std::string port = m.port;
     freeSlots_.push_back(slot);
@@ -81,7 +101,7 @@ void PortRegistry::deliverParked(std::uint32_t slot) {
   (*handler)(fromApp, std::move(payload));
 }
 
-PortRegistry::Handler* PortRegistry::resolve(const std::string& port) {
+PortRegistry::Handler* PortRegistry::resolve(std::string_view port) {
   if (cacheEpoch_ == epoch_ && *cacheName_ == port) {
     return cacheHandler_;
   }
@@ -95,8 +115,8 @@ PortRegistry::Handler* PortRegistry::resolve(const std::string& port) {
   return cacheHandler_;
 }
 
-bool PortRegistry::deliverNow(const std::string& port, std::uint32_t fromApp,
-                              Info payload) {
+bool PortRegistry::deliverNow(std::string_view port, std::uint32_t fromApp,
+                              core::Message payload) {
   affinity_.check("mpi::PortRegistry::deliverNow");
   Handler* handler = resolve(port);
   if (handler == nullptr) {
@@ -105,24 +125,6 @@ bool PortRegistry::deliverNow(const std::string& port, std::uint32_t fromApp,
   ++delivered_;
   (*handler)(fromApp, std::move(payload));
   return true;
-}
-
-std::size_t PortRegistry::deliverBatch(std::vector<Delivery>& batch) {
-  affinity_.check("mpi::PortRegistry::deliverBatch");
-  std::size_t deliveredHere = 0;
-  for (Delivery& d : batch) {
-    // Per-entry resolution, not hoisted: a handler may close its own port
-    // mid-batch (an endpoint dying on receipt), and the epoch check turns
-    // that into a re-lookup instead of a dangling call.
-    Handler* handler = resolve(d.port);
-    if (handler == nullptr) {
-      continue;
-    }
-    ++delivered_;
-    ++deliveredHere;
-    (*handler)(d.fromApp, std::move(d.payload));
-  }
-  return deliveredHere;
 }
 
 }  // namespace calciom::mpi

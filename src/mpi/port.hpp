@@ -4,10 +4,17 @@
 /// Cross-application messaging. The paper connects applications with
 /// MPI_Comm_connect/MPI_Comm_accept (made non-blocking via a helper thread,
 /// or in the prototype, a shared MPI_COMM_WORLD). We model the result: a
-/// registry of named ports; sending to a port delivers an Info payload to
-/// the owner's handler after a configurable latency. Coordinators and the
+/// registry of named ports; sending to a port delivers a coordination
+/// message (`core::Message`, the typed wire of calciom/wire.hpp) to the
+/// owner's handler after a configurable latency. Coordinators and the
 /// arbiter communicate exclusively through this class, so coordination cost
 /// is accounted in simulated time.
+///
+/// Port names are `std::string_view`s looked up in a map with a
+/// transparent comparator, so addressing a port never builds a string: an
+/// application's port name is formatted on the stack (`core::msg::appPort`)
+/// and a parked in-flight message copies it into a slot string whose
+/// capacity is reused by later sends.
 ///
 /// A registry is *shard-local*: it belongs to exactly one machine and
 /// schedules deliveries on that machine's engine, so in a sharded platform
@@ -31,9 +38,10 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "mpi/info.hpp"
+#include "calciom/wire.hpp"
 #include "sim/engine.hpp"
 #include "sim/shard_affinity.hpp"
 
@@ -62,18 +70,19 @@ class DeliveryFilter {
   };
 
   virtual ~DeliveryFilter() = default;
-  [[nodiscard]] virtual Verdict onSend(const std::string& port,
+  [[nodiscard]] virtual Verdict onSend(std::string_view port,
                                        std::uint32_t fromApp,
-                                       const Info& payload) = 0;
+                                       const core::Message& payload) = 0;
 };
 
 class PortRegistry {
  public:
-  using Handler = std::function<void(std::uint32_t fromApp, Info payload)>;
+  using Handler =
+      std::function<void(std::uint32_t fromApp, core::Message payload)>;
   /// Relay handler: receives messages addressed to ports that are not open
   /// locally, together with the target port's name.
   using RelayHandler = std::function<void(
-      const std::string& port, std::uint32_t fromApp, Info payload)>;
+      const std::string& port, std::uint32_t fromApp, core::Message payload)>;
 
   PortRegistry(sim::Engine& engine, double latency)
       : engine_(engine), affinity_(&engine), latency_(latency) {
@@ -91,19 +100,10 @@ class PortRegistry {
   /// mutating the registration set mid-round would race the owner and make
   /// in-flight routing depend on round interleaving (CALCIOM_SHARD_CHECKS
   /// builds trap it; see sim/shard_affinity.hpp).
-  void openPort(const std::string& name, Handler handler) {
-    affinity_.check("mpi::PortRegistry::openPort");
-    CALCIOM_EXPECTS(handler != nullptr);
-    ports_[name] = std::move(handler);
-    ++epoch_;
-  }
+  void openPort(std::string_view name, Handler handler);
 
-  void closePort(const std::string& name) {
-    affinity_.check("mpi::PortRegistry::closePort");
-    ports_.erase(name);
-    ++epoch_;
-  }
-  [[nodiscard]] bool hasPort(const std::string& name) const {
+  void closePort(std::string_view name);
+  [[nodiscard]] bool hasPort(std::string_view name) const {
     return ports_.contains(name);
   }
 
@@ -135,7 +135,8 @@ class PortRegistry {
   /// (e.g. an application terminated between barriers). Symmetrically, a
   /// message relayed because the port was unknown at send time stays with
   /// the relay even if the port opens in flight.
-  bool send(const std::string& port, std::uint32_t fromApp, Info payload);
+  bool send(std::string_view port, std::uint32_t fromApp,
+            core::Message payload);
 
   /// Synchronously invokes `port`'s handler (no latency, no scheduling).
   /// For barrier-time relays only: the caller has already scheduled this
@@ -145,26 +146,8 @@ class PortRegistry {
   /// means the endpoint died in flight — the message must drop, not detour
   /// (a forwarded Grant re-entering the system could re-register a dead
   /// application).
-  bool deliverNow(const std::string& port, std::uint32_t fromApp,
-                  Info payload);
-
-  /// One pre-addressed message of a barrier-time batch (see deliverBatch).
-  struct Delivery {
-    std::string port;
-    std::uint32_t fromApp = 0;
-    Info payload;
-  };
-
-  /// Synchronously delivers every entry in order, with deliverNow semantics
-  /// per entry (no latency, no relay, closed ports drop silently). Payloads
-  /// are moved out of the batch. Port resolution is memoized across
-  /// consecutive same-port entries (and across deliverNow calls) through a
-  /// registration-epoch-validated cache, so a coalesced per-shard command
-  /// batch — or a completion storm into one port — resolves the handler
-  /// once instead of once per message. Handlers may open/close ports
-  /// mid-batch; the epoch check makes the cache exact, not heuristic.
-  /// Returns the number of entries actually delivered.
-  std::size_t deliverBatch(std::vector<Delivery>& batch);
+  bool deliverNow(std::string_view port, std::uint32_t fromApp,
+                  core::Message payload);
 
   [[nodiscard]] double latency() const noexcept { return latency_; }
   [[nodiscard]] std::uint64_t messagesDelivered() const noexcept {
@@ -177,8 +160,8 @@ class PortRegistry {
  private:
   /// The unfiltered send path: schedules one delivery after `delaySeconds`
   /// (routing fixed at send time, as documented on send()).
-  bool scheduleDelivery(const std::string& port, std::uint32_t fromApp,
-                        Info payload, double delaySeconds);
+  bool scheduleDelivery(std::string_view port, std::uint32_t fromApp,
+                        core::Message payload, double delaySeconds);
   /// The delivery event of a parked message: frees its slot, then hands the
   /// payload to the port's handler (or to the relay it was routed to).
   void deliverParked(std::uint32_t slot);
@@ -187,7 +170,7 @@ class PortRegistry {
   /// node, and every openPort/closePort bumps epoch_, so a matching epoch
   /// proves the node was neither erased nor is the cache observing a stale
   /// registration set.
-  Handler* resolve(const std::string& port);
+  Handler* resolve(std::string_view port);
 
   /// A message in flight, parked until its delivery event runs. The event
   /// captures only {registry, slot}, which fits EventFn's inline buffer; a
@@ -197,7 +180,7 @@ class PortRegistry {
     std::uint32_t fromApp = 0;
     /// Routed to the relay at send time (the port was not open locally).
     bool relayed = false;
-    Info payload;
+    core::Message payload;
   };
 
   sim::Engine& engine_;
@@ -205,7 +188,8 @@ class PortRegistry {
   /// registry's own shard (or setup/barrier context).
   sim::ShardAffinity affinity_;
   double latency_;
-  std::map<std::string, Handler> ports_;
+  /// Transparent comparator: lookups take the name as a string_view.
+  std::map<std::string, Handler, std::less<>> ports_;
   RelayHandler relay_;
   DeliveryFilter* filter_ = nullptr;
   std::vector<InFlight> inFlight_;

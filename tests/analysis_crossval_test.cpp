@@ -49,7 +49,7 @@ TEST(CrossValidationTest, EqualAppsMatchTheExpectedDeltaCurve) {
   cfg.appA = IorConfig{.name = "A", .processes = 512,
                        .pattern = contiguousPattern(8 << 20)};
   cfg.appB = cfg.appA;
-  cfg.appB.name = "B";
+  cfg.appB.name = std::string("B");
   const auto dts = linspace(-8.0, 8.0, 9);
   const DeltaGraph g = sweepDelta(cfg, dts);
   for (const auto& p : g.points) {
@@ -93,7 +93,7 @@ TEST(CrossValidationTest, FcfsMatchesTheSerializationFormula) {
   cfg.appA = IorConfig{.name = "A", .processes = 512,
                        .pattern = contiguousPattern(8 << 20)};
   cfg.appB = cfg.appA;
-  cfg.appB.name = "B";
+  cfg.appB.name = std::string("B");
   const auto dts = linspace(0.0, 4.0, 3);
   const DeltaGraph g = sweepDelta(cfg, dts);
   for (const auto& p : g.points) {

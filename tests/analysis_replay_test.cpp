@@ -38,15 +38,11 @@ CapturedEvent inform(double t, std::uint32_t app, double aloneSeconds) {
   d.appId = app;
   d.cores = 64;
   d.estAloneSeconds = aloneSeconds;
-  calciom::mpi::Info wire = d.toInfo();
-  wire.set(calciom::core::msg::kType, calciom::core::msg::kInform);
-  return CapturedEvent{t, app, std::move(wire)};
+  return CapturedEvent{t, app, calciom::core::Message::inform(d)};
 }
 
 CapturedEvent complete(double t, std::uint32_t app) {
-  calciom::mpi::Info wire;
-  wire.set(calciom::core::msg::kType, calciom::core::msg::kComplete);
-  return CapturedEvent{t, app, std::move(wire)};
+  return CapturedEvent{t, app, calciom::core::Message::complete()};
 }
 
 std::vector<CapturedEvent> handStream() {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,8 +23,10 @@ using calciom::core::CommandType;
 using calciom::core::encodeCommand;
 using calciom::core::IoDescriptor;
 using calciom::core::makePolicy;
+using calciom::core::Message;
+using calciom::core::MessageType;
 using calciom::core::PolicyKind;
-using calciom::mpi::Info;
+using calciom::core::SessionState;
 using calciom::mpi::PortRegistry;
 using calciom::sim::Engine;
 namespace msg = calciom::core::msg;
@@ -32,13 +35,14 @@ namespace msg = calciom::core::msg;
 struct FakeApp {
   std::uint32_t id;
   PortRegistry& ports;
-  std::vector<std::string> received;
+  std::vector<MessageType> received;
 
   FakeApp(std::uint32_t appId, PortRegistry& registry)
       : id(appId), ports(registry) {
-    ports.openPort(msg::appPort(id), [this](std::uint32_t, Info payload) {
-      received.push_back(*payload.get(msg::kType));
-    });
+    ports.openPort(msg::appPort(id),
+                   [this](std::uint32_t, const Message& payload) {
+                     received.push_back(payload.type());
+                   });
   }
   ~FakeApp() { ports.closePort(msg::appPort(id)); }
 
@@ -47,28 +51,18 @@ struct FakeApp {
     d.appId = id;
     d.cores = cores;
     d.estAloneSeconds = estAlone;
-    Info wire = d.toInfo();
-    wire.set(msg::kType, msg::kInform);
-    ports.send(msg::arbiterPort(), id, std::move(wire));
+    ports.send(msg::arbiterPort(), id, Message::inform(d));
   }
   void release(double progress) {
-    Info wire;
-    wire.set(msg::kType, msg::kRelease);
-    wire.setDouble(msg::kProgress, progress);
-    ports.send(msg::arbiterPort(), id, std::move(wire));
+    ports.send(msg::arbiterPort(), id, Message::release(progress));
   }
   void complete() {
-    Info wire;
-    wire.set(msg::kType, msg::kComplete);
-    ports.send(msg::arbiterPort(), id, std::move(wire));
+    ports.send(msg::arbiterPort(), id, Message::complete());
   }
   void pauseAck(double progress) {
-    Info wire;
-    wire.set(msg::kType, msg::kPauseAck);
-    wire.setDouble(msg::kProgress, progress);
-    ports.send(msg::arbiterPort(), id, std::move(wire));
+    ports.send(msg::arbiterPort(), id, Message::pauseAck(progress));
   }
-  [[nodiscard]] int count(const std::string& type) const {
+  [[nodiscard]] int count(MessageType type) const {
     int n = 0;
     for (const auto& t : received) {
       if (t == type) {
@@ -91,7 +85,7 @@ TEST(ArbiterTest, FirstRequestIsGrantedImmediately) {
   FakeApp a(1, rig.ports);
   a.inform();
   rig.eng.run();
-  EXPECT_EQ(a.count(msg::kGrant), 1);
+  EXPECT_EQ(a.count(MessageType::Grant), 1);
   EXPECT_EQ(rig.arbiter.currentAccessors(),
             std::vector<std::uint32_t>{1});
 }
@@ -106,16 +100,16 @@ TEST(ArbiterTest, FcfsQueuesAndGrantsInOrder) {
   b.inform();
   c.inform();
   rig.eng.run();
-  EXPECT_EQ(b.count(msg::kGrant), 0);
+  EXPECT_EQ(b.count(MessageType::Grant), 0);
   EXPECT_EQ(rig.arbiter.waitQueue(),
             (std::vector<std::uint32_t>{2, 3}));
   a.complete();
   rig.eng.run();
-  EXPECT_EQ(b.count(msg::kGrant), 1);
-  EXPECT_EQ(c.count(msg::kGrant), 0);
+  EXPECT_EQ(b.count(MessageType::Grant), 1);
+  EXPECT_EQ(c.count(MessageType::Grant), 0);
   b.complete();
   rig.eng.run();
-  EXPECT_EQ(c.count(msg::kGrant), 1);
+  EXPECT_EQ(c.count(MessageType::Grant), 1);
 }
 
 TEST(ArbiterTest, InterferePolicyGrantsEveryone) {
@@ -126,8 +120,8 @@ TEST(ArbiterTest, InterferePolicyGrantsEveryone) {
   rig.eng.run();
   b.inform();
   rig.eng.run();
-  EXPECT_EQ(a.count(msg::kGrant), 1);
-  EXPECT_EQ(b.count(msg::kGrant), 1);
+  EXPECT_EQ(a.count(MessageType::Grant), 1);
+  EXPECT_EQ(b.count(MessageType::Grant), 1);
   EXPECT_EQ(rig.arbiter.currentAccessors().size(), 2u);
   a.complete();
   b.complete();
@@ -143,15 +137,15 @@ TEST(ArbiterTest, InterruptWaitsForAckBeforeGranting) {
   rig.eng.run();
   b.inform();
   rig.eng.run();
-  EXPECT_EQ(a.count(msg::kPause), 1);
-  EXPECT_EQ(b.count(msg::kGrant), 0);  // not yet: A has not acked
+  EXPECT_EQ(a.count(MessageType::Pause), 1);
+  EXPECT_EQ(b.count(MessageType::Grant), 0);  // not yet: A has not acked
   a.pauseAck(0.4);
   rig.eng.run();
-  EXPECT_EQ(b.count(msg::kGrant), 1);
+  EXPECT_EQ(b.count(MessageType::Grant), 1);
   EXPECT_EQ(rig.arbiter.pausedStack(), std::vector<std::uint32_t>{1});
   b.complete();
   rig.eng.run();
-  EXPECT_EQ(a.count(msg::kResume), 1);
+  EXPECT_EQ(a.count(MessageType::Resume), 1);
   EXPECT_EQ(rig.arbiter.currentAccessors(),
             std::vector<std::uint32_t>{1});
 }
@@ -166,14 +160,14 @@ TEST(ArbiterTest, CompletionBeforeAckCountsAsImplicitAck) {
   rig.eng.run();
   b.inform();
   rig.eng.run();
-  ASSERT_EQ(a.count(msg::kPause), 1);
+  ASSERT_EQ(a.count(MessageType::Pause), 1);
   a.complete();  // crossing: completes instead of acking
   rig.eng.run();
-  EXPECT_EQ(b.count(msg::kGrant), 1);
+  EXPECT_EQ(b.count(MessageType::Grant), 1);
   EXPECT_TRUE(rig.arbiter.pausedStack().empty());
   b.complete();
   rig.eng.run();
-  EXPECT_EQ(a.count(msg::kResume), 0);  // nothing to resume
+  EXPECT_EQ(a.count(MessageType::Resume), 0);  // nothing to resume
 }
 
 TEST(ArbiterTest, NewcomersQueueWhileInterruptSettles) {
@@ -187,19 +181,20 @@ TEST(ArbiterTest, NewcomersQueueWhileInterruptSettles) {
   rig.eng.run();  // pause sent to A, not yet acked
   c.inform();
   rig.eng.run();
-  EXPECT_EQ(c.count(msg::kGrant), 0);
-  EXPECT_EQ(a.count(msg::kPause), 1);  // C did not trigger a second pause
+  EXPECT_EQ(c.count(MessageType::Grant), 0);
+  // C did not trigger a second pause.
+  EXPECT_EQ(a.count(MessageType::Pause), 1);
   a.pauseAck(0.5);
   rig.eng.run();
-  EXPECT_EQ(b.count(msg::kGrant), 1);
+  EXPECT_EQ(b.count(MessageType::Grant), 1);
   b.complete();
   rig.eng.run();
   // A (paused) resumes before C (queued).
-  EXPECT_EQ(a.count(msg::kResume), 1);
-  EXPECT_EQ(c.count(msg::kGrant), 0);
+  EXPECT_EQ(a.count(MessageType::Resume), 1);
+  EXPECT_EQ(c.count(MessageType::Grant), 0);
   a.complete();
   rig.eng.run();
-  EXPECT_EQ(c.count(msg::kGrant), 1);
+  EXPECT_EQ(c.count(MessageType::Grant), 1);
 }
 
 TEST(ArbiterTest, ReleaseUpdatesProgressForDynamicDecisions) {
@@ -243,7 +238,7 @@ TEST(ArbiterTest, UnknownAppMessagesAreIgnored) {
   EXPECT_TRUE(rig.arbiter.currentAccessors().empty());
   a.inform();
   rig.eng.run();
-  EXPECT_EQ(a.count(msg::kGrant), 1);  // still functional afterwards
+  EXPECT_EQ(a.count(MessageType::Grant), 1);  // still functional afterwards
 }
 
 TEST(ArbiterTest, GrantsAndPausesAreCounted) {
@@ -276,11 +271,11 @@ TEST(ArbiterTest, TerminatedAccessorUnblocksTheQueue) {
   rig.eng.run();
   b.inform();
   rig.eng.run();
-  EXPECT_EQ(b.count(msg::kGrant), 0);
+  EXPECT_EQ(b.count(MessageType::Grant), 0);
   // A's job is killed by the scheduler; it never sends Complete.
   rig.arbiter.onApplicationTerminated(1);
   rig.eng.run();
-  EXPECT_EQ(b.count(msg::kGrant), 1);
+  EXPECT_EQ(b.count(MessageType::Grant), 1);
 }
 
 TEST(ArbiterTest, TerminatedInterrupterAbandonsThePause) {
@@ -291,14 +286,14 @@ TEST(ArbiterTest, TerminatedInterrupterAbandonsThePause) {
   rig.eng.run();
   b.inform();
   rig.eng.run();
-  ASSERT_EQ(a.count(msg::kPause), 1);
+  ASSERT_EQ(a.count(MessageType::Pause), 1);
   // B dies before A reaches a hook and acks.
   rig.arbiter.onApplicationTerminated(2);
   rig.eng.run();
   // A acks its (now pointless) pause and must be resumed right away.
   a.pauseAck(0.5);
   rig.eng.run();
-  EXPECT_EQ(a.count(msg::kResume), 1);
+  EXPECT_EQ(a.count(MessageType::Resume), 1);
   EXPECT_EQ(rig.arbiter.currentAccessors(), std::vector<std::uint32_t>{1});
   a.complete();
   rig.eng.run();
@@ -318,8 +313,8 @@ TEST(ArbiterTest, TerminatedQueuedAppIsForgotten) {
   rig.arbiter.onApplicationTerminated(2);  // B dies while queued
   a.complete();
   rig.eng.run();
-  EXPECT_EQ(b.count(msg::kGrant), 0);
-  EXPECT_EQ(c.count(msg::kGrant), 1);  // C skipped past the dead B
+  EXPECT_EQ(b.count(MessageType::Grant), 0);
+  EXPECT_EQ(c.count(MessageType::Grant), 1);  // C skipped past the dead B
 }
 
 TEST(ArbiterTest, TerminatingUnknownAppIsANoop) {
@@ -394,18 +389,16 @@ TEST(ArbiterTest, DecisionToJsonDumpsContextAndCosts) {
 
 // ---------------------------------------------------------------------------
 // Idempotency under replayed / reordered traffic. A SeqApp is a FakeApp that
-// stamps kSeq (and kEpoch) the way a hardened Session does, so the core's
+// stamps seq (and epoch) the way a hardened Session does, so the core's
 // admission filters engage; the invariant throughout is that duplicates and
 // reorders leave the decision stream and the grant log byte-identical.
 
 struct SeqApp : FakeApp {
   using FakeApp::FakeApp;
 
-  void send(const char* type, Info wire, std::uint64_t seq,
-            std::uint64_t epoch) {
-    wire.set(msg::kType, type);
-    wire.setInt(msg::kSeq, static_cast<std::int64_t>(seq));
-    wire.setInt(msg::kEpoch, static_cast<std::int64_t>(epoch));
+  void send(Message wire, std::uint64_t seq, std::uint64_t epoch) {
+    wire.setSeq(seq);
+    wire.setEpoch(epoch);
     ports.send(msg::arbiterPort(), id, std::move(wire));
   }
   void inform(std::uint64_t seq, std::uint64_t epoch) {
@@ -413,20 +406,16 @@ struct SeqApp : FakeApp {
     d.appId = id;
     d.cores = 64;
     d.estAloneSeconds = 10.0;
-    send(msg::kInform, d.toInfo(), seq, epoch);
+    send(Message::inform(d), seq, epoch);
   }
   void release(double progress, std::uint64_t seq, std::uint64_t epoch) {
-    Info wire;
-    wire.setDouble(msg::kProgress, progress);
-    send(msg::kRelease, std::move(wire), seq, epoch);
+    send(Message::release(progress), seq, epoch);
   }
   void pauseAck(double progress, std::uint64_t seq, std::uint64_t epoch) {
-    Info wire;
-    wire.setDouble(msg::kProgress, progress);
-    send(msg::kPauseAck, std::move(wire), seq, epoch);
+    send(Message::pauseAck(progress), seq, epoch);
   }
   void complete(std::uint64_t seq, std::uint64_t epoch) {
-    send(msg::kComplete, Info{}, seq, epoch);
+    send(Message::complete(), seq, epoch);
   }
 };
 
@@ -533,20 +522,12 @@ TEST(ArbiterIdempotencyTest, OutOfOrderCompleteInformMatchesOrdered) {
 using calciom::core::ArbiterCore;
 using calciom::core::LeaseConfig;
 
-calciom::mpi::Info coreInformWire(std::uint32_t id) {
+Message coreInformWire(std::uint32_t id) {
   IoDescriptor d;
   d.appId = id;
   d.cores = 64;
   d.estAloneSeconds = 10.0;
-  Info w = d.toInfo();
-  w.set(msg::kType, msg::kInform);
-  return w;
-}
-
-calciom::mpi::Info coreTypedWire(const char* type) {
-  Info w;
-  w.set(msg::kType, type);
-  return w;
+  return Message::inform(d);
 }
 
 TEST(ArbiterLeaseEdgeTest, CompleteAndLeaseSweepOnTheSameInstant) {
@@ -562,14 +543,14 @@ TEST(ArbiterLeaseEdgeTest, CompleteAndLeaseSweepOnTheSameInstant) {
     core.onMessage(0.2, 2, coreInformWire(2), out);  // queued
     const double t = 1.6;  // holder silent since 0.0: over-lease at t
     if (completeFirst) {
-      core.onMessage(t, 1, coreTypedWire(msg::kComplete), out);
+      core.onMessage(t, 1, Message::complete(), out);
       core.onTick(t, out);
       EXPECT_EQ(core.leaseReclaims(), 0u);  // Idle apps are never swept
     } else {
       core.onTick(t, out);  // reclaims the silent holder first
       EXPECT_EQ(core.leaseReclaims(), 1u);
       // The crossing Complete arrives from a now-unknown app: ignored.
-      core.onMessage(t, 1, coreTypedWire(msg::kComplete), out);
+      core.onMessage(t, 1, Message::complete(), out);
       EXPECT_EQ(core.leaseReclaims(), 1u);
     }
     EXPECT_EQ(core.currentAccessors(), std::vector<std::uint32_t>{2});
@@ -591,8 +572,7 @@ TEST(ArbiterLeaseEdgeTest, HeartbeatExactlyAtExpiryRenewsTheLease) {
   core.onMessage(0.0, 1, coreInformWire(1), out);  // granted at t=0
   core.onTick(1.5, out);  // exactly at the boundary: not expired
   EXPECT_EQ(core.leaseReclaims(), 0u);
-  Info hb = coreTypedWire(msg::kHeartbeat);
-  hb.set(msg::kSessionState, "accessing");
+  const Message hb = Message::heartbeat(std::nullopt, SessionState::Accessing);
   core.onMessage(1.5, 1, hb, out);  // boundary heartbeat renews the clock
   core.onTick(3.0, out);            // 3.0 - 1.5 == lease: still alive
   EXPECT_EQ(core.leaseReclaims(), 0u);
@@ -619,8 +599,7 @@ TEST(ArbiterLeaseEdgeTest, ReclamationRacesADelayedRelease) {
   EXPECT_EQ(core.currentAccessors(), std::vector<std::uint32_t>{2});
   const std::size_t grants = core.grantLog().size();
 
-  Info rel = coreTypedWire(msg::kRelease);
-  rel.setDouble(msg::kProgress, 0.7);
+  const Message rel = Message::release(0.7);
   core.onMessage(1.7, 1, rel, out);  // the delayed Release finally arrives
   EXPECT_EQ(core.currentAccessors(), std::vector<std::uint32_t>{2});
   EXPECT_EQ(core.grantLog().size(), grants);
@@ -628,35 +607,37 @@ TEST(ArbiterLeaseEdgeTest, ReclamationRacesADelayedRelease) {
 
   core.onMessage(1.8, 1, coreInformWire(1), out);  // re-Inform: re-admits
   EXPECT_EQ(core.waitQueue(), std::vector<std::uint32_t>{1});
-  core.onMessage(2.0, 2, coreTypedWire(msg::kComplete), out);
+  core.onMessage(2.0, 2, Message::complete(), out);
   EXPECT_EQ(core.currentAccessors(), std::vector<std::uint32_t>{1});
   EXPECT_LE(core.maxConcurrentAccessors(), 1u);
 }
 
 // ---------------------------------------------------------------------------
-// encodeCommand: the one wire encoder of both transports. Golden payloads.
+// encodeCommand: the one wire encoder of both transports. Golden messages.
 
 TEST(EncodeCommand, UnstampedCommandCarriesOnlyItsType) {
-  const Info wire = encodeCommand(ArbiterCommand{.app = 3,
-                                                 .type = CommandType::Pause});
-  EXPECT_EQ(wire.keys(), std::vector<std::string>{msg::kType});
-  EXPECT_EQ(*wire.get(msg::kType), msg::kPause);
+  const Message wire =
+      encodeCommand(ArbiterCommand{.app = 3, .type = CommandType::Pause});
+  EXPECT_EQ(wire.type(), MessageType::Pause);
+  EXPECT_EQ(wire.cmdSeq(), 0u);
+  EXPECT_EQ(wire.epoch(), 0u);
+  EXPECT_EQ(wire.incarnation(), 0u);
+  EXPECT_EQ(wire.arbiterIncarnation(), 0u);
 }
 
 TEST(EncodeCommand, EveryNonzeroStampIsSerialized) {
-  const Info wire =
+  const Message wire =
       encodeCommand(ArbiterCommand{.app = 3,
                                    .type = CommandType::Recover,
                                    .epoch = 7,
                                    .cmdSeq = 42,
                                    .incarnation = 2,
                                    .arbiterIncarnation = 5});
-  EXPECT_EQ(wire.size(), 5u);
-  EXPECT_EQ(*wire.get(msg::kType), msg::kRecover);
-  EXPECT_EQ(*wire.get(msg::kCmdSeq), "42");
-  EXPECT_EQ(*wire.get(msg::kEpoch), "7");
-  EXPECT_EQ(*wire.get(msg::kIncarnation), "2");
-  EXPECT_EQ(*wire.get(msg::kArbiterIncarnation), "5");
+  EXPECT_EQ(wire.type(), MessageType::Recover);
+  EXPECT_EQ(wire.cmdSeq(), 42u);
+  EXPECT_EQ(wire.epoch(), 7u);
+  EXPECT_EQ(wire.incarnation(), 2u);
+  EXPECT_EQ(wire.arbiterIncarnation(), 5u);
 }
 
 }  // namespace

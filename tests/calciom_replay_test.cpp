@@ -36,7 +36,6 @@ using calciom::core::PolicyKind;
 using calciom::core::Session;
 using calciom::core::SessionConfig;
 using calciom::io::PhaseInfo;
-using calciom::mpi::Info;
 using calciom::mpi::PortRegistry;
 using calciom::sim::Delay;
 using calciom::sim::Engine;
@@ -214,13 +213,11 @@ TEST(CalciomReplayTest, OnlineSessionsMatchOfflineSchedule) {
       d.appId = ev.e->app;
       d.cores = 64;
       d.estAloneSeconds = ev.e->end - ev.e->grant;
-      Info wire = d.toInfo();
-      wire.set(calciom::core::msg::kType, calciom::core::msg::kInform);
-      core.onMessage(ev.t, ev.e->app, wire, cmds);
+      core.onMessage(ev.t, ev.e->app, calciom::core::Message::inform(d),
+                     cmds);
     } else {
-      Info wire;
-      wire.set(calciom::core::msg::kType, calciom::core::msg::kComplete);
-      core.onMessage(ev.t, ev.e->app, wire, cmds);
+      core.onMessage(ev.t, ev.e->app, calciom::core::Message::complete(),
+                     cmds);
     }
   }
   ASSERT_EQ(core.decisions().size(), online.size());

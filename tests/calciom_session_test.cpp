@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -201,18 +202,50 @@ TEST(SessionTest, InformCountsAndConfigAccessors) {
 
 using Wire = std::vector<std::pair<std::string, std::string>>;
 
-Wire wireOf(const calciom::mpi::Info& payload) {
+/// A session message in the key/value text form the wire had before it
+/// was typed (keys sorted, numbers as std::to_string renders them), so the
+/// golden values below read as they always did.
+Wire wireOf(const calciom::core::Message& m) {
+  using calciom::core::MessageType;
+  static constexpr const char* kTypeNames[] = {
+      "inform", "release", "complete", "pause_ack", "heartbeat",
+      "grant",  "pause",   "resume",   "recover"};
   Wire out;
-  for (const std::string& key : payload.keys()) {
-    out.emplace_back(key, *payload.get(key));
+  const auto add = [&out](const char* key, std::string value) {
+    out.emplace_back(key, std::move(value));
+  };
+  if (m.type() == MessageType::Inform) {
+    const calciom::core::IoDescriptor& d = m.descriptor();
+    add("calciom.app_id", std::to_string(d.appId));
+    add("calciom.app_name", d.appName);
+    add("calciom.bytes_per_round", std::to_string(d.bytesPerRound));
+    add("calciom.cores", std::to_string(d.cores));
+    add("calciom.est_alone_seconds", std::to_string(d.estAloneSeconds));
+    add("calciom.files", std::to_string(d.files));
+    add("calciom.rounds_per_file", std::to_string(d.roundsPerFile));
+    add("calciom.total_bytes", std::to_string(d.totalBytes));
   }
+  if (m.epoch() != 0) {
+    add("calciom.epoch", std::to_string(m.epoch()));
+  }
+  if (m.incarnation() != 0) {
+    add("calciom.incarnation", std::to_string(m.incarnation()));
+  }
+  if (m.type() != MessageType::Complete && m.progress()) {
+    add("calciom.progress", std::to_string(*m.progress()));
+  }
+  if (m.seq() != 0) {
+    add("calciom.seq", std::to_string(m.seq()));
+  }
+  add("calciom.type", kTypeNames[static_cast<int>(m.type())]);
+  std::sort(out.begin(), out.end());
   return out;
 }
 
-// The exact bytes a Session puts on the wire. Decisions, captures and
-// every pinned fingerprint are computed from these strings, so any change
-// here (a key, the order, the six-decimal rendering of doubles) is a
-// deliberate wire-format change, not a refactoring.
+// What a Session puts on the wire. Decisions, captures and every pinned
+// fingerprint are computed from these values, so any change here (a
+// field, the six-decimal rounding of doubles) is a deliberate wire-format
+// change, not a refactoring.
 TEST(SessionWireTest, InformReleasePauseAckPayloadsAreGolden) {
   Rig rig(PolicyKind::Interrupt);
   calciom::core::EventLog log;
@@ -275,6 +308,38 @@ TEST(SessionWireTest, InformReleasePauseAckPayloadsAreGolden) {
                   {"calciom.incarnation", "3"},
                   {"calciom.seq", "4"},
                   {"calciom.type", "complete"}}));
+}
+
+// Prepare() hints are folded over the descriptor once per Inform, the
+// MPI_Info way: later hints win over earlier ones and over the phase's own
+// values, keys the descriptor does not know are ignored, and a hinted
+// estimate still travels six-decimal rounded.
+TEST(SessionWireTest, PrepareHintsOverrideTheInformDescriptor) {
+  using calciom::core::IoDescriptor;
+  Rig rig(PolicyKind::Fcfs);
+  calciom::core::EventLog log;
+  Session s(rig.eng, rig.ports,
+            SessionConfig{.appId = 5, .appName = "phase", .cores = 8});
+  s.captureTo(&log);
+  calciom::mpi::Info older;
+  older.setDouble(IoDescriptor::kEstAlone, 2.0 / 3.0);
+  older.set(IoDescriptor::kAppName, "older");
+  older.set("layer", "hdf5");
+  calciom::mpi::Info newer;
+  newer.set(IoDescriptor::kAppName, "newer");
+  newer.setInt(IoDescriptor::kCores, 16);
+  s.prepare(older);
+  s.prepare(newer);
+  Time granted = -1.0;
+  rig.eng.spawn(informAndWait(rig.eng, s, simplePhase(5, 1.0), &granted));
+  rig.eng.run();
+  ASSERT_EQ(log.events().size(), 1u);
+  const IoDescriptor& d = log.events()[0].payload.descriptor();
+  EXPECT_EQ(d.appId, 5u);
+  EXPECT_EQ(d.appName, "newer");
+  EXPECT_EQ(d.cores, 16);
+  EXPECT_EQ(d.totalBytes, 1000u);
+  EXPECT_EQ(d.estAloneSeconds, 0.666667);
 }
 
 TEST(SessionTest, InvalidCoreCountThrows) {

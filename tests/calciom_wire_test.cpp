@@ -1,0 +1,292 @@
+// The typed coordination wire (src/calciom/wire.hpp): the six-decimal
+// rounding helper held to the text wire it replaces, tag-checked field
+// reads, port names, and a recorded crash/restart stream whose write-ahead
+// log replays and snapshots must equal what the text wire produced.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "analysis/replay.hpp"
+#include "calciom/arbiter_core.hpp"
+#include "calciom/metrics.hpp"
+#include "calciom/recovery.hpp"
+#include "calciom/wire.hpp"
+#include "fault/chaos.hpp"
+#include "mpi/info.hpp"
+#include "sim/contracts.hpp"
+#include "sim/rng.hpp"
+
+namespace {
+
+using calciom::PreconditionError;
+using calciom::core::ArbiterConfig;
+using calciom::core::ArbiterCore;
+using calciom::core::ArbiterHost;
+using calciom::core::encodeSnapshot;
+using calciom::core::IoDescriptor;
+using calciom::core::makePolicy;
+using calciom::core::Message;
+using calciom::core::MessageType;
+using calciom::core::PolicyKind;
+using calciom::core::SessionState;
+using calciom::core::wireRound;
+using calciom::fault::ChaosConfig;
+using calciom::fault::chaosPlan;
+using calciom::fault::ChaosResult;
+using calciom::fault::ChaosTransport;
+using calciom::fault::runChaos;
+using calciom::fault::withArbiterCrash;
+namespace msg = calciom::core::msg;
+namespace replay = calciom::analysis::replay;
+
+constexpr PolicyKind kPolicies[] = {PolicyKind::Fcfs, PolicyKind::Interrupt,
+                                    PolicyKind::Dynamic};
+
+// ---------------------------------------------------------------------------
+// wireRound against the text wire: Info::setDouble renders "%f" and
+// Info::getDouble parses it back with strtod. Every input must come back
+// bit-identical from both.
+
+/// The text wire's round trip.
+double textRoundTrip(double v) {
+  calciom::mpi::Info info;
+  info.setDouble("v", v);
+  const auto back = info.getDouble("v");
+  EXPECT_TRUE(back.has_value()) << std::to_string(v);
+  return back.value_or(0.0);
+}
+
+std::vector<double> wireInputs() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> in = {
+      0.0,
+      -0.0,
+      5e-7,
+      -5e-7,
+      4.9e-7,
+      -4.9e-7,
+      5.000000000000001e-7,
+      1.0 / 3.0,
+      2.0 / 3.0,
+      0.1,
+      0.5,
+      0.0000005,
+      0.0000015,
+      0.0000025,
+      1e300,
+      -1e300,
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      kInf,
+      -kInf,
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::signaling_NaN(),
+      std::bit_cast<double>(0x7ff0000000000001ull),  // smallest sNaN payload
+      std::bit_cast<double>(0x7ff8dead0000beefull),  // qNaN with a payload
+      std::bit_cast<double>(0xfff4000000000001ull),  // negative sNaN
+      std::bit_cast<double>(0x000fffffffffffffull),  // largest subnormal
+      std::bit_cast<double>(0x8000000000000abcull),  // negative subnormal
+  };
+  calciom::sim::Xoshiro256 rng(20);
+  for (int i = 0; i < 20000; ++i) {
+    switch (i % 4) {
+      case 0:  // any bit pattern: every magnitude, subnormals, inf, NaN
+        in.push_back(std::bit_cast<double>(rng()));
+        break;
+      case 1: {  // a decade from 1e-12 to 1e18, where the rounding bites
+        const double decade = std::pow(10.0, static_cast<double>(
+                                                 static_cast<int>(rng() % 31) -
+                                                 12));
+        in.push_back(decade * rng.uniform01() * ((rng() & 1) ? -1.0 : 1.0));
+        break;
+      }
+      case 2:  // progress-like fractions
+        in.push_back(static_cast<double>(rng() % 1000) /
+                     static_cast<double>(1 + rng() % 999));
+        break;
+      default:  // halfway cases of the sixth decimal, and their neighbours
+        in.push_back(std::nextafter(
+            (static_cast<double>(rng() % 2000000) + 0.5) * 1e-6,
+            (rng() & 1) ? kInf : -kInf));
+        break;
+    }
+  }
+  return in;
+}
+
+TEST(WireRound, MatchesTheTextWireBitForBit) {
+  for (const double v : wireInputs()) {
+    const auto got = std::bit_cast<std::uint64_t>(wireRound(v));
+    const auto want = std::bit_cast<std::uint64_t>(textRoundTrip(v));
+    ASSERT_EQ(got, want) << std::hex << "input bits "
+                         << std::bit_cast<std::uint64_t>(v);
+  }
+}
+
+TEST(WireRound, RoundsToSixDecimalsAndIsIdempotent) {
+  EXPECT_EQ(wireRound(1.0 / 3.0), 0.333333);
+  EXPECT_EQ(wireRound(2.0 / 3.0), 0.666667);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(wireRound(4.9e-7)), 0u);
+  EXPECT_TRUE(std::signbit(wireRound(-4.9e-7)));
+  for (const double v : wireInputs()) {
+    const double once = wireRound(v);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(wireRound(once)),
+              std::bit_cast<std::uint64_t>(once));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Tag-checked fields.
+
+TEST(WireMessage, ReadingProgressFromAGrantTraps) {
+  const Message grant = Message::command(MessageType::Grant);
+  EXPECT_THROW((void)grant.progress(), PreconditionError);
+}
+
+TEST(WireMessage, EveryFieldChecksTheTag) {
+  Message grant = Message::command(MessageType::Grant);
+  EXPECT_THROW((void)grant.seq(), PreconditionError);
+  EXPECT_THROW((void)grant.sessionState(), PreconditionError);
+  EXPECT_THROW((void)grant.descriptor(), PreconditionError);
+  EXPECT_THROW(grant.setProgress(0.5), PreconditionError);
+  Message release = Message::release(0.25);
+  EXPECT_THROW((void)release.cmdSeq(), PreconditionError);
+  EXPECT_THROW((void)release.arbiterIncarnation(), PreconditionError);
+  EXPECT_THROW((void)release.descriptor(), PreconditionError);
+  EXPECT_THROW(release.setSessionState(SessionState::Idle),
+               PreconditionError);
+  EXPECT_THROW((void)Message::complete().progress(), PreconditionError);
+  EXPECT_THROW((void)Message::command(MessageType::Inform),
+               PreconditionError);
+  // The common stamps belong to every type.
+  grant.setEpoch(4);
+  release.setEpoch(4);
+  EXPECT_EQ(grant.epoch(), release.epoch());
+}
+
+TEST(WireMessage, AbsentFieldsReadAsUnstamped) {
+  const Message hb = Message::heartbeat();
+  EXPECT_EQ(hb.progress(), std::nullopt);
+  EXPECT_EQ(hb.sessionState(), SessionState::None);
+  EXPECT_EQ(hb.seq(), 0u);
+  EXPECT_EQ(hb.epoch(), 0u);
+  EXPECT_EQ(hb.incarnation(), 0u);
+  const Message rel = Message::release(1.0 / 3.0);
+  EXPECT_EQ(rel.progress(), 0.333333);  // stored wire-rounded
+}
+
+TEST(WireMessage, InformCarriesAWireRoundedDescriptor) {
+  const IoDescriptor d{.appId = 9,
+                       .appName = "a-name-longer-than-fifteen-characters",
+                       .cores = 16,
+                       .estAloneSeconds = 1.0 / 3.0};
+  const Message m = Message::inform(d);
+  EXPECT_EQ(m.descriptor().appName, d.appName);
+  EXPECT_EQ(m.descriptor().estAloneSeconds, 0.333333);
+  // The descriptor the arbiter reads is the one the text wire delivered.
+  EXPECT_EQ(m.descriptor(), IoDescriptor::fromInfo(d.toInfo()));
+}
+
+TEST(WirePorts, AppPortNamesAreFormattedInPlace) {
+  EXPECT_EQ(msg::appPort(0).view(), "calciom/app/0");
+  EXPECT_EQ(msg::appPort(12345).view(), "calciom/app/12345");
+  EXPECT_EQ(msg::appPort(4294967295u).view(), "calciom/app/4294967295");
+  EXPECT_EQ(msg::arbiterPort(), "calciom/arbiter");
+}
+
+// ---------------------------------------------------------------------------
+// Typed WAL replay and snapshots against the text wire. The hashes below
+// were produced by the same code running over the text (mpi::Info) wire;
+// the typed wire must reproduce them exactly.
+
+/// FNV-1a over a byte string.
+std::uint64_t fnv(std::string_view bytes,
+                  std::uint64_t h = 0xcbf29ce484222325ull) {
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// A recorded coordination stream (one day of the seed-1 Intrepid model
+/// through replaySession, Dynamic policy) fed into a checkpointing arbiter
+/// host that crashes and restarts every 997 messages. Each restart rebuilds
+/// the core from its checkpoint plus the write-ahead log; the snapshot
+/// encodings taken right after every restart, and at the end, fold into
+/// one hash.
+std::uint64_t crashRestartStreamHash() {
+  replay::ReplayConfig cfg;
+  cfg.model.seed = calciom::sim::SplitMix64(1).next();
+  cfg.model.horizonSeconds = 3600.0 * 24;
+  cfg.policy = PolicyKind::Dynamic;
+  const replay::ReplayResult r = replay::replaySession(cfg);
+  EXPECT_GT(r.captured.size(), 2000u);
+  ArbiterConfig config;
+  config.checkpointEverySeconds = 600.0;
+  ArbiterHost host(
+      makePolicy(PolicyKind::Dynamic,
+                 std::make_shared<calciom::core::CpuSecondsWasted>(),
+                 cfg.dynamicOptions),
+      config);
+  ArbiterCore::Commands out;
+  std::uint64_t h = fnv("");
+  std::size_t restarts = 0;
+  for (std::size_t i = 0; i < r.captured.size(); ++i) {
+    const auto& e = r.captured[i];
+    host.onMessage(e.time, e.app, e.payload, out);
+    host.core().onTick(e.time, out);
+    host.maybeCheckpoint(e.time);
+    if (i % 997 == 500) {
+      host.crash();
+      host.restart(e.time, out);
+      ++restarts;
+      h = fnv(encodeSnapshot(host.core().snapshot(e.time)), h);
+    }
+    out.clear();
+  }
+  EXPECT_GE(restarts, 2u);
+  EXPECT_GT(host.checkpointStore().walAppended(), 0u);
+  return fnv(encodeSnapshot(host.core().snapshot(r.captured.back().time)), h);
+}
+
+/// Chaos campaigns with arbiter crashes on both transports: the final
+/// snapshot encodings and decision fingerprints, folded.
+std::uint64_t chaosCrashHash() {
+  std::uint64_t h = fnv("");
+  for (const std::uint64_t seed : {3ull, 11ull, 29ull}) {
+    for (const ChaosTransport t :
+         {ChaosTransport::SameEngine, ChaosTransport::Cluster}) {
+      ChaosConfig c;
+      c.transport = t;
+      c.policy = kPolicies[seed % 3];
+      c.plan = withArbiterCrash(chaosPlan(seed, c.apps), seed);
+      const ChaosResult res = runChaos(c);
+      h = fnv(res.snapshotEncoding, h);
+      h = fnv(std::to_string(res.fingerprint), h);
+    }
+  }
+  return h;
+}
+
+TEST(WireReplay, CrashRestartStreamMatchesTheTextWire) {
+  EXPECT_EQ(crashRestartStreamHash(), 0x4f1e7a035e9e1a7bull);
+}
+
+TEST(WireReplay, ChaosCrashSnapshotsMatchTheTextWire) {
+  EXPECT_EQ(chaosCrashHash(), 0x249eef50edc97d26ull);
+}
+
+}  // namespace

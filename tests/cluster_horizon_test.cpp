@@ -213,7 +213,7 @@ TEST(ClusterHorizonTest, GlobalArbiterVoteAnswers) {
   {  // A stub holding traffic must be merged at the next barrier.
     Rig r(s);
     r.cl.machine(1).ports().deliverNow(calciom::core::msg::arbiterPort(),
-                                       /*fromApp=*/1, calciom::mpi::Info{});
+                                       /*fromApp=*/1, calciom::core::Message{});
     EXPECT_EQ(r.ga.nextBarrierNeededBy(now), now);
   }
   {  // Leases: every barrier is a lease sweep.

@@ -49,26 +49,25 @@ using calciom::fault::ChaosResult;
 using calciom::fault::ChaosTransport;
 using calciom::fault::runChaos;
 using calciom::fault::withArbiterCrash;
-using calciom::mpi::Info;
-namespace msg = calciom::core::msg;
+using calciom::core::Message;
+using calciom::core::SessionState;
 namespace replay = calciom::analysis::replay;
 
 constexpr PolicyKind kPolicies[] = {PolicyKind::Fcfs, PolicyKind::Interrupt,
                                     PolicyKind::Dynamic};
 
-Info informWire(std::uint32_t id, int cores = 64, double estAlone = 10.0) {
+Message informWire(std::uint32_t id, int cores = 64, double estAlone = 10.0) {
   IoDescriptor d;
   d.appId = id;
   d.cores = cores;
   d.estAloneSeconds = estAlone;
-  Info w = d.toInfo();
-  w.set(msg::kType, msg::kInform);
-  return w;
+  return Message::inform(d);
 }
 
-Info typedWire(const char* type) {
-  Info w;
-  w.set(msg::kType, type);
+/// A recovery report: the Inform a session answers a Recover with.
+Message reportWire(std::uint32_t id, SessionState claim) {
+  Message w = informWire(id);
+  w.setSessionState(claim);
   return w;
 }
 
@@ -84,9 +83,7 @@ TEST(RecoverySnapshot, RestoreRoundTripIsBitExact) {
   ArbiterCore::Commands out;
   a.onInform(1.0, 1, informWire(1), out);  // granted
   a.onInform(1.5, 2, informWire(2), out);  // interrupt: Pause to 1
-  Info ack = typedWire(msg::kPauseAck);
-  ack.setDouble(msg::kProgress, 0.4);
-  a.onPauseAck(2.0, 1, ack, out);          // 2 granted, 1 paused
+  a.onPauseAck(2.0, 1, Message::pauseAck(0.4), out);  // 2 granted, 1 paused
   a.onInform(2.2, 3, informWire(3), out);  // queues behind the interrupt
   const ArbiterSnapshot snap = a.snapshot(2.5);
   const std::string enc = encodeSnapshot(snap);
@@ -191,14 +188,14 @@ TEST(RecoveryStore, WalReplayReproducesTheLiveCore) {
   CheckpointStore store(8);
   ArbiterCore live(makePolicy(PolicyKind::Fcfs));
   ArbiterCore::Commands out;
-  const auto feed = [&](double t, std::uint32_t app, const Info& w) {
+  const auto feed = [&](double t, std::uint32_t app, const Message& w) {
     store.logMessage(t, app, w);
     live.onMessage(t, app, w, out);
   };
   feed(1.0, 1, informWire(1));
   store.checkpoint(live, 1.0);  // folds the Inform into the snapshot
   feed(2.0, 2, informWire(2));  // -- WAL tail from here --
-  feed(3.0, 1, typedWire(msg::kComplete));
+  feed(3.0, 1, Message::complete());
   store.logTermination(3.5, 2);
   live.onApplicationTerminated(3.5, 2, out);
 
@@ -317,12 +314,8 @@ TEST(RecoveryReconciliation, SessionReportsRebuildAnEmptyCore) {
   EXPECT_TRUE(out.empty());  // no known apps: nobody to ask
 
   // App 1 still holds the pre-crash grant; app 2 was waiting.
-  Info r1 = informWire(1);
-  r1.set(msg::kSessionState, "accessing");
-  core.onInform(10.1, 1, r1, out);
-  Info r2 = informWire(2);
-  r2.set(msg::kSessionState, "waiting");
-  core.onInform(10.2, 2, r2, out);
+  core.onInform(10.1, 1, reportWire(1, SessionState::Accessing), out);
+  core.onInform(10.2, 2, reportWire(2, SessionState::Waiting), out);
   EXPECT_EQ(core.currentAccessors(), std::vector<std::uint32_t>{1});
   EXPECT_EQ(core.waitQueue(), std::vector<std::uint32_t>{2});
   EXPECT_EQ(core.reinstatedAccessors(), 1u);
@@ -356,9 +349,7 @@ TEST(RecoveryReconciliation, WaitingClaimAgainstRestoredAccessorReGrants) {
   EXPECT_EQ(b.recoverCommandsIssued(), 1u);
 
   out.clear();
-  Info r = informWire(1);
-  r.set(msg::kSessionState, "waiting");
-  b.onInform(3.1, 1, r, out);
+  b.onInform(3.1, 1, reportWire(1, SessionState::Waiting), out);
   ASSERT_FALSE(out.empty());
   EXPECT_EQ(out.back().type, CommandType::Grant);
   EXPECT_EQ(out.back().app, 1u);
@@ -380,9 +371,7 @@ TEST(RecoveryReconciliation, SilentAppsAreSweptWhenTheWindowCloses) {
   b.beginRecovery(10.0, 1.0, 1, out);  // long outage: both leases stale
   EXPECT_EQ(out.size(), 2u);           // Recover to both
   // Only app 2 answers; app 1 died with the crash.
-  Info r2 = informWire(2);
-  r2.set(msg::kSessionState, "waiting");
-  b.onInform(10.3, 2, r2, out);
+  b.onInform(10.3, 2, reportWire(2, SessionState::Waiting), out);
   // Mid-window ticks sweep nothing (restored lease clocks predate the
   // crash; sweeping would reclaim apps before they could answer).
   b.onTick(10.5, out);
@@ -396,7 +385,7 @@ TEST(RecoveryReconciliation, SilentAppsAreSweptWhenTheWindowCloses) {
 }
 
 TEST(RecoveryReconciliation, NewcomersQueueUntilTheWindowCloses) {
-  // A fresh Inform (no kSessionState report) during the window registers
+  // A fresh Inform (no session-state report) during the window registers
   // but is not granted: no scheduling decision before the state is rebuilt.
   ArbiterCore core(makePolicy(PolicyKind::Fcfs));
   ArbiterCore::Commands out;

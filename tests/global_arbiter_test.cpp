@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "calciom/arbiter.hpp"
@@ -559,10 +560,10 @@ TEST(GlobalArbiterTest, IdReuseRacesDelayedPredecessorInform) {
   // then; the incarnation fence must drop the stale Inform instead, or the
   // dead predecessor's request re-registers and wedges the queue forever.
   struct DelayFirstCoordMessage final : calciom::mpi::DeliveryFilter {
-    Verdict onSend(const std::string& port, std::uint32_t,
-                   const calciom::mpi::Info&) override {
+    Verdict onSend(std::string_view port, std::uint32_t,
+                   const calciom::core::Message&) override {
       Verdict v;
-      if (!done_ && port.rfind("calciom/", 0) == 0) {
+      if (!done_ && port.starts_with("calciom/")) {
         done_ = true;
         v.extraDelaySeconds = 2.0;
       }

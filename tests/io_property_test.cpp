@@ -76,7 +76,7 @@ TEST_P(IoEstimatePropertyTest, EstimatorMatchesSimulatorWhenAlone) {
         rng.uniform01() < 0.5
             ? contiguousPattern(mb << 20)
             : stridedPattern((mb << 20) / 8, 8);
-    PhaseSpec spec{.fileStem = "p" + std::to_string(trial),
+    PhaseSpec spec{.fileStem = std::string("p").append(std::to_string(trial)),
                    .fileCount = static_cast<int>(rng.uniformInt(1, 4)),
                    .pattern = pattern};
 

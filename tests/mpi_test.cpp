@@ -12,8 +12,11 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "calciom/wire.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/info.hpp"
 #include "mpi/port.hpp"
@@ -25,6 +28,9 @@ namespace {
 using calciom::mpi::Communicator;
 using calciom::mpi::CommCosts;
 using calciom::mpi::DeliveryFilter;
+using calciom::core::IoDescriptor;
+using calciom::core::Message;
+using calciom::core::MessageType;
 using calciom::mpi::Info;
 using calciom::mpi::PortRegistry;
 using calciom::sim::Engine;
@@ -378,74 +384,6 @@ TEST(InfoDifferentialTest, SelfReferentialSetsAndMerges) {
   EXPECT_EQ(info, before);
 }
 
-/// A random decimal literal: sign, digits, optional fraction and exponent.
-/// Spans the normal range, its edges, subnormals, underflow and overflow.
-std::string randomDecimalText(calciom::sim::Xoshiro256& rng) {
-  std::string t;
-  if (rng() % 2 == 0) {
-    t += '-';
-  }
-  const auto digits = [&](std::uint64_t maxLen) {
-    const std::uint64_t len = 1 + rng() % maxLen;
-    for (std::uint64_t i = 0; i < len; ++i) {
-      t += static_cast<char>('0' + rng() % 10);
-    }
-  };
-  digits(20);
-  if (rng() % 2 == 0) {
-    t += '.';
-    digits(20);
-  }
-  if (rng() % 2 == 0) {
-    t += (rng() % 2 == 0) ? 'e' : 'E';
-    if (rng() % 2 == 0) {
-      t += '-';
-    }
-    t += std::to_string(rng() % 340);
-  }
-  return t;
-}
-
-TEST(InfoDifferentialTest, NumericParseMatchesStrtollAndStrtod) {
-  // getInt/getDouble read plain decimal text with from_chars; the fallback
-  // and the contract are strtoll/strtod with the end/ERANGE checks. Every
-  // input must come back identical from both.
-  std::vector<std::string> inputs = {
-      "",     "-",      "+5",     " 5",      "00012",  "12abc",
-      "9223372036854775808",      "-9223372036854775808",
-      "0x1p3",  "0xA",    "-0xff",  "1e400",   "1e-400",   "1e-310",
-      "4.9e-324", "inf",
-      "-inf", "nan",    "-nan",   "-0.000000", "0e999",  "-0",
-      "2.2250738585072014e-308",  "2.2250738585072011e-308",
-      "1.7976931348623157e308",   "1.7976931348623159e308",
-      "0.0000000000000000000000000000001e-300",  "1.5.5", "1e", "-.5",
-      ".5",   "5.",     "1e+5",   "1_000"};
-  calciom::sim::Xoshiro256 rng(11);
-  Info scratch;
-  for (int i = 0; i < 5000; ++i) {
-    scratch.setInt("n", randomInt(rng));
-    inputs.emplace_back(*scratch.find("n"));
-    scratch.setDouble("d", randomDouble(rng));
-    inputs.emplace_back(*scratch.find("d"));
-    inputs.push_back(randomDecimalText(rng));
-  }
-  for (const std::string& text : inputs) {
-    Info info;
-    info.set("v", text);
-    RefInfo ref;
-    ref.m["v"] = text;
-    ASSERT_EQ(info.getInt("v"), ref.getInt("v")) << '"' << text << '"';
-    const auto d = info.getDouble("v");
-    const auto want = ref.getDouble("v");
-    ASSERT_EQ(d.has_value(), want.has_value()) << '"' << text << '"';
-    if (d) {
-      ASSERT_TRUE(std::memcmp(&*d, &*want, sizeof(double)) == 0 ||
-                  (std::isnan(*d) && std::isnan(*want)))
-          << '"' << text << '"';
-    }
-  }
-}
-
 TEST(CommunicatorTest, SingleProcessCollectivesAreFree) {
   Communicator comm(1, CommCosts{.latency = 1e-3, .bandwidthPerProcess = 1e6});
   EXPECT_DOUBLE_EQ(comm.barrierTime(), 0.0);
@@ -493,19 +431,27 @@ TEST(CommunicatorTest, InvalidConfigThrows) {
       calciom::PreconditionError);
 }
 
+/// A session message stamped with `seq`; `body` rides in its descriptor's
+/// name, so a slot handing out the wrong message shows as a mismatch.
+Message stamped(std::int64_t seq, std::string body = {}) {
+  IoDescriptor d;
+  d.appName = std::move(body);
+  Message m = Message::inform(std::move(d));
+  m.setSeq(static_cast<std::uint64_t>(seq));
+  return m;
+}
+
 TEST(PortRegistryTest, DeliversAfterLatency) {
   Engine eng;
   PortRegistry ports(eng, 0.5);
   double deliveredAt = -1.0;
   std::uint32_t from = 0;
-  ports.openPort("arbiter", [&](std::uint32_t f, Info payload) {
+  ports.openPort("arbiter", [&](std::uint32_t f, const Message& payload) {
     deliveredAt = eng.now();
     from = f;
-    EXPECT_EQ(payload.get("type"), "inform");
+    EXPECT_EQ(payload.type(), MessageType::Inform);
   });
-  Info msg;
-  msg.set("type", "inform");
-  EXPECT_TRUE(ports.send("arbiter", 7, msg));
+  EXPECT_TRUE(ports.send("arbiter", 7, Message::inform({})));
   eng.run();
   EXPECT_DOUBLE_EQ(deliveredAt, 0.5);
   EXPECT_EQ(from, 7u);
@@ -515,15 +461,15 @@ TEST(PortRegistryTest, DeliversAfterLatency) {
 TEST(PortRegistryTest, SendToMissingPortFails) {
   Engine eng;
   PortRegistry ports(eng, 0.1);
-  EXPECT_FALSE(ports.send("nobody", 1, Info{}));
+  EXPECT_FALSE(ports.send("nobody", 1, Message{}));
 }
 
 TEST(PortRegistryTest, PortClosedInFlightDropsMessage) {
   Engine eng;
   PortRegistry ports(eng, 1.0);
   int received = 0;
-  ports.openPort("p", [&](std::uint32_t, Info) { ++received; });
-  ports.send("p", 1, Info{});
+  ports.openPort("p", [&](std::uint32_t, const Message&) { ++received; });
+  ports.send("p", 1, Message{});
   eng.scheduleAt(0.5, [&] { ports.closePort("p"); });
   eng.run();
   EXPECT_EQ(received, 0);
@@ -534,13 +480,11 @@ TEST(PortRegistryTest, MessagesPreserveSendOrderAtEqualLatency) {
   Engine eng;
   PortRegistry ports(eng, 0.2);
   std::vector<int> order;
-  ports.openPort("p", [&](std::uint32_t, Info payload) {
-    order.push_back(static_cast<int>(*payload.getInt("seq")));
+  ports.openPort("p", [&](std::uint32_t, const Message& payload) {
+    order.push_back(static_cast<int>(payload.seq()));
   });
   for (int i = 0; i < 5; ++i) {
-    Info m;
-    m.setInt("seq", i);
-    ports.send("p", 1, m);
+    ports.send("p", 1, stamped(i));
   }
   eng.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -551,18 +495,18 @@ TEST(PortRegistryTest, RelayCatchesUnknownPorts) {
   PortRegistry reg(eng, 1e-3);
   std::vector<std::string> relayedPorts;
   std::vector<std::uint32_t> relayedFrom;
-  reg.setRelay([&](const std::string& port, std::uint32_t from, Info) {
+  reg.setRelay([&](const std::string& port, std::uint32_t from,
+                   const Message&) {
     relayedPorts.push_back(port);
     relayedFrom.push_back(from);
   });
   EXPECT_TRUE(reg.hasRelay());
   // Unknown port: goes to the relay (with the port name) after the latency.
-  Info payload;
-  payload.set("k", "v");
+  const Message payload = stamped(1, "v");
   EXPECT_TRUE(reg.send("remote/elsewhere", 7, payload));
   // Known ports still deliver locally, not through the relay.
   int local = 0;
-  reg.openPort("local", [&](std::uint32_t, Info) { ++local; });
+  reg.openPort("local", [&](std::uint32_t, const Message&) { ++local; });
   EXPECT_TRUE(reg.send("local", 7, payload));
   eng.run();
   ASSERT_EQ(relayedPorts.size(), 1u);
@@ -578,11 +522,12 @@ TEST(PortRegistryTest, RelayRoutingIsFixedAtSendTime) {
   PortRegistry reg(eng, 1e-3);
   int relayed = 0;
   int local = 0;
-  reg.setRelay([&](const std::string&, std::uint32_t, Info) { ++relayed; });
-  EXPECT_TRUE(reg.send("late", 1, Info{}));
+  reg.setRelay(
+      [&](const std::string&, std::uint32_t, const Message&) { ++relayed; });
+  EXPECT_TRUE(reg.send("late", 1, Message{}));
   // The port opens while the message is in flight: the message stays with
   // the relay (it was routed at send time).
-  reg.openPort("late", [&](std::uint32_t, Info) { ++local; });
+  reg.openPort("late", [&](std::uint32_t, const Message&) { ++local; });
   eng.run();
   EXPECT_EQ(relayed, 1);
   EXPECT_EQ(local, 0);
@@ -592,11 +537,11 @@ TEST(PortRegistryTest, DeliverNowIsSynchronousAndCounted) {
   Engine eng;
   PortRegistry reg(eng, 1e-3);
   int got = 0;
-  reg.openPort("p", [&](std::uint32_t from, Info) {
+  reg.openPort("p", [&](std::uint32_t from, const Message&) {
     EXPECT_EQ(from, 3u);
     ++got;
   });
-  Info payload;
+  const Message payload;
   EXPECT_TRUE(reg.deliverNow("p", 3, payload));
   EXPECT_EQ(got, 1);  // no engine.run() needed: synchronous
   EXPECT_FALSE(reg.deliverNow("missing", 3, payload));
@@ -613,9 +558,11 @@ TEST(PortRegistryTest, PortClosedInFlightDoesNotFallBackToRelay) {
   PortRegistry reg(eng, 1.0);
   int relayed = 0;
   int local = 0;
-  reg.setRelay([&](const std::string&, std::uint32_t, Info) { ++relayed; });
-  reg.openPort("calciom/app/7", [&](std::uint32_t, Info) { ++local; });
-  EXPECT_TRUE(reg.send("calciom/app/7", 1, Info{}));
+  reg.setRelay(
+      [&](const std::string&, std::uint32_t, const Message&) { ++relayed; });
+  reg.openPort("calciom/app/7",
+               [&](std::uint32_t, const Message&) { ++local; });
+  EXPECT_TRUE(reg.send("calciom/app/7", 1, Message{}));
   eng.scheduleAt(0.5, [&] { reg.closePort("calciom/app/7"); });  // app dies
   eng.run();
   EXPECT_EQ(local, 0);
@@ -632,8 +579,9 @@ TEST(PortRegistryTest, DeliverNowNeverConsultsTheRelay) {
   Engine eng;
   PortRegistry reg(eng, 1e-3);
   int relayed = 0;
-  reg.setRelay([&](const std::string&, std::uint32_t, Info) { ++relayed; });
-  EXPECT_FALSE(reg.deliverNow("calciom/app/9", 0, Info{}));
+  reg.setRelay(
+      [&](const std::string&, std::uint32_t, const Message&) { ++relayed; });
+  EXPECT_FALSE(reg.deliverNow("calciom/app/9", 0, Message{}));
   EXPECT_EQ(relayed, 0);
   EXPECT_EQ(reg.messagesDelivered(), 0u);
   EXPECT_EQ(reg.messagesRelayed(), 0u);
@@ -643,12 +591,13 @@ TEST(PortRegistryTest, HandlerCanReplyThroughAnotherPort) {
   Engine eng;
   PortRegistry ports(eng, 0.25);
   double replyAt = -1.0;
-  ports.openPort("app", [&](std::uint32_t, Info) { replyAt = eng.now(); });
-  ports.openPort("arbiter", [&](std::uint32_t from, Info) {
-    ports.send("app", 0, Info{});
+  ports.openPort("app",
+                 [&](std::uint32_t, const Message&) { replyAt = eng.now(); });
+  ports.openPort("arbiter", [&](std::uint32_t from, const Message&) {
+    ports.send("app", 0, Message{});
     (void)from;
   });
-  ports.send("arbiter", 3, Info{});
+  ports.send("arbiter", 3, Message{});
   eng.run();
   EXPECT_DOUBLE_EQ(replyAt, 0.5);  // two hops of 0.25s
 }
@@ -658,9 +607,9 @@ TEST(PortRegistryTest, HandlerCanReplyThroughAnotherPort) {
 /// slots out of send order.
 class ChurnFilter final : public calciom::mpi::DeliveryFilter {
  public:
-  Verdict onSend(const std::string& /*port*/, std::uint32_t /*fromApp*/,
-                 const Info& payload) override {
-    const std::int64_t seq = *payload.getInt("seq");
+  Verdict onSend(std::string_view /*port*/, std::uint32_t /*fromApp*/,
+                 const Message& payload) override {
+    const auto seq = static_cast<std::int64_t>(payload.seq());
     Verdict v;
     v.drop = seq % 3 == 2;
     v.extraDelaySeconds = static_cast<double>(seq % 5) * 0.1;
@@ -683,30 +632,27 @@ TEST(PortRegistryTest, SlotsAreReusedUnderInterleavedFilteredSends) {
   reg.setDeliveryFilter(&filter);
   std::vector<std::pair<double, std::int64_t>> got;
   std::vector<std::int64_t> echoes;
-  reg.openPort("calciom/app/12345", [&](std::uint32_t from, Info payload) {
-    const std::int64_t seq = *payload.getInt("seq");
+  reg.openPort("calciom/app/12345", [&](std::uint32_t from,
+                                         const Message& payload) {
+    const auto seq = static_cast<std::int64_t>(payload.seq());
     EXPECT_EQ(from, static_cast<std::uint32_t>(seq + 1000));
-    EXPECT_EQ(payload.get("body"), bodyOf(seq));
+    EXPECT_EQ(payload.descriptor().appName, bodyOf(seq));
     got.emplace_back(eng.now(), seq);
     if (seq % 5 == 0) {
       // Sending from inside a delivery re-enters the slot table while the
       // delivering slot has just been freed.
-      Info echo;
-      echo.setInt("seq", seq);
-      echo.set("body", bodyOf(seq));
-      reg.send("echo", static_cast<std::uint32_t>(seq + 1000), echo);
+      reg.send("echo", static_cast<std::uint32_t>(seq + 1000),
+               stamped(seq, bodyOf(seq)));
     }
   });
-  reg.openPort("echo", [&](std::uint32_t, Info payload) {
-    echoes.push_back(*payload.getInt("seq"));
+  reg.openPort("echo", [&](std::uint32_t, const Message& payload) {
+    echoes.push_back(static_cast<std::int64_t>(payload.seq()));
   });
   std::vector<std::pair<double, std::int64_t>> want;
   std::int64_t seq = 0;
   for (int burst = 0; burst < 20; ++burst) {
     for (int k = 0; k < 1 + burst % 4; ++k, ++seq) {
-      Info m;
-      m.setInt("seq", seq);
-      m.set("body", bodyOf(seq));
+      const Message m = stamped(seq, bodyOf(seq));
       const DeliveryFilter::Verdict v = filter.onSend("", 0, m);
       if (v.duplicate) {
         want.emplace_back(eng.now() + (0.25 + v.duplicateExtraDelaySeconds),
@@ -732,9 +678,7 @@ TEST(PortRegistryTest, SlotsAreReusedUnderInterleavedFilteredSends) {
     if (s % 5 != 0) {
       continue;
     }
-    Info echo;
-    echo.setInt("seq", s);
-    const DeliveryFilter::Verdict v = filter.onSend("", 0, echo);
+    const DeliveryFilter::Verdict v = filter.onSend("", 0, stamped(s));
     const int copies = (v.duplicate ? 1 : 0) + (v.drop ? 0 : 1);
     for (int c = 0; c < copies; ++c) {
       wantEchoes.push_back(s);
@@ -750,14 +694,12 @@ TEST(PortRegistryTest, PortClosedWithSeveralMessagesInFlightDropsThemAll) {
   PortRegistry reg(eng, 1.0);
   int toP = 0;
   std::vector<std::int64_t> toQ;
-  reg.openPort("p", [&](std::uint32_t, Info) { ++toP; });
-  reg.openPort("q", [&](std::uint32_t, Info payload) {
-    toQ.push_back(*payload.getInt("seq"));
+  reg.openPort("p", [&](std::uint32_t, const Message&) { ++toP; });
+  reg.openPort("q", [&](std::uint32_t, const Message& payload) {
+    toQ.push_back(static_cast<std::int64_t>(payload.seq()));
   });
   for (std::int64_t i = 0; i < 6; ++i) {
-    Info m;
-    m.setInt("seq", i);
-    EXPECT_TRUE(reg.send(i % 2 == 0 ? "p" : "q", 1, m));
+    EXPECT_TRUE(reg.send(i % 2 == 0 ? "p" : "q", 1, stamped(i)));
     eng.runUntil(eng.now() + 0.1);
   }
   eng.scheduleAt(0.8, [&] { reg.closePort("p"); });
@@ -767,11 +709,9 @@ TEST(PortRegistryTest, PortClosedWithSeveralMessagesInFlightDropsThemAll) {
   EXPECT_EQ(reg.messagesDelivered(), 3u);
   // The dropped messages' slots are free again and carry fresh payloads.
   for (std::int64_t i = 6; i < 10; ++i) {
-    Info m;
-    m.setInt("seq", i);
-    EXPECT_TRUE(reg.send("q", 1, m));
+    EXPECT_TRUE(reg.send("q", 1, stamped(i)));
   }
-  EXPECT_FALSE(reg.send("p", 1, Info{}));
+  EXPECT_FALSE(reg.send("p", 1, Message{}));
   eng.run();
   EXPECT_EQ(toQ, (std::vector<std::int64_t>{1, 3, 5, 6, 7, 8, 9}));
   EXPECT_EQ(toP, 0);

@@ -299,7 +299,7 @@ TEST(StorageAtScaleTest, SynchronizedBurstCampaignDrainsWithoutLivelock) {
     cfg.cacheBytes = 64e6;
     cfg.localityAlpha = 0.4;
     servers.push_back(std::make_unique<calciom::storage::StorageServer>(
-        eng, net, cfg, "s" + std::to_string(i)));
+        eng, net, cfg, std::string("s").append(std::to_string(i))));
     for (int a = 0; a < 2; ++a) {
       eng.spawn(calciom::scenarios::burstWriter(
           eng, net, servers.back()->ingress(),
@@ -353,7 +353,7 @@ TEST(StorageAtScaleTest, LivelockClampHoldsUnderMultiShardBatchedDispatch) {
       cfg.cacheBytes = 64e6;
       cfg.localityAlpha = 0.4;
       servers[s].push_back(std::make_unique<calciom::storage::StorageServer>(
-          eng, net, cfg, "s" + std::to_string(i)));
+          eng, net, cfg, std::string("s").append(std::to_string(i))));
       for (int a = 0; a < 2; ++a) {
         eng.spawn(calciom::scenarios::burstWriter(
             eng, net, servers[s].back()->ingress(),

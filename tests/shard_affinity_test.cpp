@@ -14,7 +14,7 @@
 
 #include <cstdint>
 
-#include "mpi/info.hpp"
+#include "calciom/wire.hpp"
 #include "mpi/port.hpp"
 #include "net/flow_net.hpp"
 #include "platform/cluster.hpp"
@@ -96,13 +96,15 @@ TEST(ShardChecks, PortRegistryTrapsForeignMutation) {
   Engine foreign(2);
   calciom::mpi::PortRegistry ports(owner, 0.0);
   // Setup context and the owning loop stay legal.
-  ports.openPort("setup", [](std::uint32_t, calciom::mpi::Info) {});
+  ports.openPort("setup", [](std::uint32_t, const calciom::core::Message&) {});
   owner.scheduleAt(0.0, [&] {
-    ports.openPort("own-loop", [](std::uint32_t, calciom::mpi::Info) {});
+    ports.openPort("own-loop",
+                   [](std::uint32_t, const calciom::core::Message&) {});
   });
   owner.run();
   foreign.scheduleAt(0.0, [&] {
-    ports.openPort("foreign-loop", [](std::uint32_t, calciom::mpi::Info) {});
+    ports.openPort("foreign-loop",
+                   [](std::uint32_t, const calciom::core::Message&) {});
   });
   EXPECT_THROW(foreign.run(), ShardAffinityError);
 }
@@ -112,9 +114,9 @@ TEST(ShardChecks, PortRegistryTrapsForeignSend) {
   Engine owner(1);
   Engine foreign(2);
   calciom::mpi::PortRegistry ports(owner, 0.0);
-  ports.openPort("sink", [](std::uint32_t, calciom::mpi::Info) {});
+  ports.openPort("sink", [](std::uint32_t, const calciom::core::Message&) {});
   foreign.scheduleAt(0.0, [&] {
-    (void)ports.send("sink", 7, calciom::mpi::Info{});
+    (void)ports.send("sink", 7, calciom::core::Message{});
   });
   EXPECT_THROW(foreign.run(), ShardAffinityError);
 }
