@@ -158,8 +158,8 @@ class TraceFeeder final : public sim::BarrierHook {
     return scheduled;
   }
 
-  /// Moves every shard's log into one merged stream; the logs are empty
-  /// afterwards.
+  /// Moves every shard's log into one merged stream (one k-way pass, each
+  /// event moved once); the logs are empty afterwards.
   [[nodiscard]] std::vector<core::CapturedEvent> releaseMerged() {
     std::vector<std::vector<core::CapturedEvent>> logs;
     logs.reserve(logs_.size());

@@ -162,7 +162,8 @@ struct ReplayResult {
   std::size_t grantsIssued = 0;
   std::size_t pausesIssued = 0;
   double cpuSecondsWaited = 0.0;
-  /// Captured app→arbiter stream, merged into deterministic global order.
+  /// Captured app→arbiter stream in deterministic global order: on the
+  /// cluster path the per-shard logs k-way merged by (time, shard, arrival).
   std::vector<core::CapturedEvent> captured;
   OracleSchedule oracle;
   DivergenceReport divergence;

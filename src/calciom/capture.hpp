@@ -19,17 +19,21 @@
 /// into the `EventLog` it was pointed at (`Session::captureTo`), so in a
 /// sharded campaign every log's order is a pure function of its shard's
 /// deterministic event stream. `mergeEventLogs` combines per-shard logs
-/// into one globally ordered stream — ties at equal emission time break by
-/// log (shard) order, then per-log arrival order, so the merge is
-/// bit-identical for any worker-thread count.
+/// into one globally ordered stream in a single k-way pass — ties at equal
+/// emission time break by log (shard) order, then per-log arrival order, so
+/// the merge is bit-identical for any worker-thread count. It relies on
+/// each log being time-ordered and checks that as it goes
+/// (`PreconditionError` otherwise): the merge cannot repair a log the way
+/// a sort could.
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <iterator>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "calciom/wire.hpp"
+#include "sim/contracts.hpp"
 #include "sim/time.hpp"
 
 namespace calciom::core {
@@ -66,40 +70,84 @@ class EventLog {
   std::vector<CapturedEvent> events_;
 };
 
+namespace detail {
+
+/// The k-way merge behind both `mergeEventLogs` overloads. `Event` is
+/// `CapturedEvent` (the events are moved out) or `const CapturedEvent`
+/// (`std::move` of a const event copies it). One pass: each step scans the
+/// live heads and takes the earliest; a strict `<` keeps the first of equal
+/// heads, and the heads stay in `logs` order, so ties go to the lower log
+/// index, then to arrival order within the log. Each event is moved or
+/// copied once, into the reserved result: O(events × logs) time comparisons
+/// and no buffer beyond the result and one head per log. Campaigns merge
+/// one log per shard (≤ 16), where a linear scan of the heads is enough.
+template <class Event>
+[[nodiscard]] std::vector<CapturedEvent> mergeTimeOrdered(
+    const std::vector<std::span<Event>>& logs) {
+  struct Head {
+    Event* at;
+    Event* end;
+  };
+  std::vector<Head> heads;
+  heads.reserve(logs.size());
+  std::size_t total = 0;
+  for (const std::span<Event> log : logs) {
+    total += log.size();
+    if (!log.empty()) {
+      heads.push_back(Head{log.data(), log.data() + log.size()});
+    }
+  }
+  std::vector<CapturedEvent> merged;
+  merged.reserve(total);
+  while (!heads.empty()) {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < heads.size(); ++i) {
+      if (heads[i].at->time < heads[best].at->time) {
+        best = i;
+      }
+    }
+    Head& head = heads[best];
+    Event& event = *head.at++;
+    // A log that steps back in time would leave the merged stream
+    // unordered; refuse it rather than emit it.
+    if (head.at != head.end) {
+      CALCIOM_EXPECTS(!(head.at->time < event.time));
+    }
+    merged.push_back(std::move(event));
+    if (head.at == head.end) {
+      heads.erase(heads.begin() + static_cast<std::ptrdiff_t>(best));
+    }
+  }
+  return merged;
+}
+
+}  // namespace detail
+
 /// Deterministic multi-log merge: ascending emission time; ties break by
-/// position in `logs`, then by per-log arrival order. Each log must already
-/// be time-ordered (true for any log filled by one engine's sessions —
-/// engine clocks never run backwards). Takes the logs by value so a caller
+/// position in `logs`, then by per-log arrival order — the order a stable
+/// sort of the concatenated logs gives, produced by one k-way pass
+/// (`detail::mergeTimeOrdered`) that moves each event once. Each log must
+/// already be time-ordered (true for any log filled by one engine's
+/// sessions — engine clocks never run backwards); a log whose time steps
+/// back throws `PreconditionError`. Takes the logs by value so a caller
 /// done with them (`EventLog::release()`) hands the month over without a
 /// copy.
 [[nodiscard]] inline std::vector<CapturedEvent> mergeEventLogs(
     std::vector<std::vector<CapturedEvent>> logs) {
-  std::size_t total = 0;
-  for (const auto& log : logs) {
-    total += log.size();
-  }
-  std::vector<CapturedEvent> merged;
-  merged.reserve(total);
-  for (auto& log : logs) {
-    merged.insert(merged.end(), std::make_move_iterator(log.begin()),
-                  std::make_move_iterator(log.end()));
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const CapturedEvent& a, const CapturedEvent& b) {
-                     return a.time < b.time;
-                   });
-  return merged;
+  std::vector<std::span<CapturedEvent>> views(logs.begin(), logs.end());
+  return detail::mergeTimeOrdered(views);
 }
 
-/// The same merge over logs that stay in use: copies every event.
+/// The same merge over logs that stay in use: copies each event once,
+/// straight into the result.
 [[nodiscard]] inline std::vector<CapturedEvent> mergeEventLogs(
     const std::vector<const EventLog*>& logs) {
-  std::vector<std::vector<CapturedEvent>> copies;
-  copies.reserve(logs.size());
+  std::vector<std::span<const CapturedEvent>> views;
+  views.reserve(logs.size());
   for (const EventLog* log : logs) {
-    copies.push_back(log->events());
+    views.emplace_back(log->events());
   }
-  return mergeEventLogs(std::move(copies));
+  return detail::mergeTimeOrdered(views);
 }
 
 }  // namespace calciom::core
