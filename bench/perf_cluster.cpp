@@ -100,8 +100,6 @@
 
 namespace {
 
-using benchutil::Fingerprint;
-using benchutil::Json;
 using calciom::GlobalArbiter;
 using calciom::core::makePolicy;
 using calciom::core::PolicyKind;
@@ -116,6 +114,8 @@ using calciom::scenarios::flowWorker;
 using calciom::scenarios::FlowScenario;
 using calciom::scenarios::makeClusteredScenario;
 using calciom::sim::Engine;
+using calciom::sim::Fingerprint;
+using calciom::sim::Json;
 using calciom::storage::StorageServer;
 
 // ---------------------------------------------------------------------------
@@ -154,7 +154,7 @@ std::uint64_t arbiterFingerprint(Cluster& cl, const GlobalArbiter& ga) {
   fp.fold(ga.pausesIssued());
   fp.fold(ga.messagesMerged());
   fp.fold(ga.exchanges());
-  fp.foldDecisions(ga.decisions());
+  calciom::core::foldDecisions(fp, ga.decisions());
   return fp.value();
 }
 
@@ -443,7 +443,7 @@ std::uint64_t machineWideFingerprint(const ClusterRunResult& r) {
   fp.fold(r.pausesIssued);
   fp.fold(r.storage.requestsForwarded);
   fp.fold(r.storage.completionsForwarded);
-  fp.foldDecisions(r.decisions);
+  calciom::core::foldDecisions(fp, r.decisions);
   for (const calciom::platform::RequestTrace& t : r.requestLog) {
     fp.fold(t.appId);
     fp.fold(t.originShard);
@@ -647,6 +647,7 @@ int main(int argc, char** argv) {
         .num("legacy_grid_rounds", kLegacyGridRounds);
     runFields(json.object("run", kInline), 1, gate.run).close();
     json.close().close();
+    std::puts(json.text().c_str());
     std::fprintf(stderr,
                  "smoke_barrier_tax: fingerprint %016" PRIx64
                  " (want %016" PRIx64 "), sync_rounds %" PRIu64
@@ -1008,5 +1009,6 @@ int main(int argc, char** argv) {
   }
 
   json.close();
+  std::puts(json.text().c_str());
   return ok ? 0 : 1;
 }

@@ -36,8 +36,8 @@
 
 namespace {
 
-using benchutil::Json;
 using calciom::core::PolicyKind;
+using calciom::sim::Json;
 using namespace calciom::analysis::replay;
 
 ReplayConfig sliceConfig(double horizonSeconds, double sliceDays) {
@@ -180,5 +180,6 @@ int main(int argc, char** argv) {
     printPoint(json, pts.back());
   }
   json.close().close();
+  std::puts(json.text().c_str());
   return checkSweepShape(pts) ? 0 : 1;
 }

@@ -57,7 +57,6 @@
 
 namespace {
 
-using benchutil::Json;
 using calciom::core::PolicyKind;
 using calciom::fault::ChaosConfig;
 using calciom::fault::ChaosResult;
@@ -67,6 +66,7 @@ using calciom::fault::CrashSpec;
 using calciom::fault::Plan;
 using calciom::fault::runChaos;
 using calciom::fault::withArbiterCrash;
+using calciom::sim::Json;
 
 /// The sweep campaign: enough apps and rounds that serialization, pauses
 /// and retries all happen, small enough that a 5-point sweep is cheap.
@@ -224,6 +224,7 @@ int main(int argc, char** argv) {
     const bool recoverOk =
         recoveredCleanly(crashSame) && recoveredCleanly(crashClus);
     json.flag("recovered", recoverOk).close().close();
+    std::puts(json.text().c_str());
     std::fprintf(stderr, "arbiter_crash_seed %" PRIx64 ": %s\n", kSmokeSeed,
                  recoverOk ? "OK" : "RECOVERY REGRESSION");
     ok = zfSame && zfCluster && chaosOk && recoverOk;
@@ -357,5 +358,6 @@ int main(int argc, char** argv) {
   }
 
   json.close();
+  std::puts(json.text().c_str());
   return ok ? 0 : 1;
 }

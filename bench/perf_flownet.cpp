@@ -39,8 +39,8 @@ using calciom::net::ResourceId;
 using calciom::scenarios::flowWorker;
 using calciom::scenarios::FlowScenario;
 using calciom::scenarios::makeClusteredScenario;
-using benchutil::Json;
 using calciom::sim::Engine;
+using calciom::sim::Json;
 
 struct RunResult {
   std::uint64_t events = 0;
@@ -153,6 +153,7 @@ int main(int argc, char** argv) {
     json.close();
   }
   json.close().close();
+  std::puts(json.text().c_str());
 
   if (smoke) {
     const bool ok = smokeSpeedup >= 2.0;

@@ -37,9 +37,9 @@
 
 namespace {
 
-using benchutil::Json;
 using benchutil::replayFingerprint;
 using calciom::core::PolicyKind;
+using calciom::sim::Json;
 using namespace calciom::analysis::replay;
 
 struct TimedReplay {
@@ -137,6 +137,7 @@ int main(int argc, char** argv) {
     printReplay(json, cluster1);
     printReplay(json, cluster2);
     json.close().close();
+    std::puts(json.text().c_str());
     const std::uint64_t f1 = replayFingerprint(cluster1.result);
     const std::uint64_t f2 = replayFingerprint(cluster2.result);
     const bool sessionOk = session.result.divergence.exactlyZero() &&
@@ -204,5 +205,6 @@ int main(int argc, char** argv) {
     }
   }
   json.close().close();
+  std::puts(json.text().c_str());
   return ok ? 0 : 1;
 }

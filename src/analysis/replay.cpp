@@ -12,6 +12,7 @@
 #include "platform/cluster.hpp"
 #include "sim/contracts.hpp"
 #include "sim/engine.hpp"
+#include "sim/json.hpp"
 #include "sim/task.hpp"
 
 namespace calciom::analysis::replay {
@@ -216,8 +217,6 @@ class TraceFeeder final : public sim::BarrierHook {
   double firstStart_ = 0.0;
 };
 
-using core::detail::appendJsonNumber;
-
 [[nodiscard]] constexpr std::size_t actionIndex(core::Action a) noexcept {
   return static_cast<std::size_t>(a);
 }
@@ -370,49 +369,38 @@ DivergenceReport computeDivergence(
 }
 
 std::string toJson(const DivergenceReport& r) {
-  std::string out = "{\"online_decisions\": ";
-  out += std::to_string(r.onlineDecisions);
-  out += ", \"oracle_decisions\": " + std::to_string(r.oracleDecisions);
-  out += ", \"compared_decisions\": " + std::to_string(r.comparedDecisions);
-  out += ", \"first_divergence_index\": " +
-         std::to_string(r.firstDivergenceIndex);
-  out += ", \"decision_agreements\": " + std::to_string(r.decisionAgreements);
-  out +=
-      ", \"requester_mismatches\": " + std::to_string(r.requesterMismatches);
-  out +=
-      ", \"action_disagreements\": " + std::to_string(r.actionDisagreements);
-  out += ", \"accessor_mismatches\": " + std::to_string(r.accessorMismatches);
-  out += ", \"action_matrix\": [";
-  for (std::size_t i = 0; i < r.actionMatrix.size(); ++i) {
-    out += i == 0 ? "[" : ", [";
-    for (std::size_t j = 0; j < r.actionMatrix[i].size(); ++j) {
-      if (j > 0) {
-        out += ", ";
-      }
-      out += std::to_string(r.actionMatrix[i][j]);
+  sim::Json json;
+  json.object(sim::Json::Style::Inline)
+      .num("online_decisions", r.onlineDecisions)
+      .num("oracle_decisions", r.oracleDecisions)
+      .num("compared_decisions", r.comparedDecisions)
+      .num("first_divergence_index", r.firstDivergenceIndex)
+      .num("decision_agreements", r.decisionAgreements)
+      .num("requester_mismatches", r.requesterMismatches)
+      .num("action_disagreements", r.actionDisagreements)
+      .num("accessor_mismatches", r.accessorMismatches)
+      .array("action_matrix");
+  for (const auto& row : r.actionMatrix) {
+    json.array();
+    for (const std::uint64_t n : row) {
+      json.num(n);
     }
-    out += "]";
+    json.close();
   }
-  out += "], \"online_grants\": " + std::to_string(r.onlineGrants);
-  out += ", \"oracle_grants\": " + std::to_string(r.oracleGrants);
-  out += ", \"matched_grants\": " + std::to_string(r.matchedGrants);
-  out += ", \"unmatched_grants\": " + std::to_string(r.unmatchedGrants);
-  out += ", \"grant_kind_mismatches\": " +
-         std::to_string(r.grantKindMismatches);
-  out += ", \"grant_time_l1_drift_s\": ";
-  appendJsonNumber(out, r.grantTimeL1DriftSeconds);
-  out += ", \"grant_time_max_drift_s\": ";
-  appendJsonNumber(out, r.grantTimeMaxDriftSeconds);
-  out += ", \"cpu_seconds_waited_online\": ";
-  appendJsonNumber(out, r.cpuSecondsWaitedOnline);
-  out += ", \"cpu_seconds_waited_oracle\": ";
-  appendJsonNumber(out, r.cpuSecondsWaitedOracle);
-  out += ", \"cpu_seconds_waited_delta\": ";
-  appendJsonNumber(out, r.cpuSecondsWaitedDelta);
-  out += ", \"exactly_zero\": ";
-  out += r.exactlyZero() ? "true" : "false";
-  out += "}";
-  return out;
+  json.close()
+      .num("online_grants", r.onlineGrants)
+      .num("oracle_grants", r.oracleGrants)
+      .num("matched_grants", r.matchedGrants)
+      .num("unmatched_grants", r.unmatchedGrants)
+      .num("grant_kind_mismatches", r.grantKindMismatches)
+      .precise("grant_time_l1_drift_s", r.grantTimeL1DriftSeconds)
+      .precise("grant_time_max_drift_s", r.grantTimeMaxDriftSeconds)
+      .precise("cpu_seconds_waited_online", r.cpuSecondsWaitedOnline)
+      .precise("cpu_seconds_waited_oracle", r.cpuSecondsWaitedOracle)
+      .precise("cpu_seconds_waited_delta", r.cpuSecondsWaitedDelta)
+      .flag("exactly_zero", r.exactlyZero())
+      .close();
+  return std::move(json).take();
 }
 
 ReplayResult replaySession(const ReplayConfig& cfg) {

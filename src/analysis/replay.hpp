@@ -151,8 +151,8 @@ struct DivergenceReport {
   [[nodiscard]] bool exactlyZero() const noexcept;
 };
 
-/// Single-line JSON dump of a divergence report (style of
-/// core::toJson(DecisionRecord)).
+/// Single-line JSON dump of a divergence report, rendered by sim::Json in
+/// the layout and number form of core::toJson(DecisionRecord).
 [[nodiscard]] std::string toJson(const DivergenceReport& report);
 
 /// Everything one online replay produced.

@@ -10,64 +10,66 @@
 #include <utility>
 
 #include "sim/contracts.hpp"
+#include "sim/json.hpp"
 
 namespace calciom::core {
 
-namespace detail {
-
-void appendJsonNumber(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  out += buf;
+std::string toJson(const DecisionRecord& d) {
+  sim::Json json;
+  json.object(sim::Json::Style::Inline)
+      .precise("time", d.time)
+      .num("requester", d.requester)
+      .array("accessors");
+  for (const std::uint32_t a : d.accessors) {
+    json.num(a);
+  }
+  json.close().str("action", toString(d.action));
+  if (!d.costs.empty()) {
+    json.array("costs");
+    for (const ActionCost& c : d.costs) {
+      json.object()
+          .str("action", toString(c.action))
+          .precise("metric_cost", c.metricCost)
+          .array("terms");
+      for (const AppCost& t : c.terms) {
+        json.object()
+            .num("cores", t.cores)
+            .precise("io_seconds", t.ioSeconds)
+            .precise("alone_seconds", t.aloneSeconds)
+            .close();
+      }
+      json.close().close();
+    }
+    json.close();
+  }
+  json.close();
+  return std::move(json).take();
 }
 
-}  // namespace detail
-
-using detail::appendJsonNumber;
-
-std::string toJson(const DecisionRecord& d) {
-  std::string out = "{\"time\": ";
-  appendJsonNumber(out, d.time);
-  out += ", \"requester\": " + std::to_string(d.requester);
-  out += ", \"accessors\": [";
-  for (std::size_t i = 0; i < d.accessors.size(); ++i) {
-    if (i > 0) {
-      out += ", ";
+void foldDecisions(sim::Fingerprint& fp,
+                   const std::vector<DecisionRecord>& decisions) noexcept {
+  for (const DecisionRecord& d : decisions) {
+    fp.foldBits(d.time);
+    fp.fold(d.requester);
+    fp.fold(static_cast<std::uint64_t>(d.action));
+    fp.fold(d.accessors.size());
+    for (const std::uint32_t a : d.accessors) {
+      fp.fold(a);
     }
-    out += std::to_string(d.accessors[i]);
-  }
-  out += "], \"action\": \"";
-  out += toString(d.action);
-  out += "\"";
-  if (!d.costs.empty()) {
-    out += ", \"costs\": [";
-    for (std::size_t i = 0; i < d.costs.size(); ++i) {
-      const ActionCost& c = d.costs[i];
-      if (i > 0) {
-        out += ", ";
-      }
-      out += "{\"action\": \"";
-      out += toString(c.action);
-      out += "\", \"metric_cost\": ";
-      appendJsonNumber(out, c.metricCost);
-      out += ", \"terms\": [";
-      for (std::size_t j = 0; j < c.terms.size(); ++j) {
-        const AppCost& t = c.terms[j];
-        if (j > 0) {
-          out += ", ";
-        }
-        out += "{\"cores\": " + std::to_string(t.cores) + ", \"io_seconds\": ";
-        appendJsonNumber(out, t.ioSeconds);
-        out += ", \"alone_seconds\": ";
-        appendJsonNumber(out, t.aloneSeconds);
-        out += "}";
-      }
-      out += "]}";
+    for (const ActionCost& c : d.costs) {
+      fp.fold(static_cast<std::uint64_t>(c.action));
+      fp.foldBits(c.metricCost);
     }
-    out += "]";
   }
-  out += "}";
-  return out;
+}
+
+void foldGrants(sim::Fingerprint& fp,
+                const std::vector<GrantRecord>& grants) noexcept {
+  for (const GrantRecord& g : grants) {
+    fp.foldBits(g.time);
+    fp.fold(g.app);
+    fp.fold(g.resume ? 1u : 0u);
+  }
 }
 
 ArbiterCore::ArbiterCore(std::unique_ptr<Policy> policy)

@@ -55,6 +55,7 @@
 #include "calciom/flat_id_map.hpp"
 #include "calciom/policy.hpp"
 #include "calciom/wire.hpp"
+#include "sim/fingerprint.hpp"
 #include "sim/time.hpp"
 
 namespace calciom::core {
@@ -69,16 +70,10 @@ struct DecisionRecord {
   std::vector<ActionCost> costs;  // empty unless the policy exposes them
 };
 
-namespace detail {
-/// Appends `v` as a JSON number (%.9g) — the one formatting rule every
-/// core::toJson-style dump in the codebase shares (decision traces here,
-/// divergence reports in analysis/replay.cpp).
-void appendJsonNumber(std::string& out, double v);
-}  // namespace detail
-
 /// Single-line JSON dump of one decision (decision traces in
-/// examples/policy_explorer.cpp and the bench fingerprints). `costs` terms
-/// are emitted only when the policy populated them.
+/// examples/policy_explorer.cpp and the chaos fingerprints), rendered by
+/// sim::Json with `%.9g` numbers. `costs` terms are emitted only when the
+/// policy populated them.
 [[nodiscard]] std::string toJson(const DecisionRecord& d);
 
 /// One access-granting transition: a Grant (silent, policy-decided or
@@ -94,6 +89,15 @@ struct GrantRecord {
 
   bool operator==(const GrantRecord&) const = default;
 };
+
+/// The fingerprint folds of a decision stream (per decision its time bits,
+/// requester, action, accessor set and, when the policy exposes them, each
+/// candidate action with its metric-cost bits) and of a grant schedule (per
+/// grant its time bits, app and resume flag).
+void foldDecisions(sim::Fingerprint& fp,
+                   const std::vector<DecisionRecord>& decisions) noexcept;
+void foldGrants(sim::Fingerprint& fp,
+                const std::vector<GrantRecord>& grants) noexcept;
 
 /// The instructions an arbiter can give an application: the command types
 /// of the wire (Grant, Pause, Resume, Recover).

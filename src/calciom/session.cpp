@@ -102,9 +102,7 @@ sim::Task Session::release(double progress, bool pausableBoundary) {
     pausedSeconds_ += engine_.now() - t0;
     co_return;
   }
-  if (cfg_.sendProgressUpdates) {
-    sendToArbiter(Message::release(progress));
-  }
+  sendToArbiter(Message::release(progress));
 }
 
 sim::Task Session::beginPhase(const io::PhaseInfo& info) {

@@ -62,9 +62,6 @@ struct SessionConfig {
   std::string appName;
   int cores = 1;
   HookGranularity granularity = HookGranularity::PerRound;
-  /// Send progress in Release() at each boundary so the arbiter's dynamic
-  /// policy can estimate remaining work.
-  bool sendProgressUpdates = true;
 
   // ---- Hardening knobs; all zero = the pre-hardening protocol ----------
   /// Scheduler incarnation of this (possibly reused) application id.

@@ -1,6 +1,8 @@
 #include "fault/chaos.hpp"
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
@@ -14,6 +16,8 @@
 #include "sim/barrier_hook.hpp"
 #include "sim/contracts.hpp"
 #include "sim/engine.hpp"
+#include "sim/fingerprint.hpp"
+#include "sim/rng.hpp"
 #include "sim/task.hpp"
 #include "sim/wall_timer.hpp"
 
@@ -27,24 +31,10 @@ using sim::Delay;
 using sim::Engine;
 using sim::Task;
 
-[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 /// Hash-indexed draw for plan derivation (distinct stream from the
 /// injector's own decision hashes: different constant).
 [[nodiscard]] std::uint64_t draw(std::uint64_t seed, std::uint64_t i) {
-  return mix64(mix64(seed ^ 0xC4A05EEDull) ^ i);
-}
-
-[[nodiscard]] std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
-  for (const unsigned char c : s) {
-    h = (h ^ c) * 1099511628211ull;
-  }
-  return h;
+  return sim::mix64(sim::mix64(seed ^ 0xC4A05EEDull) ^ i);
 }
 
 io::PhaseInfo chaosPhase(std::uint32_t appId, const ChaosConfig& cfg) {
@@ -110,14 +100,14 @@ SessionConfig sessionConfig(std::uint32_t appId, int index,
   sc.cores = 32 + 32 * (index % 4);
   sc.granularity = core::HookGranularity::PerRound;
   if (cfg.hardened) {
-    sc.heartbeatSeconds = cfg.heartbeatSeconds;
-    sc.informRetrySeconds = cfg.informRetrySeconds;
-    sc.degradeAfterSeconds = cfg.degradeAfterSeconds;
+    sc.heartbeatSeconds = ChaosConfig::kHeartbeatSeconds;
+    sc.informRetrySeconds = ChaosConfig::kInformRetrySeconds;
+    sc.degradeAfterSeconds = ChaosConfig::kDegradeAfterSeconds;
   }
   return sc;
 }
 
-void summarize(const ChaosConfig& cfg, const core::ArbiterCore& core,
+void summarize(const core::ArbiterCore& core,
                const std::vector<std::unique_ptr<Session>>& sessions,
                double simSeconds, ChaosResult& out) {
   for (std::size_t i = 0; i < sessions.size(); ++i) {
@@ -158,18 +148,17 @@ void summarize(const ChaosConfig& cfg, const core::ArbiterCore& core,
   out.throughputRoundsPerSecond =
       simSeconds > 0.0 ? static_cast<double>(out.roundsCompleted) / simSeconds
                        : 0.0;
-  std::uint64_t h = 14695981039346656037ull;
+  sim::Fingerprint fp;
   for (const core::DecisionRecord& d : core.decisions()) {
-    h = fnv1a(h, core::toJson(d));
+    fp.foldString(core::toJson(d));
   }
   for (const core::GrantRecord& g : core.grantLog()) {
-    std::string line = "g ";
-    core::detail::appendJsonNumber(line, g.time);
-    line += ' ' + std::to_string(g.app) + (g.resume ? " r" : " g");
-    h = fnv1a(h, line);
+    char line[64];
+    const int n = std::snprintf(line, sizeof line, "g %.9g %" PRIu32 " %c",
+                                g.time, g.app, g.resume ? 'r' : 'g');
+    fp.foldString({line, static_cast<std::size_t>(n)});
   }
-  out.fingerprint = h;
-  (void)cfg;
+  out.fingerprint = fp.value();
 }
 
 /// The arbiter settings of `cfg`, the same on both transports: leases,
@@ -179,21 +168,22 @@ core::ArbiterConfig arbiterConfig(const ChaosConfig& cfg) {
     return {};
   }
   return core::ArbiterConfig{
-      .leases = core::LeaseConfig{cfg.leaseSeconds, cfg.commandRetrySeconds},
+      .leases = core::LeaseConfig{ChaosConfig::kLeaseSeconds,
+                                  ChaosConfig::kCommandRetrySeconds},
       .auditInvariants = true,
-      .checkpointEverySeconds = cfg.checkpointEverySeconds};
+      .checkpointEverySeconds = ChaosConfig::kCheckpointEverySeconds};
 }
 
 ChaosResult runSameEngine(const ChaosConfig& cfg) {
   Engine eng;
-  mpi::PortRegistry ports(eng, cfg.messageLatencySeconds);
+  mpi::PortRegistry ports(eng, ChaosConfig::kMessageLatencySeconds);
   Injector injector(cfg.plan, /*shard=*/0);
   if (cfg.installInjector) {
     ports.setDeliveryFilter(&injector);
   }
   core::Arbiter arbiter(eng, ports, core::makePolicy(cfg.policy),
                         arbiterConfig(cfg),
-                        cfg.hardened ? cfg.arbiterTickSeconds : 0.0);
+                        cfg.hardened ? ChaosConfig::kArbiterTickSeconds : 0.0);
 
   ChaosResult out;
   out.apps.resize(static_cast<std::size_t>(cfg.apps));
@@ -239,7 +229,7 @@ ChaosResult runSameEngine(const ChaosConfig& cfg) {
   eng.run();
   out.wallSeconds = wall.seconds();
   out.engineCpuSeconds = eng.stats().wallSeconds;
-  summarize(cfg, arbiter.core(), sessions, eng.now(), out);
+  summarize(arbiter.core(), sessions, eng.now(), out);
   out.messagesSeen = injector.messagesSeen();
   out.messagesDropped = injector.messagesDropped();
   out.messagesDelayed = injector.messagesDelayed();
@@ -258,7 +248,8 @@ ChaosResult runSameEngine(const ChaosConfig& cfg) {
 ///    race-free place to touch the arbiter from outside shard loops);
 ///  * keeps the cluster's rounds alive while the core still holds state —
 ///    dead-silent apps produce no events, and the lease sweep only runs at
-///    barriers — bounded by maxSimSeconds as a liveness-bug backstop.
+///    barriers — bounded by ChaosConfig::kMaxSimSeconds as a liveness-bug
+///    backstop.
 class ChaosDriver final : public sim::BarrierHook {
  public:
   /// One arbiter-process lifecycle edge, applied at the first barrier at or
@@ -271,13 +262,11 @@ class ChaosDriver final : public sim::BarrierHook {
 
   ChaosDriver(platform::Cluster& cluster, GlobalArbiter& arbiter,
               std::vector<CrashSpec> reported,
-              std::vector<ArbiterEvent> arbiterEvents, double maxSimSeconds,
-              double stepSeconds)
+              std::vector<ArbiterEvent> arbiterEvents, double stepSeconds)
       : cluster_(cluster),
         arbiter_(arbiter),
         reported_(std::move(reported)),
         arbiterEvents_(std::move(arbiterEvents)),
-        maxSimSeconds_(maxSimSeconds),
         stepSeconds_(stepSeconds) {
     // Time order, crash edges before restart edges at equal times, so an
     // outage shorter than one round still crashes-then-recovers in order.
@@ -316,7 +305,7 @@ class ChaosDriver final : public sim::BarrierHook {
     const bool pendingArbiter =
         nextArbiterEvent_ < arbiterEvents_.size() || arbiter_.down();
     if ((pendingReports || pendingArbiter || !arbiter_.core().idle()) &&
-        barrierTime < maxSimSeconds_) {
+        barrierTime < ChaosConfig::kMaxSimSeconds) {
       // A no-op heartbeat event: forces another round so queued scheduler
       // events, the lease sweep, and pending arbiter lifecycle edges keep
       // executing on a drained cluster.
@@ -337,7 +326,6 @@ class ChaosDriver final : public sim::BarrierHook {
   std::vector<ArbiterEvent> arbiterEvents_;
   std::size_t nextArbiterEvent_ = 0;
   std::uint64_t arbiterCrashesApplied_ = 0;
-  double maxSimSeconds_;
   double stepSeconds_;
 };
 
@@ -397,14 +385,14 @@ ChaosResult runCluster(const ChaosConfig& cfg) {
     arbiterEvents.push_back({a.at + a.downSeconds, true});
   }
   ChaosDriver driver(cl, ga, std::move(reported), std::move(arbiterEvents),
-                     cfg.maxSimSeconds, cfg.syncHorizonSeconds);
+                     cfg.syncHorizonSeconds);
   cl.addBarrierHook(&driver);
 
   const sim::Stopwatch wall;
   cl.run(cfg.workers);
   out.wallSeconds = wall.seconds();
   out.engineCpuSeconds = cl.stats().cpuSeconds;
-  summarize(cfg, ga.core(), sessions, cl.maxShardClock(), out);
+  summarize(ga.core(), sessions, cl.maxShardClock(), out);
   for (const auto& inj : injectors) {
     out.messagesSeen += inj->messagesSeen();
     out.messagesDropped += inj->messagesDropped();
@@ -470,7 +458,7 @@ Plan chaosPlan(std::uint64_t seed, int apps) {
 Plan withArbiterCrash(Plan plan, std::uint64_t seed) {
   ArbiterCrashSpec spec;
   // Crash time inside the contended window (the campaign's starts and first
-  // phases), downtime always far under degradeAfterSeconds. Distinct draw
+  // phases), downtime always far under kDegradeAfterSeconds. Distinct draw
   // indices from chaosPlan()'s (which stop at 16 + 3*crashes <= 16 + 3*apps).
   const std::uint64_t tBits = draw(seed, 97);
   spec.at = 1.0 + static_cast<double>(tBits % 1000) / 1000.0 * 4.0;

@@ -47,9 +47,8 @@ struct ChaosConfig {
   double startStaggerSeconds = 0.3;
   /// Compute time between phases.
   double idleSeconds = 0.6;
-  double messageLatencySeconds = 1e-3;  // SameEngine registry latency
-  std::size_t shards = 2;               // Cluster only
-  unsigned workers = 1;                 // Cluster only
+  std::size_t shards = 2;  // Cluster only
+  unsigned workers = 1;    // Cluster only
   /// Cluster only. A barrier round trip (this plus two cross-shard hops)
   /// must fit in the arbiter's reconciliation window
   /// (core::ArbiterHost::kRecoveryWindowSeconds) for crash recovery to
@@ -67,25 +66,27 @@ struct ChaosConfig {
   /// the engine still drains, apps just finish incomplete).
   bool hardened = true;
 
-  // -- hardening knobs (used when hardened) --
-  double heartbeatSeconds = 0.2;
-  double informRetrySeconds = 0.5;
+  static constexpr double kMessageLatencySeconds = 1e-3;  // SameEngine
+
+  // -- hardening timers (used when hardened) --
+  static constexpr double kHeartbeatSeconds = 0.2;
+  static constexpr double kInformRetrySeconds = 0.5;
   /// Per-phase give-up deadline. Must exceed the worst *legitimate* wait
   /// (a fully serialized campaign), or fault-free runs would degrade too.
-  double degradeAfterSeconds = 30.0;
-  double leaseSeconds = 1.5;
-  double commandRetrySeconds = 0.4;
-  double arbiterTickSeconds = 0.25;  // SameEngine (Cluster ticks at barriers)
-  /// Checkpoint cadence of the arbiter's stable-storage model (used when
-  /// hardened). Checkpointing is pure observation — it never moves a
-  /// decision — so leaving it on does not perturb the zero-fault gates; it
-  /// is what plan.arbiterCrashes recover from.
-  double checkpointEverySeconds = 0.5;
+  static constexpr double kDegradeAfterSeconds = 30.0;
+  static constexpr double kLeaseSeconds = 1.5;
+  static constexpr double kCommandRetrySeconds = 0.4;
+  static constexpr double kArbiterTickSeconds = 0.25;  // SameEngine only
+  /// Checkpoint cadence of the arbiter's stable-storage model.
+  /// Checkpointing is pure observation — it never moves a decision — so
+  /// leaving it on does not perturb the zero-fault gates; it is what
+  /// plan.arbiterCrashes recover from.
+  static constexpr double kCheckpointEverySeconds = 0.5;
 
   /// Hard wall for the cluster keepalive: past this simulated time the
   /// harness stops forcing barrier rounds (a liveness-bug backstop; healthy
   /// runs drain far earlier).
-  double maxSimSeconds = 300.0;
+  static constexpr double kMaxSimSeconds = 300.0;
 };
 
 struct ChaosAppOutcome {
@@ -162,7 +163,7 @@ struct ChaosResult {
 
 /// Adds one seeded arbiter crash to `plan`: crash time in [1, 5) seconds
 /// (inside the contended window), downtime drawn from {0.5, 1.2, 2.5}
-/// seconds — always well under ChaosConfig::degradeAfterSeconds, so
+/// seconds — always well under ChaosConfig::kDegradeAfterSeconds, so
 /// surviving sessions normally ride the outage out on retries and rejoin
 /// the recovered arbiter rather than degrading. Pure hash of `seed`; kept
 /// separate from chaosPlan() so the existing seeded suites replay

@@ -1,18 +1,12 @@
 #include "fault/injector.hpp"
 
+#include "sim/rng.hpp"
+
 namespace calciom::fault {
 
 namespace {
 
-/// SplitMix64 finalizer: the avalanche step used throughout the sim layer
-/// for decorrelating seed streams (sim/rng.hpp). Good enough that distinct
-/// (index, salt) pairs give independent-looking uniforms.
-[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
+using sim::mix64;
 
 [[nodiscard]] constexpr double toUniform01(std::uint64_t x) noexcept {
   return static_cast<double>(x >> 11) * 0x1.0p-53;

@@ -210,13 +210,6 @@ void FlowNet::addRatesListener(RatesListener fn) {
   listeners_.push_back(std::move(fn));
 }
 
-void FlowNet::addRatesListener(std::function<void()> fn) {
-  expectShardLocal();
-  CALCIOM_EXPECTS(fn != nullptr);
-  listeners_.push_back(
-      [ping = std::move(fn)](const AffectedResources&) { ping(); });
-}
-
 void FlowNet::settleResource(Resource& res, sim::Time t) {
   const double dt = t - res.settleTime;
   if (dt > 0.0) {

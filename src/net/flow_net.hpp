@@ -158,9 +158,6 @@ class FlowNet {
   /// Listeners are shard-local: they run on the thread driving this net's
   /// engine and must only touch state owned by the same shard.
   void addRatesListener(RatesListener fn);
-  /// Legacy ping form: invoked on every recomputation regardless of where it
-  /// happened.
-  void addRatesListener(std::function<void()> fn);
 
  private:
   friend class AffectedResources;

@@ -16,16 +16,25 @@
 
 namespace calciom::sim {
 
+/// The SplitMix64 finalizer as a pure hash: mix64(x) is the first draw of
+/// SplitMix64(x). Used wherever a draw must be a function of its inputs
+/// alone (the fault plans and injector decisions of src/fault).
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
 /// SplitMix64: used to expand a single 64-bit seed into xoshiro state.
 class SplitMix64 {
  public:
   explicit constexpr SplitMix64(std::uint64_t seed) noexcept : state_(seed) {}
 
   constexpr std::uint64_t next() noexcept {
-    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
+    const std::uint64_t z = mix64(state_);
+    state_ += 0x9E3779B97F4A7C15ULL;
+    return z;
   }
 
  private:

@@ -218,6 +218,42 @@ TEST(DivergenceMetricsTest, JsonDumpCarriesTheHeadlineFields) {
             std::string::npos);
 }
 
+TEST(DivergenceMetricsTest, JsonDumpGoldenOutput) {
+  DivergenceReport r;
+  r.onlineDecisions = 5;
+  r.oracleDecisions = 4;
+  r.comparedDecisions = 4;
+  r.firstDivergenceIndex = 2;
+  r.decisionAgreements = 2;
+  r.requesterMismatches = 1;
+  r.actionDisagreements = 1;
+  r.actionMatrix = {{{0, 0, 0}, {0, 2, 1}, {3, 0, 0}}};
+  r.onlineGrants = 6;
+  r.oracleGrants = 5;
+  r.matchedGrants = 5;
+  r.unmatchedGrants = 1;
+  r.grantKindMismatches = 1;
+  r.grantTimeL1DriftSeconds = 0.1 + 0.2;  // %.9g: 0.3
+  r.grantTimeMaxDriftSeconds = 0.25;
+  r.cpuSecondsWaitedOnline = 1234.5;
+  r.cpuSecondsWaitedOracle = 1000.0 / 3.0;
+  r.cpuSecondsWaitedDelta = -2.5e-7;
+  EXPECT_EQ(toJson(r),
+            "{\"online_decisions\": 5, \"oracle_decisions\": 4, "
+            "\"compared_decisions\": 4, \"first_divergence_index\": 2, "
+            "\"decision_agreements\": 2, \"requester_mismatches\": 1, "
+            "\"action_disagreements\": 1, \"accessor_mismatches\": 0, "
+            "\"action_matrix\": [[0, 0, 0], [0, 2, 1], [3, 0, 0]], "
+            "\"online_grants\": 6, \"oracle_grants\": 5, "
+            "\"matched_grants\": 5, \"unmatched_grants\": 1, "
+            "\"grant_kind_mismatches\": 1, \"grant_time_l1_drift_s\": 0.3, "
+            "\"grant_time_max_drift_s\": 0.25, "
+            "\"cpu_seconds_waited_online\": 1234.5, "
+            "\"cpu_seconds_waited_oracle\": 333.333333, "
+            "\"cpu_seconds_waited_delta\": -2.5e-07, "
+            "\"exactly_zero\": false}");
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: the same-engine session path is exactly zero-divergent on
 // IntrepidModel slices — the PR 3 core/transport guarantee held by a real

@@ -387,6 +387,40 @@ TEST(ArbiterTest, DecisionToJsonDumpsContextAndCosts) {
       << fcfsJson;
 }
 
+TEST(ArbiterTest, DecisionToJsonGoldenOutput) {
+  using calciom::core::ActionCost;
+  using calciom::core::AppCost;
+  using calciom::core::DecisionRecord;
+  DecisionRecord dynamic;
+  dynamic.time = 12.25;
+  dynamic.requester = 2;
+  dynamic.accessors = {1, 3};
+  dynamic.action = Action::Interrupt;
+  dynamic.costs = {
+      ActionCost{Action::Interrupt, 1.0 / 3.0,
+                 {AppCost{32, 0.1, 2.0}, AppCost{128, 1e-10, 10.0}}},
+      ActionCost{Action::Queue, 1234567890.5, {AppCost{32, 10.0, 2.0}}}};
+  EXPECT_EQ(calciom::core::toJson(dynamic),
+            "{\"time\": 12.25, \"requester\": 2, \"accessors\": [1, 3], "
+            "\"action\": \"interrupt\", \"costs\": ["
+            "{\"action\": \"interrupt\", \"metric_cost\": 0.333333333, "
+            "\"terms\": [{\"cores\": 32, \"io_seconds\": 0.1, "
+            "\"alone_seconds\": 2}, {\"cores\": 128, \"io_seconds\": 1e-10, "
+            "\"alone_seconds\": 10}]}, "
+            "{\"action\": \"queue\", \"metric_cost\": 1.23456789e+09, "
+            "\"terms\": [{\"cores\": 32, \"io_seconds\": 10, "
+            "\"alone_seconds\": 2}]}]}");
+
+  // An FCFS decision: no costs member at all, and an empty accessor set.
+  DecisionRecord fcfs;
+  fcfs.time = 40.0;
+  fcfs.requester = 7;
+  fcfs.action = Action::Queue;
+  EXPECT_EQ(calciom::core::toJson(fcfs),
+            "{\"time\": 40, \"requester\": 7, \"accessors\": [], "
+            "\"action\": \"queue\"}");
+}
+
 // ---------------------------------------------------------------------------
 // Idempotency under replayed / reordered traffic. A SeqApp is a FakeApp that
 // stamps seq (and epoch) the way a hardened Session does, so the core's

@@ -11,7 +11,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "analysis/replay.hpp"
@@ -22,6 +21,7 @@
 #include "fault/chaos.hpp"
 #include "mpi/info.hpp"
 #include "sim/contracts.hpp"
+#include "sim/fingerprint.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -211,16 +211,6 @@ TEST(WirePorts, AppPortNamesAreFormattedInPlace) {
 // were produced by the same code running over the text (mpi::Info) wire;
 // the typed wire must reproduce them exactly.
 
-/// FNV-1a over a byte string.
-std::uint64_t fnv(std::string_view bytes,
-                  std::uint64_t h = 0xcbf29ce484222325ull) {
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 /// A recorded coordination stream (one day of the seed-1 Intrepid model
 /// through replaySession, Dynamic policy) fed into a checkpointing arbiter
 /// host that crashes and restarts every 997 messages. Each restart rebuilds
@@ -242,7 +232,7 @@ std::uint64_t crashRestartStreamHash() {
                  cfg.dynamicOptions),
       config);
   ArbiterCore::Commands out;
-  std::uint64_t h = fnv("");
+  calciom::sim::Fingerprint fp;
   std::size_t restarts = 0;
   for (std::size_t i = 0; i < r.captured.size(); ++i) {
     const auto& e = r.captured[i];
@@ -253,19 +243,20 @@ std::uint64_t crashRestartStreamHash() {
       host.crash();
       host.restart(e.time, out);
       ++restarts;
-      h = fnv(encodeSnapshot(host.core().snapshot(e.time)), h);
+      fp.foldString(encodeSnapshot(host.core().snapshot(e.time)));
     }
     out.clear();
   }
   EXPECT_GE(restarts, 2u);
   EXPECT_GT(host.checkpointStore().walAppended(), 0u);
-  return fnv(encodeSnapshot(host.core().snapshot(r.captured.back().time)), h);
+  fp.foldString(encodeSnapshot(host.core().snapshot(r.captured.back().time)));
+  return fp.value();
 }
 
 /// Chaos campaigns with arbiter crashes on both transports: the final
 /// snapshot encodings and decision fingerprints, folded.
 std::uint64_t chaosCrashHash() {
-  std::uint64_t h = fnv("");
+  calciom::sim::Fingerprint fp;
   for (const std::uint64_t seed : {3ull, 11ull, 29ull}) {
     for (const ChaosTransport t :
          {ChaosTransport::SameEngine, ChaosTransport::Cluster}) {
@@ -274,11 +265,11 @@ std::uint64_t chaosCrashHash() {
       c.policy = kPolicies[seed % 3];
       c.plan = withArbiterCrash(chaosPlan(seed, c.apps), seed);
       const ChaosResult res = runChaos(c);
-      h = fnv(res.snapshotEncoding, h);
-      h = fnv(std::to_string(res.fingerprint), h);
+      fp.foldString(res.snapshotEncoding);
+      fp.foldString(std::to_string(res.fingerprint));
     }
   }
-  return h;
+  return fp.value();
 }
 
 TEST(WireReplay, CrashRestartStreamMatchesTheTextWire) {

@@ -49,7 +49,7 @@ void expectInvariants(const ChaosConfig& cfg, const ChaosResult& r,
                       std::uint64_t seed) {
   SCOPED_TRACE("chaos seed " + std::to_string(seed));
   // Liveness: the run drained on its own, not via the harness backstop.
-  EXPECT_LT(r.simSeconds, cfg.maxSimSeconds);
+  EXPECT_LT(r.simSeconds, ChaosConfig::kMaxSimSeconds);
   EXPECT_GE(r.survivors, 1);  // chaosPlan always leaves a survivor
   EXPECT_EQ(r.survivorsCompleted, r.survivors);
   EXPECT_TRUE(r.degradedAllCompleted);

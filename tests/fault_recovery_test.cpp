@@ -455,7 +455,7 @@ TEST(RecoveryDeadSet, MonthOfIntrepidTerminationsStaysBounded) {
 void expectCrashInvariants(const ChaosConfig& cfg, const ChaosResult& r,
                            std::uint64_t seed) {
   SCOPED_TRACE("arbiter-crash seed " + std::to_string(seed));
-  EXPECT_LT(r.simSeconds, cfg.maxSimSeconds);
+  EXPECT_LT(r.simSeconds, ChaosConfig::kMaxSimSeconds);
   EXPECT_GE(r.survivors, 1);
   EXPECT_EQ(r.survivorsCompleted, r.survivors);
   EXPECT_TRUE(r.degradedAllCompleted);

@@ -18,6 +18,7 @@ using calciom::sim::Delay;
 using calciom::sim::Engine;
 using calciom::sim::Task;
 using calciom::sim::Time;
+using calciom::net::AffectedResources;
 using calciom::net::FlowId;
 using calciom::net::FlowNet;
 using calciom::net::FlowSpec;
@@ -253,7 +254,7 @@ TEST(FlowNetTest, ListenerRunsOnEveryRecompute) {
   FlowNet net(eng);
   const ResourceId r = net.addResource(100.0);
   int calls = 0;
-  net.addRatesListener([&] { ++calls; });
+  net.addRatesListener([&](const AffectedResources&) { ++calls; });
   net.start(FlowSpec{.bytes = 100.0, .path = {r}});
   EXPECT_GE(calls, 1);
   const int before = calls;

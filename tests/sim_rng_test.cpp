@@ -1,5 +1,6 @@
-// Unit tests for the deterministic RNG: reproducibility, ranges and
-// first/second moments of the distribution helpers.
+// Unit tests for the deterministic RNG and hashes: reproducibility, ranges
+// and first/second moments of the distribution helpers, the SplitMix64
+// finalizer, and the FNV-1a fingerprint against published test vectors.
 
 #include "sim/rng.hpp"
 
@@ -7,11 +8,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
+
+#include "sim/fingerprint.hpp"
 
 namespace {
 
 using calciom::PreconditionError;
+using calciom::sim::Fingerprint;
+using calciom::sim::mix64;
 using calciom::sim::SplitMix64;
 using calciom::sim::Xoshiro256;
 
@@ -41,6 +48,33 @@ TEST(RngTest, SplitMix64KnownFirstValueIsStable) {
   SplitMix64 sm2(0);
   EXPECT_EQ(v1, sm2.next());
   EXPECT_NE(v1, sm.next());
+}
+
+TEST(RngTest, Mix64IsTheFirstSplitMix64Draw) {
+  // The published first output of SplitMix64 seeded with 0.
+  static_assert(mix64(0) == 0xE220A8397B1DCDAFULL);
+  for (const std::uint64_t x : {1ULL, 42ULL, 0xC4A05EEDULL, ~0ULL}) {
+    EXPECT_EQ(mix64(x), SplitMix64(x).next()) << x;
+  }
+}
+
+TEST(FingerprintTest, MatchesFnv1aTestVectors) {
+  // Folding bytes one word at a time is byte-wise FNV-1a for byte input.
+  Fingerprint a;
+  a.foldString("a");
+  EXPECT_EQ(a.value(), 0xaf63dc4c8601ec8cULL);
+  Fingerprint foobar;
+  foobar.foldString("foobar");
+  EXPECT_EQ(foobar.value(), 0x85944171f73967e8ULL);
+
+  Fingerprint bits;
+  bits.foldBits(1.5);
+  Fingerprint word;
+  std::uint64_t raw = 0;
+  const double v = 1.5;
+  std::memcpy(&raw, &v, sizeof raw);
+  word.fold(raw);
+  EXPECT_EQ(bits.value(), word.value());
 }
 
 TEST(RngTest, Uniform01StaysInRange) {

@@ -14,6 +14,7 @@
 
 namespace {
 
+using calciom::net::AffectedResources;
 using calciom::net::FlowNet;
 using calciom::net::FlowSpec;
 using calciom::sim::Delay;
@@ -90,7 +91,9 @@ TEST_P(CachePropertyTest, SaturationMatchesAnalyticPredicate) {
 
     const double bytes = rng.uniform(200.0, 8000.0);
     bool sawSaturation = false;
-    net.addRatesListener([&] { sawSaturation |= srv.cacheSaturated(); });
+    net.addRatesListener([&](const AffectedResources&) {
+      sawSaturation |= srv.cacheSaturated();
+    });
     eng.spawn(delayedBurst(eng, net, srv, 0.0, bytes, 1));
     // Poll for saturation during the run as well.
     for (double t = 0.1; t < 100.0; t += 0.1) {
