@@ -3,12 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "analysis/delta.hpp"
 #include "analysis/scenario.hpp"
+#include "calciom/arbiter_core.hpp"
 #include "io/pattern.hpp"
 #include "platform/presets.hpp"
+#include "sim/fingerprint.hpp"
 
 namespace {
 
@@ -160,6 +163,51 @@ TEST(RunManyTest, DeterministicAcrossRuns) {
   }
   EXPECT_EQ(r1.decisions.size(), r2.decisions.size());
   EXPECT_EQ(r1.pausesIssued, r2.pausesIssued);
+}
+
+// Pins runMany bit-for-bit: a 3-app campaign with staggered starts under
+// each policy, plus the uncoordinated baseline. The fold covers what the
+// runner assembles from the run: span, delivered bytes, the decision
+// stream, pauses issued, and per app its first start, last end, bytes and
+// the session stats copied back after the run.
+TEST(RunManyTest, PinnedCampaignFingerprints) {
+  struct Case {
+    PolicyKind policy;
+    bool coordinated;
+    std::uint64_t fingerprint;
+  };
+  const Case cases[] = {
+      {PolicyKind::Interfere, true, 0xd058b44f491dff59ULL},
+      {PolicyKind::Fcfs, true, 0x4ce95bab4e24bd28ULL},
+      {PolicyKind::Interrupt, true, 0xb9654f637de60882ULL},
+      {PolicyKind::Dynamic, true, 0x70f91ab30f52cc7bULL},
+      {PolicyKind::Interfere, false, 0x7713371ed471b97bULL},
+  };
+  for (const Case& c : cases) {
+    ManyConfig cfg;
+    cfg.machine = grid5000Rennes();
+    cfg.policy = c.policy;
+    cfg.coordinated = c.coordinated;
+    cfg.apps = {app("a", 240, 8, 0.0), app("b", 96, 8, 1.5),
+                app("c", 48, 4, 3.0)};
+    const ManyResult r = runMany(cfg);
+    calciom::sim::Fingerprint fp;
+    fp.foldBits(r.spanSeconds);
+    fp.foldBits(r.bytesDelivered);
+    calciom::core::foldDecisions(fp, r.decisions);
+    fp.fold(r.pausesIssued);
+    for (const auto& s : r.apps) {
+      fp.foldBits(s.firstStart);
+      fp.foldBits(s.lastEnd);
+      fp.fold(s.totalBytes());
+      fp.foldBits(s.sessionWaitSeconds);
+      fp.foldBits(s.sessionPausedSeconds);
+      fp.fold(static_cast<std::uint64_t>(s.pausesHonored));
+    }
+    EXPECT_EQ(fp.value(), c.fingerprint)
+        << toString(c.policy) << (c.coordinated ? "" : " uncoordinated")
+        << " = 0x" << std::hex << fp.value();
+  }
 }
 
 TEST(RunManyTest, EmptyAppListThrows) {
