@@ -1,9 +1,10 @@
 // Multi-application replay: five applications of very different sizes
-// arrive over ~15 seconds and all want to write. This example uses the
-// composition API directly (Machine + Arbiter + Session + IorApp) rather
-// than the two-app scenario helper, and reports machine-wide efficiency
-// metrics for each policy -- the paper's "strategies naturally extend to
-// more than two applications" (Section III-A).
+// arrive over ~15 seconds and all want to write. This example runs them
+// through the N-application campaign runner (analysis::runMany) under each
+// policy, with the dynamic policy optimizing the sum of interference
+// factors, and reports machine-wide efficiency metrics -- the paper's
+// "strategies naturally extend to more than two applications" (Section
+// III-A).
 //
 // The second half scales the same idea to a trace: a week of the synthetic
 // Intrepid workload streamed through the online coordination layer
@@ -18,10 +19,9 @@
 #include <vector>
 
 #include "analysis/replay.hpp"
-#include "calciom/arbiter.hpp"
-#include "calciom/metrics.hpp"
-#include "calciom/session.hpp"
+#include "analysis/scenario.hpp"
 #include "analysis/table.hpp"
+#include "calciom/metrics.hpp"
 #include "io/pattern.hpp"
 #include "platform/presets.hpp"
 #include "workload/ior.hpp"
@@ -52,41 +52,15 @@ workload::IorConfig makeConfig(const JobSpec& j) {
       .startOffset = j.start};
 }
 
-struct ReplayResult {
-  std::vector<workload::AppStats> stats;
-  std::size_t pauses = 0;
-};
-
-ReplayResult replay(core::PolicyKind policy) {
-  sim::Engine eng;
-  platform::Machine machine(eng, platform::grid5000Rennes());
-  core::Arbiter arbiter(
-      eng, machine.ports(),
-      core::makePolicy(policy,
-                       std::make_shared<core::SumInterferenceFactors>()));
-
-  std::vector<std::unique_ptr<workload::IorApp>> apps;
-  std::vector<std::unique_ptr<core::Session>> sessions;
-  ReplayResult result;
-  result.stats.resize(std::size(kJobs));
-  for (std::size_t i = 0; i < std::size(kJobs); ++i) {
-    const auto appId = static_cast<std::uint32_t>(i + 1);
-    apps.push_back(std::make_unique<workload::IorApp>(machine, appId,
-                                                      makeConfig(kJobs[i])));
-    sessions.push_back(std::make_unique<core::Session>(
-        eng, machine.ports(),
-        core::SessionConfig{.appId = appId,
-                            .appName = kJobs[i].name,
-                            .cores = kJobs[i].processes}));
+analysis::ManyResult replay(core::PolicyKind policy) {
+  analysis::ManyConfig cfg;
+  cfg.machine = platform::grid5000Rennes();
+  cfg.policy = policy;
+  cfg.metric = std::make_shared<core::SumInterferenceFactors>();
+  for (const JobSpec& j : kJobs) {
+    cfg.apps.push_back(makeConfig(j));
   }
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    eng.spawn(apps[i]->run(*sessions[i], &result.stats[i]));
-  }
-  eng.run();
-  for (const auto& s : sessions) {
-    result.pauses += static_cast<std::size_t>(s->pausesHonored());
-  }
-  return result;
+  return analysis::runMany(cfg);
 }
 
 }  // namespace
@@ -97,19 +71,9 @@ int main() {
   // Alone times for interference factors.
   std::vector<double> alone;
   for (const JobSpec& j : kJobs) {
-    sim::Engine eng;
-    platform::Machine machine(eng, platform::grid5000Rennes());
-    core::Arbiter arbiter(eng, machine.ports(),
-                          core::makePolicy(core::PolicyKind::Interfere));
-    workload::IorApp app(machine, 1, makeConfig(j));
-    core::Session session(eng, machine.ports(),
-                          core::SessionConfig{.appId = 1,
-                                              .appName = j.name,
-                                              .cores = j.processes});
-    workload::AppStats stats;
-    eng.spawn(app.run(session, &stats));
-    eng.run();
-    alone.push_back(stats.totalIoSeconds());
+    alone.push_back(
+        analysis::runAlone(platform::grid5000Rennes(), makeConfig(j))
+            .totalIoSeconds());
   }
 
   analysis::TextTable table({"policy", "sum I/O time (s)",
@@ -118,23 +82,25 @@ int main() {
   for (core::PolicyKind policy :
        {core::PolicyKind::Interfere, core::PolicyKind::Fcfs,
         core::PolicyKind::Interrupt, core::PolicyKind::Dynamic}) {
-    const ReplayResult r = replay(policy);
+    const analysis::ManyResult r = replay(policy);
     double sumIo = 0.0;
     double sumFactors = 0.0;
     double cpuSeconds = 0.0;
     double maxFactor = 0.0;
-    for (std::size_t i = 0; i < r.stats.size(); ++i) {
-      const double io = r.stats[i].totalIoSeconds();
+    int pauses = 0;
+    for (std::size_t i = 0; i < r.apps.size(); ++i) {
+      const double io = r.apps[i].totalIoSeconds();
       sumIo += io;
       sumFactors += io / alone[i];
       cpuSeconds += io * kJobs[i].processes;
       maxFactor = std::max(maxFactor, io / alone[i]);
+      pauses += r.apps[i].pausesHonored;
     }
     table.addRow({toString(policy), analysis::fmt(sumIo, 1),
                   analysis::fmt(sumFactors, 2),
                   analysis::fmt(cpuSeconds / 3600.0, 2),
                   analysis::fmt(maxFactor, 1) + "x",
-                  std::to_string(r.pauses)});
+                  std::to_string(pauses)});
   }
   std::cout << table.str()
             << "\nThe dynamic policy (optimizing the sum of interference "

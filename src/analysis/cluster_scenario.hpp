@@ -1,30 +1,24 @@
 #pragma once
 
 /// \file cluster_scenario.hpp
-/// The machine-wide experiment runner: builds a sharded cluster with one
-/// storage shard (platform::SharedStorageModel), pins real IOR applications
-/// on compute shards, coordinates them through a calciom::GlobalArbiter at
-/// the sync-horizon barriers, and collects everything the paper's figures
-/// report — the cluster counterpart of scenario.hpp's runPair/runMany. The
-/// single-machine runners stay the oracle: on a collapsed workload the
-/// cluster path must reproduce their decision stream exactly and their
-/// aggregate throughput up to barrier/hop latency (pinned by
-/// tests/cluster_io_test.cpp).
+/// The cluster binding of the campaign assembly (scenario.hpp): apps are
+/// pinned on the compute shards of a `platform::Cluster` and write through
+/// remote clients to one shared PFS on a storage shard
+/// (`platform::SharedStorageModel`); when coordinated, a
+/// `calciom::GlobalArbiter` decides at the sync-horizon barriers. Launch
+/// and collection are `CampaignLaunch`'s, as for `runMany`. The same-engine
+/// binding stays the oracle: on a collapsed workload the cluster path must
+/// reproduce its decision stream exactly and its aggregate throughput up
+/// to barrier/hop latency (pinned by tests/cluster_io_test.cpp).
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "calciom/metrics.hpp"
-#include "calciom/policy.hpp"
-#include "calciom/session.hpp"
-#include "platform/machine.hpp"
+#include "analysis/scenario.hpp"
 #include "platform/shared_storage.hpp"
-#include "sim/barrier_hook.hpp"
 #include "sim/time.hpp"
-#include "workload/ior.hpp"
 
 namespace calciom {
 class GlobalArbiter;
@@ -38,51 +32,27 @@ struct ClusterAppPlan {
   std::size_t shard = 0;
 };
 
-struct ClusterScenarioConfig {
-  /// Machine spec replicated per shard (the storage shard's file system is
-  /// the only one used).
-  platform::MachineSpec machine;
+/// `machine` is replicated per shard (the storage shard's file system is
+/// the only one used).
+struct ClusterScenarioConfig : CampaignSettings {
   /// Total shards, including the storage shard.
   std::size_t shards = 2;
   /// Shard hosting the shared PFS; default (nullopt) is the last shard.
   std::optional<std::size_t> storageShard;
   sim::Time syncHorizonSeconds = 0.25;
-  core::PolicyKind policy = core::PolicyKind::Interfere;
-  /// Metric for the dynamic policy (defaults to CpuSecondsWasted).
-  std::shared_ptr<const core::EfficiencyMetric> metric;
-  core::DynamicOptions dynamicOptions;
   std::vector<ClusterAppPlan> apps;
-  core::HookGranularity granularity = core::HookGranularity::PerRound;
-  /// false runs every app with NoopHooks: no arbiter, no coordination
-  /// traffic — the machine-wide "interfering" baseline.
-  bool coordinated = true;
   unsigned workers = 1;
-
-  // ---- Custom drives (analysis/replay.hpp) -------------------------------
-  // runCluster is the one machine-wide campaign runner; drives that are not
-  // "N pinned IOR apps" plug in here instead of duplicating the
-  // cluster/storage/arbiter assembly. With a drive installed, `apps` may be
-  // empty.
-
-  /// Non-owning barrier hooks, registered (in order) after the arbiter's
-  /// own hook; must outlive the call. The trace-replay harness streams SWF
-  /// jobs into the shards from such a hook.
-  std::vector<sim::BarrierHook*> barrierHooks;
-  /// Invoked after the cluster, storage model and arbiter are built, before
-  /// the run: lets a drive spawn its own workload against the shards.
-  /// `arbiter` is nullptr when `coordinated` is false.
+  /// A custom drive (analysis/replay.hpp), for workloads that are not "N
+  /// pinned IOR apps": invoked after the cluster, storage model, arbiter
+  /// and apps are set up, before the run, so it can register its own
+  /// barrier hooks (after the arbiter's) and spawn its own workload
+  /// against the shards. `arbiter` is nullptr when `coordinated` is false.
+  /// With a drive installed, `apps` may be empty.
   std::function<void(platform::Cluster&, GlobalArbiter* arbiter)> prepare;
 };
 
-struct ClusterRunResult {
-  std::vector<workload::AppStats> apps;
-  std::vector<core::DecisionRecord> decisions;
-  /// Wall-clock span from the earliest start to the latest end.
-  double spanSeconds = 0.0;
-  /// Total bytes landed on the shared file system.
-  double bytesDelivered = 0.0;
+struct ClusterRunResult : ManyResult {
   std::size_t grantsIssued = 0;
-  std::size_t pausesIssued = 0;
   /// Every Grant/Resume the arbiter issued, in order (empty when
   /// uncoordinated). The replay harness aligns this against its oracle.
   std::vector<core::GrantRecord> grantLog;

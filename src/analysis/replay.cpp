@@ -451,8 +451,8 @@ ReplayResult replayCluster(const ReplayConfig& cfg) {
   ccfg.dynamicOptions = cfg.dynamicOptions;
   ccfg.granularity = cfg.granularity;
   ccfg.workers = cfg.workers;
-  ccfg.barrierHooks = {&feeder};
   ccfg.prepare = [&feeder](platform::Cluster& cluster, GlobalArbiter*) {
+    cluster.addBarrierHook(&feeder);
     feeder.attach(cluster);
   };
   ClusterRunResult run = runCluster(ccfg);

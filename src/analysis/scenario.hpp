@@ -1,13 +1,24 @@
 #pragma once
 
 /// \file scenario.hpp
-/// The same-engine experiment runner: builds a fresh machine, arbiter and
-/// N applications, runs them with a chosen policy, and collects everything
-/// the paper's figures report. `runMany` is the one assembly; `runPair`
-/// (two apps and a start offset) and `runAlone` (one app, T_alone) are
-/// configurations of it. Each run is an isolated simulation (own engine
-/// and machine), so sweeps are embarrassingly reproducible.
+/// The campaign assembly and its same-engine binding. A campaign is N IOR
+/// applications run together under one policy; `CampaignSettings` holds
+/// what every campaign sets and `ManyResult` what every campaign reports,
+/// on whichever platform it runs. `CampaignLaunch` is the one
+/// launch-and-collect body: a runner builds its platform and (when
+/// coordinated) its arbiter, hands each constructed `IorApp` to the launch
+/// with the engine and port registry it runs on, runs the platform, and
+/// lets the launch collect the results.
+///
+/// Two platform bindings call it. `runMany` here places every app on one
+/// `Machine` coordinated by a same-engine `core::Arbiter`; `runPair` (two
+/// apps and a start offset) and `runAlone` (one app, T_alone) are
+/// configurations of it. `runCluster` (cluster_scenario.hpp) pins apps on
+/// the shards of a `Cluster` that share one PFS, coordinated by a
+/// `GlobalArbiter`. Each run is an isolated simulation (own engines and
+/// platform), so sweeps are embarrassingly reproducible.
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -15,24 +26,71 @@
 #include "calciom/metrics.hpp"
 #include "calciom/policy.hpp"
 #include "calciom/session.hpp"
+#include "io/hooks.hpp"
 #include "platform/machine.hpp"
 #include "platform/presets.hpp"
 #include "workload/ior.hpp"
 
 namespace calciom::analysis {
 
-struct ScenarioConfig {
+/// What every campaign sets, whichever platform it runs on.
+struct CampaignSettings {
   platform::MachineSpec machine;
   core::PolicyKind policy = core::PolicyKind::Interfere;
-  /// Metric for the dynamic policy (defaults to CpuSecondsWasted).
+  /// Metric for the dynamic policy (core::makePolicy defaults it to
+  /// CpuSecondsWasted).
   std::shared_ptr<const core::EfficiencyMetric> metric;
   core::DynamicOptions dynamicOptions;
+  core::HookGranularity granularity = core::HookGranularity::PerRound;
+  /// false installs no arbiter and runs every app with NoopHooks: the raw,
+  /// uncoordinated baseline (no coordination traffic at all).
+  bool coordinated = true;
+};
+
+/// What every campaign reports, whichever platform it runs on.
+struct ManyResult {
+  std::vector<workload::AppStats> apps;
+  /// Empty when uncoordinated.
+  std::vector<core::DecisionRecord> decisions;
+  /// Wall-clock span from the earliest start to the latest end.
+  double spanSeconds = 0.0;
+  /// Total bytes landed on the (shared) file system.
+  double bytesDelivered = 0.0;
+  std::size_t pausesIssued = 0;
+};
+
+/// The launch-and-collect body of every campaign. Apps are numbered from 1
+/// in launch order and report into `out.apps` in that order.
+class CampaignLaunch {
+ public:
+  /// Sizes `out.apps` for `apps` launches; `out` must outlive the run.
+  CampaignLaunch(const CampaignSettings& settings, ManyResult& out,
+                 std::size_t apps);
+
+  /// Gives `app` a Session on `ports` (NoopHooks when uncoordinated) and
+  /// spawns its run on `engine`. `app` must have been built with the next
+  /// app id.
+  void spawn(sim::Engine& engine, mpi::PortRegistry& ports,
+             std::unique_ptr<workload::IorApp> app);
+
+  /// After the run: copies each session's stats into its app, the span,
+  /// and (when `arbiter` is non-null) the decisions and pauses issued.
+  void collect(const core::ArbiterCore* arbiter);
+
+ private:
+  core::HookGranularity granularity_;
+  bool coordinated_;
+  ManyResult& out_;
+  io::NoopHooks noop_;
+  std::vector<std::unique_ptr<workload::IorApp>> apps_;
+  std::vector<std::unique_ptr<core::Session>> sessions_;
+};
+
+struct ScenarioConfig : CampaignSettings {
   workload::IorConfig appA;
   workload::IorConfig appB;
   /// B's start relative to A's (negative: B first).
   double dt = 0.0;
-  core::HookGranularity granularity = core::HookGranularity::PerRound;
-  bool coordinated = true;  ///< see ManyConfig::coordinated
 };
 
 struct PairResult {
@@ -54,24 +112,8 @@ struct PairResult {
 
 /// N-application scenario (paper §III-A: "these strategies naturally
 /// extend to more than two applications").
-struct ManyConfig {
-  platform::MachineSpec machine;
-  core::PolicyKind policy = core::PolicyKind::Interfere;
-  std::shared_ptr<const core::EfficiencyMetric> metric;
-  core::DynamicOptions dynamicOptions;
+struct ManyConfig : CampaignSettings {
   std::vector<workload::IorConfig> apps;
-  core::HookGranularity granularity = core::HookGranularity::PerRound;
-  /// false runs every app with NoopHooks: the raw, uncoordinated baseline
-  /// (no arbiter messages at all).
-  bool coordinated = true;
-};
-
-struct ManyResult {
-  std::vector<workload::AppStats> apps;
-  std::vector<core::DecisionRecord> decisions;
-  double spanSeconds = 0.0;
-  double bytesDelivered = 0.0;
-  std::size_t pausesIssued = 0;
 };
 
 [[nodiscard]] ManyResult runMany(const ManyConfig& cfg);
