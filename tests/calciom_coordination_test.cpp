@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "calciom/arbiter.hpp"
+#include "calciom/capture.hpp"
 #include "calciom/policy.hpp"
 #include "calciom/session.hpp"
+#include "mpi/info.hpp"
 #include "mpi/port.hpp"
 #include "sim/engine.hpp"
 
@@ -20,11 +23,14 @@ using calciom::core::Action;
 using calciom::core::Arbiter;
 using calciom::core::CpuSecondsWasted;
 using calciom::core::HookGranularity;
+using calciom::core::IoDescriptor;
 using calciom::core::makePolicy;
+using calciom::core::MessageType;
 using calciom::core::PolicyKind;
 using calciom::core::Session;
 using calciom::core::SessionConfig;
 using calciom::io::PhaseInfo;
+using calciom::mpi::Info;
 using calciom::mpi::PortRegistry;
 using calciom::sim::Delay;
 using calciom::sim::Engine;
@@ -293,19 +299,50 @@ TEST(CoordinationTest, BackToBackPhasesReuseTheSession) {
 TEST(CoordinationTest, PrepareCompleteStackInfluencesDescriptor) {
   Harness h(PolicyKind::Fcfs);
   Session s = h.makeSession(1, 64);
-  calciom::mpi::Info extra;
-  extra.setDouble(calciom::core::IoDescriptor::kEstAlone, 99.0);
-  s.prepare(extra);
-  AppResult res;
-  h.eng.spawn(synthApp(h.eng, s, phaseInfo(1, 1, 1, 1.0), 1, 1, 1.0, 0.0,
-                       &res));
-  h.eng.run();
+  calciom::core::EventLog log;
+  s.captureTo(&log);
+  // The phase's own values: 2 rounds of 500 bytes, 1000 bytes, est 2 s.
+  const PhaseInfo phase = phaseInfo(1, 1, 2, 1.0);
+  Info first;
+  first.setDouble(IoDescriptor::kEstAlone, 99.0);
+  first.setInt(IoDescriptor::kFiles, 3);
+  Info second;
+  second.setDouble(IoDescriptor::kEstAlone, 7.5);
+  second.setInt(IoDescriptor::kRounds, 4);
+  const auto runPhase = [&] {
+    AppResult res;
+    h.eng.spawn(synthApp(h.eng, s, phase, 1, 2, 1.0, 0.0, &res));
+    h.eng.run();
+  };
+  s.prepare(first);
+  s.prepare(second);
+  runPhase();  // both hints; the later one wins where they overlap
   s.complete();
-  EXPECT_EQ(s.informsSent(), 1);
-  // The prepared override must have reached the arbiter's record: start a
-  // second app while idle to inspect... (indirect: no crash and stack pops
-  // cleanly). Direct descriptor inspection is covered in arbiter tests.
+  runPhase();  // the first hint alone
+  s.complete();
+  runPhase();  // no hints: the phase's own values again
   EXPECT_THROW(s.complete(), calciom::PreconditionError);
+
+  std::vector<IoDescriptor> informs;
+  for (const auto& e : log.events()) {
+    if (e.payload.type() == MessageType::Inform) {
+      informs.push_back(e.payload.descriptor());
+    }
+  }
+  ASSERT_EQ(informs.size(), 3u);
+  EXPECT_EQ(s.informsSent(), 3);
+  IoDescriptor own = IoDescriptor::fromPhase(phase, 64);
+  own.appId = 1;
+  IoDescriptor both = own;
+  both.estAloneSeconds = 7.5;
+  both.files = 3;
+  both.roundsPerFile = 4;
+  IoDescriptor firstOnly = own;
+  firstOnly.estAloneSeconds = 99.0;
+  firstOnly.files = 3;
+  EXPECT_EQ(informs[0], both);
+  EXPECT_EQ(informs[1], firstOnly);
+  EXPECT_EQ(informs[2], own);
 }
 
 }  // namespace
