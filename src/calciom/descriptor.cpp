@@ -2,33 +2,6 @@
 
 namespace calciom::core {
 
-mpi::Info IoDescriptor::toInfo() const {
-  mpi::Info info;
-  info.setInt(kAppId, appId);
-  info.set(kAppName, appName);
-  info.setInt(kCores, cores);
-  info.setInt(kTotalBytes, static_cast<std::int64_t>(totalBytes));
-  info.setInt(kFiles, files);
-  info.setInt(kRounds, roundsPerFile);
-  info.setInt(kBytesPerRound, static_cast<std::int64_t>(bytesPerRound));
-  info.setDouble(kEstAlone, estAloneSeconds);
-  return info;
-}
-
-IoDescriptor IoDescriptor::fromInfo(const mpi::Info& info) {
-  IoDescriptor d;
-  d.appId = static_cast<std::uint32_t>(info.getIntOr(kAppId, 0));
-  d.appName = info.find(kAppName).value_or("");
-  d.cores = static_cast<int>(info.getIntOr(kCores, 1));
-  d.totalBytes = static_cast<std::uint64_t>(info.getIntOr(kTotalBytes, 0));
-  d.files = static_cast<int>(info.getIntOr(kFiles, 1));
-  d.roundsPerFile = static_cast<int>(info.getIntOr(kRounds, 1));
-  d.bytesPerRound =
-      static_cast<std::uint64_t>(info.getIntOr(kBytesPerRound, 0));
-  d.estAloneSeconds = info.getDoubleOr(kEstAlone, 0.0);
-  return d;
-}
-
 IoDescriptor IoDescriptor::fromPhase(const io::PhaseInfo& phase, int cores) {
   IoDescriptor d;
   d.appId = phase.appId;
@@ -40,6 +13,18 @@ IoDescriptor IoDescriptor::fromPhase(const io::PhaseInfo& phase, int cores) {
   d.bytesPerRound = phase.bytesPerRound;
   d.estAloneSeconds = phase.estimatedAloneSeconds;
   return d;
+}
+
+void IoHints::applyTo(IoDescriptor& desc) const {
+  if (appName) {
+    desc.appName = *appName;
+  }
+  desc.cores = cores.value_or(desc.cores);
+  desc.totalBytes = totalBytes.value_or(desc.totalBytes);
+  desc.files = files.value_or(desc.files);
+  desc.roundsPerFile = roundsPerFile.value_or(desc.roundsPerFile);
+  desc.bytesPerRound = bytesPerRound.value_or(desc.bytesPerRound);
+  desc.estAloneSeconds = estAloneSeconds.value_or(desc.estAloneSeconds);
 }
 
 }  // namespace calciom::core

@@ -6,14 +6,14 @@
 /// every level of the I/O stack — the application level contributes file
 /// counts and byte totals, the MPI-I/O level contributes collective
 /// buffering rounds and per-round volumes. It travels as a typed field of
-/// the Inform message (wire.hpp); `toInfo`/`fromInfo` map it to and from
-/// the MPI_Info hints the paper's Prepare() takes (`Session::prepare`).
+/// the Inform message (wire.hpp); `IoHints` are the typed Prepare() hints
+/// that override some of its fields (`Session::prepare`).
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "io/hooks.hpp"
-#include "mpi/info.hpp"
 
 namespace calciom::core {
 
@@ -30,25 +30,28 @@ struct IoDescriptor {
   /// The application's estimate of the phase duration without contention.
   double estAloneSeconds = 0.0;
 
-  /// Info keys of the Prepare() hints.
-  static constexpr const char* kAppId = "calciom.app_id";
-  static constexpr const char* kAppName = "calciom.app_name";
-  static constexpr const char* kCores = "calciom.cores";
-  static constexpr const char* kTotalBytes = "calciom.total_bytes";
-  static constexpr const char* kFiles = "calciom.files";
-  static constexpr const char* kRounds = "calciom.rounds_per_file";
-  static constexpr const char* kBytesPerRound = "calciom.bytes_per_round";
-  static constexpr const char* kEstAlone = "calciom.est_alone_seconds";
-
-  [[nodiscard]] mpi::Info toInfo() const;
-  [[nodiscard]] static IoDescriptor fromInfo(const mpi::Info& info);
-
   /// Builds a descriptor from the I/O stack's phase summary plus the
   /// application-level knowledge (core count).
   [[nodiscard]] static IoDescriptor fromPhase(const io::PhaseInfo& phase,
                                               int cores);
 
   bool operator==(const IoDescriptor&) const = default;
+};
+
+/// Prepare() hints: descriptor knowledge a level of the I/O stack supplies
+/// ahead of the phase. A set field overrides the descriptor's; an unset one
+/// leaves it alone. There is no `appId`: the session owns its identity.
+struct IoHints {
+  std::optional<std::string> appName;
+  std::optional<int> cores;
+  std::optional<std::uint64_t> totalBytes;
+  std::optional<int> files;
+  std::optional<int> roundsPerFile;
+  std::optional<std::uint64_t> bytesPerRound;
+  std::optional<double> estAloneSeconds;
+
+  /// Overwrites the fields of `desc` that this hint sets.
+  void applyTo(IoDescriptor& desc) const;
 };
 
 }  // namespace calciom::core

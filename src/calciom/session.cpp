@@ -27,8 +27,8 @@ Session::~Session() {
   }
 }
 
-void Session::prepare(const mpi::Info& info) {
-  preparedStack_.push_back(info);
+void Session::prepare(const IoHints& hints) {
+  preparedStack_.push_back(hints);
 }
 
 void Session::complete() {
@@ -60,14 +60,8 @@ void Session::inform(const io::PhaseInfo& phase) {
   if (!cfg_.appName.empty()) {
     desc.appName = cfg_.appName;
   }
-  if (!preparedStack_.empty()) {
-    // Prepare() hints override the phase's values key by key, the MPI_Info
-    // way: fold them once over the descriptor's own Info form.
-    mpi::Info hints = desc.toInfo();
-    for (const mpi::Info& extra : preparedStack_) {
-      hints.merge(extra);
-    }
-    desc = IoDescriptor::fromInfo(hints);
+  for (const IoHints& hints : preparedStack_) {
+    hints.applyTo(desc);
   }
   // Kept unstamped: each retransmission gets a fresh seq.
   informWire_ = Message::inform(std::move(desc));
@@ -271,7 +265,6 @@ void Session::armHeartbeat() {
     if (killed_ || degraded_ || !phaseActive_) {
       return;  // the chain dies; the next inform() restarts it
     }
-    ++heartbeatsSent_;
     sendToArbiter(Message::heartbeat(lastProgress_, protocolState()));
     armHeartbeat();
   });
@@ -294,7 +287,6 @@ void Session::armInformTimer() {
           degrade();
           return;
         }
-        ++retriesSent_;
         sendToArbiter(informWire_);
         armInformTimer();
       });

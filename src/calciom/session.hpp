@@ -39,7 +39,6 @@
 #include "calciom/capture.hpp"
 #include "calciom/descriptor.hpp"
 #include "io/hooks.hpp"
-#include "mpi/info.hpp"
 #include "mpi/port.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
@@ -87,11 +86,11 @@ class Session final : public io::IoCoordinationHooks {
 
   // ---- The paper's API --------------------------------------------------
 
-  /// Stacks additional descriptor knowledge for the next Inform: MPI_Info
-  /// hints keyed like `IoDescriptor::toInfo`, later ones overriding earlier
-  /// ones and the phase's own values. inform() folds them into the
-  /// descriptor it sends; keys the descriptor does not know are ignored.
-  void prepare(const mpi::Info& info);
+  /// Stacks additional descriptor knowledge for the next Inform: each set
+  /// field of `hints` overrides the phase's own value, and later Prepare()
+  /// calls override earlier ones. inform() applies them to the descriptor
+  /// it sends.
+  void prepare(const IoHints& hints);
   /// Pops the most recent Prepare.
   void complete();
   /// Announces the upcoming phase to the coordination layer.
@@ -129,9 +128,6 @@ class Session final : public io::IoCoordinationHooks {
 
   // ---- Introspection / statistics ----------------------------------------
 
-  [[nodiscard]] bool pauseRequested() const noexcept {
-    return pauseRequested_;
-  }
   [[nodiscard]] bool paused() const noexcept { return !resumeGate_.isOpen(); }
   [[nodiscard]] double waitSeconds() const noexcept { return waitSeconds_; }
   [[nodiscard]] double pausedSeconds() const noexcept {
@@ -139,10 +135,6 @@ class Session final : public io::IoCoordinationHooks {
   }
   [[nodiscard]] int pausesHonored() const noexcept { return pausesHonored_; }
   [[nodiscard]] int informsSent() const noexcept { return informsSent_; }
-  [[nodiscard]] int retriesSent() const noexcept { return retriesSent_; }
-  [[nodiscard]] int heartbeatsSent() const noexcept {
-    return heartbeatsSent_;
-  }
   /// Phases this session completed uncoordinated.
   [[nodiscard]] int degradedPhases() const noexcept {
     return degradedPhases_;
@@ -156,10 +148,6 @@ class Session final : public io::IoCoordinationHooks {
   /// than the newest one seen, or none at all after a restart was seen).
   [[nodiscard]] int staleArbiterCommands() const noexcept {
     return staleArbiterCommands_;
-  }
-  /// Highest arbiter-process incarnation seen (0 = never saw a restart).
-  [[nodiscard]] std::uint64_t arbiterIncarnationSeen() const noexcept {
-    return arbiterInc_;
   }
 
   // ---- Replay capture (analysis/replay.hpp) ------------------------------
@@ -192,7 +180,7 @@ class Session final : public io::IoCoordinationHooks {
   sim::Engine& engine_;
   mpi::PortRegistry& ports_;
   SessionConfig cfg_;
-  std::vector<mpi::Info> preparedStack_;
+  std::vector<IoHints> preparedStack_;
   sim::Gate authGate_{false};
   sim::Gate resumeGate_{true};
   bool authorized_ = false;
@@ -219,8 +207,6 @@ class Session final : public io::IoCoordinationHooks {
   /// The phase's Inform, unstamped: retransmitted by the retry timer and
   /// the base of a recovery report.
   Message informWire_ = Message::inform({});
-  int retriesSent_ = 0;
-  int heartbeatsSent_ = 0;
   int degradedPhases_ = 0;
   std::uint64_t arbiterInc_ = 0;  ///< highest arbiter incarnation seen
   int recoverAnswers_ = 0;

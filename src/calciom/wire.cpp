@@ -9,8 +9,9 @@ double wireRound(double v) noexcept {
   // Fixed notation with precision 6 is printf's "%f", which is what
   // std::to_string(double) produced for the text wire. The longest
   // rendering, -DBL_MAX, is 317 characters. from_chars rounds correctly,
-  // as strtod does, so both read the text back to the same double (the
-  // differential test in tests/calciom_wire_test.cpp holds them to it).
+  // as strtod does, so both read the text back to the same double
+  // (tests/calciom_wire_test.cpp holds wireRound to std::to_string and
+  // strtod bit for bit).
   char buf[328];
   const auto end =
       std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, 6).ptr;

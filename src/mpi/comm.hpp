@@ -63,12 +63,6 @@ class Communicator {
     return barrierTime() + totalBytes / aggregate;
   }
 
-  /// Small-payload allreduce (e.g. coordination votes).
-  [[nodiscard]] double allreduceTime(double bytes) const noexcept {
-    return 2.0 * treeDepth() *
-           (costs_.latency + bytes / costs_.bandwidthPerProcess);
-  }
-
  private:
   int size_;
   CommCosts costs_;

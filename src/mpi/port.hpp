@@ -122,9 +122,6 @@ class PortRegistry {
   void setDeliveryFilter(DeliveryFilter* filter) noexcept {
     filter_ = filter;
   }
-  [[nodiscard]] bool hasDeliveryFilter() const noexcept {
-    return filter_ != nullptr;
-  }
 
   /// Sends `payload` to `port`. Returns false if the port does not exist at
   /// send time and no relay is installed. Delivery is skipped silently if

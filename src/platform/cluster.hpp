@@ -161,9 +161,6 @@ class Cluster {
   /// may still reach into shard machines, e.g. ArbiterStub closing its
   /// port on a machine's registry. Returns the adopted hook.
   sim::BarrierHook& adoptBarrierHook(std::unique_ptr<sim::BarrierHook> hook);
-  [[nodiscard]] std::size_t barrierHookCount() const noexcept {
-    return hooks_.size();
-  }
 
  private:
   struct Shard {

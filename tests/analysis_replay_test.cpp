@@ -17,7 +17,6 @@
 #include "calciom/arbiter_core.hpp"
 #include "calciom/descriptor.hpp"
 #include "calciom/policy.hpp"
-#include "mpi/info.hpp"
 
 namespace {
 

@@ -13,7 +13,6 @@
 #include "calciom/capture.hpp"
 #include "calciom/policy.hpp"
 #include "calciom/session.hpp"
-#include "mpi/info.hpp"
 #include "mpi/port.hpp"
 #include "sim/engine.hpp"
 
@@ -24,13 +23,13 @@ using calciom::core::Arbiter;
 using calciom::core::CpuSecondsWasted;
 using calciom::core::HookGranularity;
 using calciom::core::IoDescriptor;
+using calciom::core::IoHints;
 using calciom::core::makePolicy;
 using calciom::core::MessageType;
 using calciom::core::PolicyKind;
 using calciom::core::Session;
 using calciom::core::SessionConfig;
 using calciom::io::PhaseInfo;
-using calciom::mpi::Info;
 using calciom::mpi::PortRegistry;
 using calciom::sim::Delay;
 using calciom::sim::Engine;
@@ -303,12 +302,8 @@ TEST(CoordinationTest, PrepareCompleteStackInfluencesDescriptor) {
   s.captureTo(&log);
   // The phase's own values: 2 rounds of 500 bytes, 1000 bytes, est 2 s.
   const PhaseInfo phase = phaseInfo(1, 1, 2, 1.0);
-  Info first;
-  first.setDouble(IoDescriptor::kEstAlone, 99.0);
-  first.setInt(IoDescriptor::kFiles, 3);
-  Info second;
-  second.setDouble(IoDescriptor::kEstAlone, 7.5);
-  second.setInt(IoDescriptor::kRounds, 4);
+  const IoHints first{.files = 3, .estAloneSeconds = 99.0};
+  const IoHints second{.roundsPerFile = 4, .estAloneSeconds = 7.5};
   const auto runPhase = [&] {
     AppResult res;
     h.eng.spawn(synthApp(h.eng, s, phase, 1, 2, 1.0, 0.0, &res));

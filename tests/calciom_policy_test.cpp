@@ -1,6 +1,7 @@
-// Unit tests for descriptors, efficiency metrics, the fluid pair model and
-// the scheduling policies -- including the paper's closed-form dynamic rule
-// "interrupt A iff dt < T_A(alone) - T_B(alone)" (Section IV-D).
+// Unit tests for descriptors and their hints, efficiency metrics, the fluid
+// pair model and the scheduling policies -- including the paper's
+// closed-form dynamic rule "interrupt A iff dt < T_A(alone) - T_B(alone)"
+// (Section IV-D).
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@ using calciom::core::fluidPairTimes;
 using calciom::core::InterferePolicy;
 using calciom::core::InterruptPolicy;
 using calciom::core::IoDescriptor;
+using calciom::core::IoHints;
 using calciom::core::makePolicy;
 using calciom::core::PolicyContext;
 using calciom::core::PolicyKind;
@@ -40,18 +42,35 @@ IoDescriptor sampleDescriptor() {
   return d;
 }
 
-TEST(DescriptorTest, InfoRoundTripPreservesEverything) {
-  const IoDescriptor d = sampleDescriptor();
-  const IoDescriptor back = IoDescriptor::fromInfo(d.toInfo());
-  EXPECT_EQ(back, d);
+TEST(DescriptorTest, HintsOverrideOnlyTheFieldsTheySet) {
+  IoDescriptor d = sampleDescriptor();
+  IoHints{}.applyTo(d);
+  EXPECT_EQ(d, sampleDescriptor());
+  IoHints{.cores = 16, .bytesPerRound = 1ull << 20}.applyTo(d);
+  IoDescriptor want = sampleDescriptor();
+  want.cores = 16;
+  want.bytesPerRound = 1ull << 20;
+  EXPECT_EQ(d, want);
 }
 
-TEST(DescriptorTest, MissingKeysFallBackToDefaults) {
-  const IoDescriptor d = IoDescriptor::fromInfo(calciom::mpi::Info{});
-  EXPECT_EQ(d.appId, 0u);
-  EXPECT_EQ(d.cores, 1);
-  EXPECT_EQ(d.files, 1);
-  EXPECT_DOUBLE_EQ(d.estAloneSeconds, 0.0);
+TEST(DescriptorTest, EveryHintReachesItsOwnField) {
+  IoDescriptor d = sampleDescriptor();
+  IoHints{.appName = "wrf",
+          .cores = 3,
+          .totalBytes = 5,
+          .files = 7,
+          .roundsPerFile = 11,
+          .bytesPerRound = 13,
+          .estAloneSeconds = 17.5}
+      .applyTo(d);
+  EXPECT_EQ(d, (IoDescriptor{.appId = 42,  // not a hint: the session's own
+                             .appName = "wrf",
+                             .cores = 3,
+                             .totalBytes = 5,
+                             .files = 7,
+                             .roundsPerFile = 11,
+                             .bytesPerRound = 13,
+                             .estAloneSeconds = 17.5}));
 }
 
 TEST(MetricsTest, CpuSecondsWastedWeighsByCores) {

@@ -22,6 +22,7 @@ namespace {
 
 using calciom::core::Arbiter;
 using calciom::core::HookGranularity;
+using calciom::core::IoHints;
 using calciom::core::makePolicy;
 using calciom::core::PolicyKind;
 using calciom::core::Session;
@@ -177,12 +178,8 @@ TEST(SessionTest, PausedFlagAndAccountingDuringInterruption) {
 TEST(SessionTest, PrepareCompleteStackSemantics) {
   Rig rig(PolicyKind::Fcfs);
   Session s(rig.eng, rig.ports, SessionConfig{.appId = 1, .cores = 8});
-  calciom::mpi::Info extra1;
-  extra1.set("layer", "hdf5");
-  calciom::mpi::Info extra2;
-  extra2.set("layer", "adio");
-  s.prepare(extra1);
-  s.prepare(extra2);
+  s.prepare(IoHints{.appName = "hdf5"});
+  s.prepare(IoHints{.appName = "adio"});
   s.complete();
   s.complete();
   EXPECT_THROW(s.complete(), calciom::PreconditionError);
@@ -310,9 +307,8 @@ TEST(SessionWireTest, InformReleasePauseAckPayloadsAreGolden) {
                   {"calciom.type", "complete"}}));
 }
 
-// Prepare() hints are folded over the descriptor once per Inform, the
-// MPI_Info way: later hints win over earlier ones and over the phase's own
-// values, keys the descriptor does not know are ignored, and a hinted
+// Prepare() hints are applied to the descriptor once per Inform: later
+// hints win over earlier ones and over the phase's own values, and a hinted
 // estimate still travels six-decimal rounded.
 TEST(SessionWireTest, PrepareHintsOverrideTheInformDescriptor) {
   using calciom::core::IoDescriptor;
@@ -321,15 +317,8 @@ TEST(SessionWireTest, PrepareHintsOverrideTheInformDescriptor) {
   Session s(rig.eng, rig.ports,
             SessionConfig{.appId = 5, .appName = "phase", .cores = 8});
   s.captureTo(&log);
-  calciom::mpi::Info older;
-  older.setDouble(IoDescriptor::kEstAlone, 2.0 / 3.0);
-  older.set(IoDescriptor::kAppName, "older");
-  older.set("layer", "hdf5");
-  calciom::mpi::Info newer;
-  newer.set(IoDescriptor::kAppName, "newer");
-  newer.setInt(IoDescriptor::kCores, 16);
-  s.prepare(older);
-  s.prepare(newer);
+  s.prepare(IoHints{.appName = "older", .estAloneSeconds = 2.0 / 3.0});
+  s.prepare(IoHints{.appName = "newer", .cores = 16});
   Time granted = -1.0;
   rig.eng.spawn(informAndWait(rig.eng, s, simplePhase(5, 1.0), &granted));
   rig.eng.run();

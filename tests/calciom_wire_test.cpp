@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string>
@@ -19,7 +21,6 @@
 #include "calciom/recovery.hpp"
 #include "calciom/wire.hpp"
 #include "fault/chaos.hpp"
-#include "mpi/info.hpp"
 #include "sim/contracts.hpp"
 #include "sim/fingerprint.hpp"
 #include "sim/rng.hpp"
@@ -51,17 +52,19 @@ constexpr PolicyKind kPolicies[] = {PolicyKind::Fcfs, PolicyKind::Interrupt,
                                     PolicyKind::Dynamic};
 
 // ---------------------------------------------------------------------------
-// wireRound against the text wire: Info::setDouble renders "%f" and
-// Info::getDouble parses it back with strtod. Every input must come back
-// bit-identical from both.
+// wireRound against the text wire: std::to_string renders "%f" and strtod
+// parses it back. Every input must come back bit-identical from both.
 
-/// The text wire's round trip.
+/// The text wire's round trip. A rendering strtod cannot read, or reads out
+/// of range, is a failure.
 double textRoundTrip(double v) {
-  calciom::mpi::Info info;
-  info.setDouble("v", v);
-  const auto back = info.getDouble("v");
-  EXPECT_TRUE(back.has_value()) << std::to_string(v);
-  return back.value_or(0.0);
+  const std::string text = std::to_string(v);
+  errno = 0;
+  char* end = nullptr;
+  const double back = std::strtod(text.c_str(), &end);
+  const bool ok = end != text.c_str() && errno != ERANGE;
+  EXPECT_TRUE(ok) << text;
+  return ok ? back : 0.0;
 }
 
 std::vector<double> wireInputs() {
@@ -196,7 +199,9 @@ TEST(WireMessage, InformCarriesAWireRoundedDescriptor) {
   EXPECT_EQ(m.descriptor().appName, d.appName);
   EXPECT_EQ(m.descriptor().estAloneSeconds, 0.333333);
   // The descriptor the arbiter reads is the one the text wire delivered.
-  EXPECT_EQ(m.descriptor(), IoDescriptor::fromInfo(d.toInfo()));
+  IoDescriptor text = d;
+  text.estAloneSeconds = textRoundTrip(d.estAloneSeconds);
+  EXPECT_EQ(m.descriptor(), text);
 }
 
 TEST(WirePorts, AppPortNamesAreFormattedInPlace) {
@@ -208,8 +213,8 @@ TEST(WirePorts, AppPortNamesAreFormattedInPlace) {
 
 // ---------------------------------------------------------------------------
 // Typed WAL replay and snapshots against the text wire. The hashes below
-// were produced by the same code running over the text (mpi::Info) wire;
-// the typed wire must reproduce them exactly.
+// were produced by the same code running over the text wire; the typed
+// wire must reproduce them exactly.
 
 /// A recorded coordination stream (one day of the seed-1 Intrepid model
 /// through replaySession, Dynamic policy) fed into a checkpointing arbiter

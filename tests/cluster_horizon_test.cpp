@@ -19,7 +19,6 @@
 #include "calciom/recovery.hpp"
 #include "fault/chaos.hpp"
 #include "fault/injector.hpp"
-#include "mpi/info.hpp"
 #include "sim/barrier_hook.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"

@@ -1,16 +1,9 @@
-// Unit tests for the MPI layer: Info dictionaries, collective cost models,
-// and cross-application ports.
+// Unit tests for the MPI layer: collective cost models and
+// cross-application ports.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
-#include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -18,10 +11,8 @@
 
 #include "calciom/wire.hpp"
 #include "mpi/comm.hpp"
-#include "mpi/info.hpp"
 #include "mpi/port.hpp"
 #include "sim/engine.hpp"
-#include "sim/rng.hpp"
 
 namespace {
 
@@ -31,358 +22,8 @@ using calciom::mpi::DeliveryFilter;
 using calciom::core::IoDescriptor;
 using calciom::core::Message;
 using calciom::core::MessageType;
-using calciom::mpi::Info;
 using calciom::mpi::PortRegistry;
 using calciom::sim::Engine;
-
-TEST(InfoTest, SetGetRoundTrip) {
-  Info info;
-  info.set("pattern", "strided");
-  EXPECT_EQ(info.get("pattern"), "strided");
-  EXPECT_EQ(info.get("missing"), std::nullopt);
-  EXPECT_TRUE(info.has("pattern"));
-  EXPECT_EQ(info.size(), 1u);
-}
-
-TEST(InfoTest, TypedAccessors) {
-  Info info;
-  info.setInt("files", 4);
-  info.setDouble("bytes", 16.5e6);
-  EXPECT_EQ(info.getInt("files"), 4);
-  EXPECT_NEAR(*info.getDouble("bytes"), 16.5e6, 1.0);
-  EXPECT_EQ(info.getIntOr("rounds", 7), 7);
-  EXPECT_DOUBLE_EQ(info.getDoubleOr("alone", 2.5), 2.5);
-}
-
-TEST(InfoTest, MalformedNumbersReturnNullopt) {
-  Info info;
-  info.set("x", "not-a-number");
-  EXPECT_EQ(info.getInt("x"), std::nullopt);
-  EXPECT_EQ(info.getDouble("x"), std::nullopt);
-}
-
-TEST(InfoTest, EraseAndKeysAreDeterministic) {
-  Info info;
-  info.set("b", "2");
-  info.set("a", "1");
-  info.set("c", "3");
-  info.erase("b");
-  EXPECT_EQ(info.keys(), (std::vector<std::string>{"a", "c"}));
-}
-
-TEST(InfoTest, MergePrefersOther) {
-  Info a;
-  a.set("k", "old");
-  a.set("only_a", "1");
-  Info b;
-  b.set("k", "new");
-  b.set("only_b", "2");
-  a.merge(b);
-  EXPECT_EQ(a.get("k"), "new");
-  EXPECT_EQ(a.get("only_a"), "1");
-  EXPECT_EQ(a.get("only_b"), "2");
-}
-
-TEST(InfoTest, EqualityIsStructural) {
-  Info a;
-  a.set("x", "1");
-  Info b;
-  b.set("x", "1");
-  EXPECT_EQ(a, b);
-  b.set("y", "2");
-  EXPECT_NE(a, b);
-}
-
-TEST(InfoTest, FindViewsTheStoredValueWithoutCopying) {
-  Info info;
-  info.set("calciom.session_state", "paused");
-  const auto v = info.find("calciom.session_state");
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, "paused");
-  EXPECT_EQ(info.find("calciom.session"), std::nullopt);
-  EXPECT_EQ(info.find("calciom.session_state_"), std::nullopt);
-}
-
-// ---- Differential test: Info against a std::map reference -------------
-
-/// The reference: the dictionary Info replaced, with the numeric reads it
-/// made (strtoll / strtod on an owning copy of the value).
-struct RefInfo {
-  std::map<std::string, std::string> m;
-
-  std::optional<std::int64_t> getInt(const std::string& key) const {
-    const auto it = m.find(key);
-    if (it == m.end()) {
-      return std::nullopt;
-    }
-    const std::string v = it->second;
-    errno = 0;
-    char* end = nullptr;
-    const long long parsed = std::strtoll(v.c_str(), &end, 10);
-    if (end == v.c_str() || errno == ERANGE) {
-      return std::nullopt;
-    }
-    return static_cast<std::int64_t>(parsed);
-  }
-  std::optional<double> getDouble(const std::string& key) const {
-    const auto it = m.find(key);
-    if (it == m.end()) {
-      return std::nullopt;
-    }
-    const std::string v = it->second;
-    errno = 0;
-    char* end = nullptr;
-    const double parsed = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || errno == ERANGE) {
-      return std::nullopt;
-    }
-    return parsed;
-  }
-};
-
-// Keys around the 15-character small-string boundary, keys that prefix one
-// another, and a non-ASCII key (ordered as unsigned bytes, like std::map).
-const std::vector<std::string> kDiffKeys = {
-    "a",
-    "ab",
-    "b",
-    "k",
-    "abcdefghijklmn",             // 14
-    "abcdefghijklmno",            // 15
-    "abcdefghijklmnop",           // 16
-    "calciom.seq",
-    "calciom.rounds_per_file",
-    "calciom.est_alone_seconds",
-    "\xc3\xa9t\xc3\xa9",
-    "zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzz",
-};
-
-// Malformed and edge-case numbers that must parse exactly as before.
-const std::vector<std::string> kDiffValues = {
-    "",
-    "0",
-    "7",
-    "-12",
-    "12abc",
-    " 7",
-    "\t-3",
-    "+5",
-    "nan",
-    "-nan",
-    "inf",
-    "-0",
-    "3.5",
-    "0.333333",
-    "1e5",
-    "0x1F",
-    "not-a-number",
-    "+",
-    "-",
-    "9223372036854775807",
-    "9223372036854775808",
-    "-9223372036854775809",
-    "1e400",
-    "1e-400",
-    "strided",
-};
-
-std::string randomValue(calciom::sim::Xoshiro256& rng) {
-  if (rng() % 4 == 0) {
-    // Long values: repeated overwrites of one key grow and shrink the
-    // buffer in place.
-    return std::string(static_cast<std::size_t>(rng() % 200), 'v');
-  }
-  return kDiffValues[rng() % kDiffValues.size()];
-}
-
-std::int64_t randomInt(calciom::sim::Xoshiro256& rng) {
-  switch (rng() % 4) {
-    case 0:
-      return std::numeric_limits<std::int64_t>::min();
-    case 1:
-      return std::numeric_limits<std::int64_t>::max();
-    case 2:
-      return static_cast<std::int64_t>(rng() % 2000) - 1000;
-    default:
-      return static_cast<std::int64_t>(rng());
-  }
-}
-
-double randomDouble(calciom::sim::Xoshiro256& rng) {
-  switch (rng() % 8) {
-    case 0:
-      return std::numeric_limits<double>::quiet_NaN();
-    case 1:
-      return -std::numeric_limits<double>::infinity();
-    case 2:
-      return -0.0;
-    case 3:
-      return 1.0 / 3.0;
-    case 4:
-      return std::numeric_limits<double>::max();
-    case 5:
-      return 4.9e-7;  // rounds to "0.000000"
-    default: {
-      // Any finite bit pattern: every magnitude and rounding case of %f.
-      double d = 0.0;
-      do {
-        const std::uint64_t bits = rng();
-        std::memcpy(&d, &bits, sizeof d);
-      } while (!std::isfinite(d));
-      return d;
-    }
-  }
-}
-
-void applyRandomWrites(calciom::sim::Xoshiro256& rng, Info& info,
-                       RefInfo& ref, int count) {
-  for (int i = 0; i < count; ++i) {
-    const std::string& key = kDiffKeys[rng() % kDiffKeys.size()];
-    switch (rng() % 4) {
-      case 0: {
-        const std::string v = randomValue(rng);
-        info.set(key, v);
-        ref.m[key] = v;
-        break;
-      }
-      case 1: {
-        const std::int64_t v = randomInt(rng);
-        info.setInt(key, v);
-        ref.m[key] = std::to_string(v);
-        break;
-      }
-      case 2: {
-        const double v = randomDouble(rng);
-        info.setDouble(key, v);
-        ref.m[key] = std::to_string(v);
-        break;
-      }
-      default:
-        info.erase(key);
-        ref.m.erase(key);
-        break;
-    }
-  }
-}
-
-void expectSameAsReference(const Info& info, const RefInfo& ref) {
-  ASSERT_EQ(info.size(), ref.m.size());
-  EXPECT_EQ(info.empty(), ref.m.empty());
-  std::vector<std::string> refKeys;
-  for (const auto& [k, v] : ref.m) {
-    refKeys.push_back(k);
-  }
-  ASSERT_EQ(info.keys(), refKeys);
-  for (const std::string& key : kDiffKeys) {
-    const auto it = ref.m.find(key);
-    const bool present = it != ref.m.end();
-    ASSERT_EQ(info.has(key), present) << key;
-    ASSERT_EQ(info.get(key),
-              present ? std::optional<std::string>(it->second) : std::nullopt)
-        << key;
-    ASSERT_EQ(info.getInt(key), ref.getInt(key)) << key;
-    const auto d = info.getDouble(key);
-    const auto refD = ref.getDouble(key);
-    ASSERT_EQ(d.has_value(), refD.has_value()) << key;
-    if (d) {
-      ASSERT_TRUE(std::memcmp(&*d, &*refD, sizeof(double)) == 0 ||
-                  (std::isnan(*d) && std::isnan(*refD)))
-          << key;
-    }
-  }
-  // Structural equality: the same entries inserted in reverse key order
-  // make a different buffer but an equal Info.
-  Info rebuilt;
-  for (auto it = ref.m.rbegin(); it != ref.m.rend(); ++it) {
-    rebuilt.set(it->first, it->second);
-  }
-  ASSERT_EQ(info, rebuilt);
-  if (!ref.m.empty()) {
-    const auto& [firstKey, firstValue] = *ref.m.begin();
-    Info otherValue = rebuilt;
-    otherValue.set(firstKey, firstValue + "x");
-    ASSERT_NE(info, otherValue);
-    Info otherKey = rebuilt;
-    otherKey.erase(firstKey);
-    otherKey.set("differs", firstValue);
-    ASSERT_NE(info, otherKey);
-  }
-  rebuilt.set("differs", "x");
-  ASSERT_NE(info, rebuilt);
-}
-
-TEST(InfoDifferentialTest, RandomSequencesMatchStdMapReference) {
-  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    calciom::sim::Xoshiro256 rng(seed);
-    Info info;
-    RefInfo ref;
-    for (int step = 0; step < 150; ++step) {
-      switch (rng() % 8) {
-        case 0: {  // merge: the other side wins on conflict
-          Info other;
-          RefInfo otherRef;
-          applyRandomWrites(rng, other, otherRef, static_cast<int>(rng() % 6));
-          info.merge(other);
-          for (const auto& [k, v] : otherRef.m) {
-            ref.m[k] = v;
-          }
-          break;
-        }
-        case 1: {  // copy, then keep mutating the copy
-          Info copy = info;
-          ASSERT_EQ(copy, info);
-          info = std::move(copy);
-          break;
-        }
-        case 2: {  // copy assignment over a populated Info
-          Info target;
-          target.set("abcdefghijklmnop", "stale");
-          target = info;
-          ASSERT_EQ(target, info);
-          info = target;
-          break;
-        }
-        default:
-          applyRandomWrites(rng, info, ref, 1);
-          break;
-      }
-      ASSERT_NO_FATAL_FAILURE(expectSameAsReference(info, ref))
-          << "seed " << seed << " step " << step;
-    }
-  }
-}
-
-TEST(InfoDifferentialTest, NumbersRenderExactlyAsToString) {
-  calciom::sim::Xoshiro256 rng(7);
-  Info info;
-  for (int i = 0; i < 20000; ++i) {
-    const double d = randomDouble(rng);
-    info.setDouble("d", d);
-    ASSERT_EQ(info.get("d"), std::to_string(d)) << i;
-    const std::int64_t n = randomInt(rng);
-    info.setInt("n", n);
-    ASSERT_EQ(info.get("n"), std::to_string(n)) << i;
-  }
-  info.setDouble("third", 1.0 / 3.0);
-  EXPECT_EQ(info.get("third"), "0.333333");
-}
-
-TEST(InfoDifferentialTest, SelfReferentialSetsAndMerges) {
-  Info info;
-  info.set("a", "bravo-bravo-bravo-bravo");
-  // A new key whose value views the buffer, which the insertion regrows.
-  const std::string longKey(300, 'k');
-  info.set(longKey, *info.find("a"));
-  EXPECT_EQ(info.get(longKey), "bravo-bravo-bravo-bravo");
-  info.set("b", *info.find("a"));  // insert, no regrowth
-  info.set("b", *info.find(longKey));  // overwrite with its own text
-  EXPECT_EQ(info.get("b"), "bravo-bravo-bravo-bravo");
-  info.set(*info.find("a"), "x");  // the key views the buffer
-  EXPECT_EQ(info.get("bravo-bravo-bravo-bravo"), "x");
-  const Info before = info;
-  info.merge(info);
-  EXPECT_EQ(info, before);
-}
 
 TEST(CommunicatorTest, SingleProcessCollectivesAreFree) {
   Communicator comm(1, CommCosts{.latency = 1e-3, .bandwidthPerProcess = 1e6});
