@@ -137,12 +137,13 @@ void ArbiterCore::onMessage(sim::Time now, std::uint32_t from,
   }
 }
 
-PolicyContext ArbiterCore::buildContext(sim::Time now,
-                                        const AppRecord& requester) const {
-  PolicyContext ctx;
+const PolicyContext& ArbiterCore::buildContext(sim::Time now,
+                                               const AppRecord& requester) {
+  PolicyContext& ctx = context_;
   ctx.requester = requester.desc;
   ctx.now = now;
   ctx.queueLength = waitQueue_.size();
+  ctx.accessors.clear();
   for (std::uint32_t id : accessors_) {
     const AppRecord& rec = apps_.at(id);
     ctx.accessors.push_back(PolicyContext::AccessorView{
@@ -215,7 +216,7 @@ void ArbiterCore::onInform(sim::Time now, std::uint32_t app,
     return;
   }
 
-  const PolicyContext ctx = buildContext(now, rec);
+  const PolicyContext& ctx = buildContext(now, rec);
   DecisionRecord record;
   record.time = now;
   record.requester = app;

@@ -364,8 +364,9 @@ class ArbiterCore {
     sim::Time lastCommandAt = 0.0;
   };
 
-  [[nodiscard]] PolicyContext buildContext(sim::Time now,
-                                           const AppRecord& requester) const;
+  /// Fills `context_` for a decision on `requester` and returns it.
+  [[nodiscard]] const PolicyContext& buildContext(sim::Time now,
+                                                  const AppRecord& requester);
   /// Appends one command for `app`, stamping epoch/cmdSeq/incarnation from
   /// its record and updating the retransmission throttle.
   void emit(sim::Time now, std::uint32_t app, CommandType type, Commands& out);
@@ -419,6 +420,9 @@ class ArbiterCore {
   sim::Time recoveryDeadline_ = 0.0;
   std::size_t reinstated_ = 0;
   std::size_t recoverIssued_ = 0;
+  /// Decision scratch: rebuilt by every buildContext, so the accessor list
+  /// keeps its capacity from one decision to the next.
+  PolicyContext context_;
 };
 
 }  // namespace calciom::core

@@ -45,7 +45,12 @@ DynamicPolicy::DynamicPolicy(std::shared_ptr<const EfficiencyMetric> metric,
 
 std::vector<ActionCost> DynamicPolicy::evaluate(
     const PolicyContext& ctx) const {
+  // Exactly the options evaluated below (at most three): the vector is kept
+  // in the DecisionRecord, so spare capacity would stay for the whole run.
+  const bool contended = !ctx.accessors.empty();
   std::vector<ActionCost> out;
+  out.reserve(1 + (contended ? 1 : 0) +
+              (options_.considerInterference && contended ? 1 : 0));
   const double estB = ctx.requester.estAloneSeconds;
 
   // Remaining work of the busiest accessor dominates the wait.
@@ -74,7 +79,7 @@ std::vector<ActionCost> DynamicPolicy::evaluate(
 
   // Option 2 — Interrupt: accessors pause while the requester writes; their
   // phases stretch by the requester's alone time.
-  if (!ctx.accessors.empty()) {
+  if (contended) {
     ActionCost c;
     c.action = Action::Interrupt;
     c.terms.push_back(
@@ -90,7 +95,7 @@ std::vector<ActionCost> DynamicPolicy::evaluate(
 
   // Option 3 (extension) — Interfere: both proceed under proportional
   // sharing with an aggregate efficiency penalty.
-  if (options_.considerInterference && !ctx.accessors.empty()) {
+  if (options_.considerInterference && contended) {
     const PairTimes t = fluidPairTimes(
         maxRemaining, estB, std::max(accessorWeight, 1e-9),
         static_cast<double>(ctx.requester.cores), options_.overlapEfficiency);
@@ -107,11 +112,23 @@ std::vector<ActionCost> DynamicPolicy::evaluate(
   }
 
   // Cheapest first; ties prefer the less disruptive action (Queue <
-  // Interrupt < Interfere by enum order in this file's option ordering).
-  std::stable_sort(out.begin(), out.end(),
-                   [](const ActionCost& x, const ActionCost& y) {
-                     return x.metricCost < y.metricCost;
-                   });
+  // Interrupt < Interfere, the order the options were appended in). A
+  // stable insertion sort of at most three entries: std::stable_sort would
+  // allocate a temporary buffer. Same steps as libstdc++'s insertion sort
+  // (an entry cheaper than the first moves to the front, any other walks
+  // back past dearer ones), so even NaN costs land where they used to.
+  for (auto it = out.begin() + 1; it < out.end(); ++it) {
+    ActionCost c = std::move(*it);
+    auto hole = it;
+    if (c.metricCost < out.front().metricCost) {
+      hole = std::move_backward(out.begin(), it, it + 1) - 1;
+    } else {
+      for (; c.metricCost < (hole - 1)->metricCost; --hole) {
+        *hole = std::move(*(hole - 1));
+      }
+    }
+    *hole = std::move(c);
+  }
   return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <new>
 
 #include "sim/wall_timer.hpp"
 
@@ -34,6 +35,11 @@ class CurrentEngineScope {
 Engine* Engine::current() noexcept { return tlsCurrentEngine; }
 
 Engine::~Engine() {
+  // Closed first: blocks returned from here on, by this destructor or by a
+  // handle that outlives the engine, only count down to the pools' release,
+  // and a task spawned by a destructor below takes a heap record.
+  frames_.reset();
+  completions_.reset();
   drainZombies();
   // Destroy frames of tasks that never finished (e.g. blocked on a gate when
   // the simulation ended) in spawn order, oldest first, so teardown side
@@ -75,14 +81,24 @@ void Engine::scheduleAfter(Time dt, EventFn fn) {
   scheduleAt(now_ + std::max(dt, 0.0), std::move(fn));
 }
 
-std::shared_ptr<Trigger> Engine::spawn(Task task) {
-  Task::Handle h = task.release();
-  CALCIOM_EXPECTS(h != nullptr);
-  h.promise().engine = this;
-  link(h.promise());
-  std::shared_ptr<Trigger> done = h.promise().done;
+JoinHandle Engine::spawn(Task task) {
+  CALCIOM_EXPECTS(task.valid());
+#if defined(CALCIOM_SHARD_CHECKS)
+  // A frame created in another engine's loop would go back to that
+  // engine's pool from this loop.
+  const Engine* const creator = task.handle_.promise().engine;
+  CALCIOM_ENSURES(creator == nullptr || creator == this);
+#endif
+  const Task::Handle h = task.release();
+  Task::promise_type& p = h.promise();
+  p.engine = this;
+  link(p);
+  p.done = ::new (detail::BlockPool::allocate(
+      completions_.get(), sizeof(detail::Completion))) detail::Completion;
+  ++p.done->refs;
+  JoinHandle join(p.done);
   scheduleAt(now_, [h] { h.resume(); });
-  return done;
+  return join;
 }
 
 std::uint32_t Engine::openBucket(Time t) {

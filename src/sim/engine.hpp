@@ -74,8 +74,9 @@ struct EngineStats {
 ///
 /// Usage:
 ///   Engine eng;
-///   auto done = eng.spawn(myTask(eng, ...));
+///   JoinHandle done = eng.spawn(myTask(eng, ...));
 ///   eng.run();                       // until no events remain
+///   done.fired();                    // true: the task finished
 class Engine {
  public:
   Engine() = default;
@@ -104,10 +105,16 @@ class Engine {
   void scheduleAfter(Time dt, EventFn fn);
 
   /// Takes ownership of `task`, schedules its first step at the current time
-  /// and returns its completion trigger (fired when the task body returns).
-  /// The task joins the live list; tasks still suspended when the engine is
-  /// destroyed have their frames destroyed in spawn order, oldest first.
-  std::shared_ptr<Trigger> spawn(Task task);
+  /// and returns a handle to its completion, which fires when the task body
+  /// returns. The handle may be `co_await`ed, kept or discarded; the record
+  /// behind it comes from this engine's completion pool and is recycled once
+  /// neither the task nor any handle holds it (see JoinHandle). The task
+  /// joins the live list; tasks still suspended when the engine is destroyed
+  /// have their frames destroyed in spawn order, oldest first. The frame
+  /// must come from the heap or from this engine's pool: a Task created in
+  /// another engine's loop cannot be spawned here (CALCIOM_SHARD_CHECKS
+  /// builds throw InvariantError).
+  JoinHandle spawn(Task task);
 
   /// Runs until the event queue is empty. Rethrows the first exception that
   /// escaped any task body.
@@ -239,6 +246,11 @@ class Engine {
   double wallSeconds_ = 0.0;
   Xoshiro256 rng_{0};
   std::vector<Task::Handle> zombies_;
+  // Recycled frames (of tasks created in this engine's loop) and completion
+  // records (of tasks spawned here). ~Engine closes them first; a closed
+  // pool lives on until its last block comes back.
+  detail::BlockPool::Owner frames_ = detail::BlockPool::open(this);
+  detail::BlockPool::Owner completions_ = detail::BlockPool::open(this);
   // Spawned tasks whose bodies have not finished, in spawn order: an
   // intrusive doubly-linked list through Task::promise_type.
   Task::promise_type* liveHead_ = nullptr;

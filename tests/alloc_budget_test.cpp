@@ -4,8 +4,8 @@
 // coordination message — the figure a month-scale replay multiplies by
 // ~73k messages. Each budget is the value measured when it was pinned plus
 // 10 %, so a change that adds one allocation per message fails here. The
-// engine's own event queue, and a FlowNet's start→complete cycle, have a
-// budget of zero once warm.
+// engine's own event queue, spawning and joining tasks, and a FlowNet's
+// start→complete cycle have a budget of zero once warm.
 
 #include <gtest/gtest.h>
 
@@ -99,34 +99,38 @@ double allocationsPerMessage(Replay run) {
          static_cast<double>(r.captured.size());
 }
 
-// The messages themselves no longer allocate: a typed wire message is a
-// fixed record (short application names stay in the small-string buffer),
-// and port names are formatted on the stack. What remains is per job, and
-// a job sends five messages (Inform, three Releases, Complete). Counted on
-// the session replay, about 38 allocations per job:
+// The messages themselves do not allocate: a typed wire message is a fixed
+// record (short application names stay in the small-string buffer), and
+// port names are formatted on the stack. Nor do the job's coroutines once
+// the engine is warm: its ten frames (the job, beginPhase, wait, three
+// roundBoundary and three release, endPhase) come from the engine's frame
+// pool and its ten completions from the completion pool. What remains is
+// per job, and a job sends five messages (Inform, three Releases,
+// Complete). Counted on the session replay, about 15 allocations per job:
 //  * the Session, its liveness flag (a shared_ptr) and its port's map node;
-//  * ten coroutine frames (the job, beginPhase, wait, three roundBoundary
-//    and three release, endPhase) and, for each spawn, the completion
-//    Trigger the engine hands back (a shared_ptr): 20 in all;
-//  * the arbiter's decisions, about one per two jobs and taken twice (the
-//    online core and the oracle replay): the policy context, the accessor
-//    list, and the Dynamic policy's cost terms and sort buffer, about ten
-//    allocations per decision;
-//  * amortized growth of the capture log, the decision and grant logs and
-//    the queues.
+//  * the arbiter's decisions, about one per two jobs, each taken twice (the
+//    online core and the oracle replay): the accessor list and the cost
+//    vector the DecisionRecord keeps, and two growth steps of each of the
+//    Queue and Interrupt terms vectors, six allocations per decision per
+//    core; copying both decision logs into the ReplayResult adds four more
+//    per decision per log, about 20 per decision in all;
+//  * amortized growth of the capture log, the decision and grant logs, the
+//    queues and the pools (the pools stop growing at the peak number of
+//    concurrent tasks).
+// The cluster replay adds about 3.5 per job in its barrier exchange.
 
 TEST(AllocBudget, ReplayClusterPerMessage) {
-  // Pinned at 8.09 allocations per message (4,640 messages).
+  // Pinned at 3.49 allocations per message (4,640 messages).
   const double perMessage = allocationsPerMessage(
       [](const replay::ReplayConfig& c) { return replay::replayCluster(c); });
-  EXPECT_LE(perMessage, 8.9);
+  EXPECT_LE(perMessage, 3.84);
 }
 
 TEST(AllocBudget, ReplaySessionPerMessage) {
-  // Pinned at 7.59 allocations per message (4,640 messages).
+  // Pinned at 2.93 allocations per message (4,640 messages).
   const double perMessage = allocationsPerMessage(
       [](const replay::ReplayConfig& c) { return replay::replaySession(c); });
-  EXPECT_LE(perMessage, 8.35);
+  EXPECT_LE(perMessage, 3.22);
 }
 
 /// A self-rescheduling event: every firing schedules its successor, half
@@ -168,6 +172,48 @@ TEST(AllocBudget, EngineSteadyState) {
   EXPECT_GE(fired - warm, 10000u);
   EXPECT_EQ(gAllocations.load(), 0u);
   EXPECT_EQ(eng.pendingEvents(), 64u);
+}
+
+calciom::sim::Task delayedChild(calciom::sim::Time dt) {
+  co_await calciom::sim::Delay{dt};
+}
+
+/// Joins two children in turn, each a Delay long.
+calciom::sim::Task joiningParent(calciom::sim::Engine& eng,
+                                 calciom::sim::Time dt) {
+  co_await eng.spawn(delayedChild(dt));
+  co_await eng.spawn(delayedChild(2.0 * dt));
+}
+
+/// Spawns and joins one parent after another, forever: every frame and
+/// completion below it is created inside the event loop.
+calciom::sim::Task parentLoop(calciom::sim::Engine& eng, calciom::sim::Time dt,
+                              std::uint64_t& joins) {
+  for (;;) {
+    co_await eng.spawn(joiningParent(eng, dt));
+    ++joins;
+  }
+}
+
+TEST(AllocBudget, SpawnJoinSteadyState) {
+  // 32 loops over seven periods keep 96 tasks alive; the frame
+  // pool (two frame sizes), the completion pool, the engine's queue and its
+  // retired-frame list reach their peak sizes during warm-up, and after
+  // that every spawn and join recycles.
+  calciom::sim::Engine eng;
+  std::uint64_t joins = 0;
+  for (int i = 0; i < 32; ++i) {
+    eng.spawn(parentLoop(eng, 1e-3 * static_cast<double>(1 + i % 7), joins));
+  }
+  eng.runUntil(10.0);
+  const std::uint64_t warm = joins;
+  ASSERT_GT(warm, 1000u);
+  gAllocations.store(0);
+  gCounting.store(true);
+  eng.runUntil(100.0);
+  gCounting.store(false);
+  EXPECT_GE(joins - warm, 100000u);
+  EXPECT_EQ(gAllocations.load(), 0u);
 }
 
 /// Starts the next prepared spec, waits for it, and repeats until the specs

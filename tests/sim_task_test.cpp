@@ -1,20 +1,25 @@
 // Unit tests for the coroutine Task type: spawning, delays, joining,
-// exception propagation and frame lifetime.
+// exception propagation, frame lifetime and the engine's frame and
+// completion pools.
 
 #include "sim/task.hpp"
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <array>
+#include <coroutine>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
+#include "sim/contracts.hpp"
 #include "sim/engine.hpp"
 
 namespace {
 
 using calciom::sim::Delay;
 using calciom::sim::Engine;
+using calciom::sim::JoinHandle;
 using calciom::sim::Latch;
 using calciom::sim::Task;
 using calciom::sim::Time;
@@ -52,12 +57,12 @@ TEST(TaskTest, SpawnReturnsCompletionTrigger) {
   Engine eng;
   std::vector<Time> seen;
   auto done = eng.spawn(noteTimes(eng, seen));
-  EXPECT_FALSE(done->fired());
+  EXPECT_FALSE(done.fired());
   eng.run();
-  EXPECT_TRUE(done->fired());
+  EXPECT_TRUE(done.fired());
 }
 
-Task waitFor(Engine& eng, std::shared_ptr<Trigger> dep, std::vector<Time>& out) {
+Task waitFor(Engine& eng, JoinHandle dep, std::vector<Time>& out) {
   co_await std::move(dep);
   out.push_back(eng.now());
 }
@@ -78,7 +83,7 @@ TEST(TaskTest, JoiningAFinishedTaskResumesImmediately) {
   std::vector<Time> times;
   auto done = eng.spawn(noteTimes(eng, times));
   eng.run();
-  ASSERT_TRUE(done->fired());
+  ASSERT_TRUE(done.fired());
   std::vector<Time> joinTimes;
   eng.spawn(waitFor(eng, done, joinTimes));
   eng.run();
@@ -122,7 +127,7 @@ TEST(TaskTest, ExceptionStillFiresCompletionTrigger) {
     FAIL() << "expected exception";
   } catch (const std::runtime_error&) {
   }
-  EXPECT_TRUE(done->fired());
+  EXPECT_TRUE(done.fired());
 }
 
 Task fanOutChild([[maybe_unused]] Engine& eng, Latch& latch, Time dt) {
@@ -268,5 +273,234 @@ TEST(TaskTest, ManyConcurrentTasksAllComplete) {
   eng.run();
   EXPECT_EQ(completed, 200);
 }
+
+TEST(TaskTest, DiscardedSpawnResultStillRunsTheTask) {
+  // Dropping the handle at once leaves the task's own reference: the task
+  // runs to the end, and its record is recycled by the next spawn.
+  Engine eng;
+  std::vector<Time> first;
+  std::vector<Time> second;
+  eng.spawn(noteTimes(eng, first));
+  eng.run();
+  eng.spawn(noteTimes(eng, second));
+  eng.run();
+  EXPECT_EQ(first, (std::vector<Time>{0.0, 1.5, 4.0}));
+  EXPECT_EQ(second, (std::vector<Time>{4.0, 5.5, 8.0}));
+  EXPECT_EQ(eng.liveTasks(), 0u);
+}
+
+Task spawnNoteTimes(Engine& eng, std::vector<Time>& out, JoinHandle& held) {
+  held = eng.spawn(noteTimes(eng, out));
+  co_return;
+}
+
+TEST(TaskTest, JoinHandleHeldAfterTheTaskFinished) {
+  // The handle keeps the record past the task's end, while later spawns
+  // (inside the loop, from the pools) recycle everything around it.
+  Engine eng;
+  std::vector<Time> times;
+  JoinHandle held;
+  eng.spawn(spawnNoteTimes(eng, times, held));
+  eng.run();
+  ASSERT_TRUE(held.valid());
+  EXPECT_TRUE(held.fired());
+  for (int i = 0; i < 8; ++i) {
+    std::vector<Time> more;
+    JoinHandle other;
+    eng.spawn(spawnNoteTimes(eng, more, other));
+    eng.run();
+    EXPECT_TRUE(other.fired());
+  }
+  EXPECT_TRUE(held.fired());
+  // A copy joins the finished task at once.
+  std::vector<Time> joinTimes;
+  eng.spawn(waitFor(eng, held, joinTimes));
+  eng.run();
+  EXPECT_EQ(joinTimes, (std::vector<Time>{eng.now()}));
+}
+
+TEST(TaskTest, JoinHandleOutlivesItsEngine) {
+  // Documented rule: a handle may outlive its engine. It keeps its record
+  // (and the pool holding it) alive; a task that finished reads fired, a
+  // task destroyed at teardown while suspended never fires.
+  Trigger never;
+  JoinHandle finished;
+  JoinHandle blocked;
+  JoinHandle copy;
+  {
+    Engine eng;
+    std::vector<Time> times;
+    eng.spawn(spawnNoteTimes(eng, times, finished));
+    blocked = eng.spawn(blockForever(eng, never));
+    eng.run();
+    copy = finished;
+  }
+  EXPECT_TRUE(finished.fired());
+  EXPECT_TRUE(copy.fired());
+  EXPECT_FALSE(blocked.fired());
+  finished = JoinHandle{};
+  EXPECT_TRUE(copy.fired());
+}
+
+/// Holds `held` until `go` fires, then spawns it and joins it.
+Task spawnLater(Engine& eng, Task& held, Trigger& go) {
+  co_await go;
+  co_await eng.spawn(std::move(held));
+}
+
+Task fireAfter([[maybe_unused]] Engine& eng, Trigger& go, Time dt) {
+  co_await Delay{dt};
+  go.fire();
+}
+
+TEST(TaskTest, TaskCreatedOutsideAnyLoopIsSpawnedLater) {
+  // Built in setup code, its frame comes from the heap; it is spawned from
+  // inside the loop, much later, and still runs and returns its frame.
+  Engine eng;
+  std::vector<Time> seen;
+  Task held = noteTimes(eng, seen);
+  Trigger go;
+  eng.spawn(spawnLater(eng, held, go));
+  eng.spawn(fireAfter(eng, go, 2.0));
+  eng.run();
+  EXPECT_FALSE(held.valid());
+  EXPECT_EQ(seen, (std::vector<Time>{2.0, 3.5, 6.0}));
+  EXPECT_EQ(eng.liveTasks(), 0u);
+}
+
+Task createAndDrop(Engine& eng, std::vector<Time>& seen, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    {
+      // Its frame is taken from the pool and given back unrun.
+      Task dropped = noteTimes(eng, seen);
+      EXPECT_TRUE(dropped.valid());
+    }
+    co_await Delay{1.0};
+  }
+  co_await eng.spawn(noteTimes(eng, seen));
+}
+
+TEST(TaskTest, TaskCreatedInsideALoopAndNeverSpawned) {
+  Engine eng;
+  std::vector<Time> seen;
+  eng.spawn(createAndDrop(eng, seen, 3));
+  eng.run();
+  // Only the spawned one ran, in a recycled frame.
+  EXPECT_EQ(seen, (std::vector<Time>{3.0, 4.5, 7.0}));
+}
+
+TEST(TaskTest, UnspawnedTaskFromALoopOutlivesItsEngine) {
+  // A frame taken from an engine's pool and still held when the engine is
+  // destroyed goes to the heap when released.
+  std::vector<Time> seen;
+  Task held;
+  {
+    Engine eng;
+    eng.scheduleAt(1.0, [&] { held = noteTimes(eng, seen); });
+    eng.run();
+  }
+  EXPECT_TRUE(held.valid());
+  held = Task{};
+  EXPECT_TRUE(seen.empty());
+}
+
+/// Keeps a frame larger than the largest pooled size class across
+/// suspensions.
+Task bigFrame([[maybe_unused]] Engine& eng, std::uint64_t& sum) {
+  std::array<std::uint64_t, 512> words{};
+  static_assert(sizeof(words) >
+                calciom::sim::detail::BlockPool::kClasses *
+                    calciom::sim::detail::BlockPool::kGranule);
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    words[i] = i;
+    co_await Delay{0.0};
+  }
+  for (const std::uint64_t w : words) {
+    sum += w;
+  }
+}
+
+Task spawnBig(Engine& eng, std::uint64_t& sum) {
+  co_await eng.spawn(bigFrame(eng, sum));
+  co_await eng.spawn(bigFrame(eng, sum));
+}
+
+TEST(TaskTest, FrameLargerThanTheLargestSizeClass) {
+  Engine eng;
+  std::uint64_t sum = 0;
+  eng.spawn(spawnBig(eng, sum));
+  eng.run();
+  EXPECT_EQ(sum, 2u * (511u * 512u / 2u));
+  EXPECT_EQ(eng.liveTasks(), 0u);
+}
+
+#if defined(CALCIOM_SHARD_CHECKS)
+using calciom::InvariantError;
+
+TEST(TaskTest, SpawningAnotherEnginesFrameThrows) {
+  Engine a;
+  Engine b;
+  std::vector<Time> seen;
+  Task held;
+  a.scheduleAt(0.0, [&] { held = noteTimes(a, seen); });
+  a.run();
+  // Its frame would go back to a's pool from b's loop.
+  EXPECT_THROW(b.spawn(std::move(held)), InvariantError);
+  b.run();
+  EXPECT_TRUE(seen.empty());
+}
+
+TEST(TaskTest, ReturningABlockFromAnotherEnginesLoopThrows) {
+  // Frames are released in destructors, so the InvariantError ends the
+  // program (with its message) instead of corrupting a's free lists.
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        Engine a;
+        Engine b;
+        std::vector<Time> seen;
+        Task held;
+        a.scheduleAt(0.0, [&] { held = noteTimes(a, seen); });
+        a.run();
+        b.scheduleAt(0.0, [&] { held = Task{}; });
+        b.run();
+      },
+      "invariant failed");
+}
+#endif
+
+#if defined(__SANITIZE_ADDRESS__)
+/// Stores the awaiting coroutine's handle and continues at once.
+struct GrabHandle {
+  std::coroutine_handle<>* out;
+  [[nodiscard]] bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) const noexcept {
+    *out = h;
+    return false;
+  }
+  void await_resume() const noexcept {}
+};
+
+Task grab(std::coroutine_handle<>& out) { co_await GrabHandle{&out}; }
+
+Task spawnGrab(Engine& eng, std::coroutine_handle<>& out) {
+  co_await eng.spawn(grab(out));
+}
+
+TEST(TaskTest, UseOfARecycledFrameTripsAddressSanitizer) {
+  // The finished child's frame sits poisoned on its engine's free list.
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        Engine eng;
+        std::coroutine_handle<> stale;
+        eng.spawn(spawnGrab(eng, stale));
+        eng.run();
+        const volatile bool done = stale.done();
+        (void)done;
+      },
+      "use-after-poison");
+}
+#endif
 
 }  // namespace
