@@ -57,7 +57,7 @@ ClusterRunResult runCluster(const ClusterScenarioConfig& cfg) {
   out.bytesDelivered = storage.fs().totalDelivered();
   if (arbiter != nullptr) {
     out.grantsIssued = arbiter->grantsIssued();
-    out.grantLog = arbiter->core().grantLog();
+    out.grantLog = arbiter->core().releaseGrantLog();
     out.cpuSecondsWaited = arbiter->core().cpuSecondsWaited();
   }
   out.storage = storage.stats();

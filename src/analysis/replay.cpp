@@ -252,8 +252,8 @@ OracleSchedule oracleReplay(const std::vector<core::CapturedEvent>& events,
     commands.clear();
   }
   OracleSchedule out;
-  out.decisions = core.decisions();
-  out.grants = core.grantLog();
+  out.decisions = core.releaseDecisions();
+  out.grants = core.releaseGrantLog();
   out.grantsIssued = core.grantsIssued();
   out.pausesIssued = core.pausesIssued();
   out.cpuSecondsWaited = core.cpuSecondsWaited();
@@ -414,8 +414,8 @@ ReplayResult replaySession(const ReplayConfig& cfg) {
   eng.run();
 
   ReplayResult out;
-  out.decisions = arbiter.decisions();
-  out.grants = arbiter.core().grantLog();
+  out.decisions = arbiter.core().releaseDecisions();
+  out.grants = arbiter.core().releaseGrantLog();
   out.grantsIssued = arbiter.grantsIssued();
   out.pausesIssued = arbiter.pausesIssued();
   out.cpuSecondsWaited = arbiter.core().cpuSecondsWaited();

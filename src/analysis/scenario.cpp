@@ -38,7 +38,7 @@ void CampaignLaunch::spawn(sim::Engine& engine, mpi::PortRegistry& ports,
   engine.spawn(apps_[i]->run(*hooks, &out_.apps[i]));
 }
 
-void CampaignLaunch::collect(const core::ArbiterCore* arbiter) {
+void CampaignLaunch::collect(core::ArbiterCore* arbiter) {
   for (std::size_t i = 0; i < sessions_.size(); ++i) {
     out_.apps[i].sessionWaitSeconds = sessions_[i]->waitSeconds();
     out_.apps[i].sessionPausedSeconds = sessions_[i]->pausedSeconds();
@@ -54,7 +54,7 @@ void CampaignLaunch::collect(const core::ArbiterCore* arbiter) {
     out_.spanSeconds = lastEnd - firstStart;
   }
   if (arbiter != nullptr) {
-    out_.decisions = arbiter->decisions();
+    out_.decisions = arbiter->releaseDecisions();
     out_.pausesIssued = arbiter->pausesIssued();
   }
 }

@@ -74,8 +74,9 @@ class CampaignLaunch {
              std::unique_ptr<workload::IorApp> app);
 
   /// After the run: copies each session's stats into its app, the span,
-  /// and (when `arbiter` is non-null) the decisions and pauses issued.
-  void collect(const core::ArbiterCore* arbiter);
+  /// and (when `arbiter` is non-null) the pauses issued; the decisions are
+  /// moved out of `arbiter`, whose log is empty afterwards.
+  void collect(core::ArbiterCore* arbiter);
 
  private:
   core::HookGranularity granularity_;

@@ -63,10 +63,12 @@ class Arbiter {
     return core().pausedStack();
   }
 
-  /// The shared decision core (read access for replay comparisons).
+  /// The shared decision core (read access for replay comparisons; write
+  /// access for taking its logs once the run is over).
   [[nodiscard]] const ArbiterCore& core() const noexcept {
     return host_.core();
   }
+  [[nodiscard]] ArbiterCore& core() noexcept { return host_.core(); }
 
   /// Job-scheduler integration; see ArbiterCore::onApplicationTerminated.
   void onApplicationTerminated(std::uint32_t appId);

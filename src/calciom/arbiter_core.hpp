@@ -49,6 +49,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "calciom/descriptor.hpp"
@@ -255,6 +256,14 @@ class ArbiterCore {
   /// Every Grant/Resume in issue order (see GrantRecord).
   [[nodiscard]] const std::vector<GrantRecord>& grantLog() const noexcept {
     return grantLog_;
+  }
+  /// Move the logs out once the run is over (a month's logs are worth not
+  /// copying into a result); the core's log is empty afterwards.
+  [[nodiscard]] std::vector<DecisionRecord> releaseDecisions() noexcept {
+    return std::move(decisions_);
+  }
+  [[nodiscard]] std::vector<GrantRecord> releaseGrantLog() noexcept {
+    return std::move(grantLog_);
   }
   /// Core-seconds applications spent unable to move data because of this
   /// arbiter's schedule: (grant − inform) · cores summed over grants, plus

@@ -165,6 +165,8 @@ class GlobalArbiter final : public sim::BarrierHook {
   [[nodiscard]] const core::ArbiterCore& core() const noexcept {
     return host_.core();
   }
+  /// Write access for taking the core's logs once the run is over.
+  [[nodiscard]] core::ArbiterCore& core() noexcept { return host_.core(); }
   [[nodiscard]] const std::vector<core::DecisionRecord>& decisions()
       const noexcept {
     return core().decisions();

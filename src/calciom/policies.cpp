@@ -52,6 +52,8 @@ std::vector<ActionCost> DynamicPolicy::evaluate(
   out.reserve(1 + (contended ? 1 : 0) +
               (options_.considerInterference && contended ? 1 : 0));
   const double estB = ctx.requester.estAloneSeconds;
+  // Every option costs the requester and each accessor, one term apiece.
+  const std::size_t terms = 1 + ctx.accessors.size();
 
   // Remaining work of the busiest accessor dominates the wait.
   double maxRemaining = 0.0;
@@ -65,6 +67,7 @@ std::vector<ActionCost> DynamicPolicy::evaluate(
   // drain, then writes undisturbed. Accessors are unaffected.
   {
     ActionCost c;
+    c.terms.reserve(terms);
     c.action = Action::Queue;
     c.terms.push_back(AppCost{ctx.requester.cores, maxRemaining + estB,
                               std::max(estB, 1e-12)});
@@ -81,6 +84,7 @@ std::vector<ActionCost> DynamicPolicy::evaluate(
   // phases stretch by the requester's alone time.
   if (contended) {
     ActionCost c;
+    c.terms.reserve(terms);
     c.action = Action::Interrupt;
     c.terms.push_back(
         AppCost{ctx.requester.cores, estB, std::max(estB, 1e-12)});
@@ -100,6 +104,7 @@ std::vector<ActionCost> DynamicPolicy::evaluate(
         maxRemaining, estB, std::max(accessorWeight, 1e-9),
         static_cast<double>(ctx.requester.cores), options_.overlapEfficiency);
     ActionCost c;
+    c.terms.reserve(terms);
     c.action = Action::Interfere;
     c.terms.push_back(
         AppCost{ctx.requester.cores, t.tB, std::max(estB, 1e-12)});

@@ -66,8 +66,14 @@ enum class SessionState : std::uint8_t {
 /// The value `v` has after a trip through the text wire: rendered with
 /// six decimals (`std::to_string`, printf `%f`) and parsed back. So 1/3
 /// becomes 0.333333 and anything below 5e-7 in magnitude a signed zero;
-/// infinities survive and a NaN loses its payload bits.
+/// infinities survive and a NaN loses its payload bits. Below
+/// `kWireRoundArithmeticLimit` in magnitude the rounding is done in
+/// arithmetic, bit for bit what the text gives; other inputs take the text.
 [[nodiscard]] double wireRound(double v) noexcept;
+
+/// Where `wireRound` stops using arithmetic: below it `|v|·10^6 < 2^52`, so
+/// the scaled value and its half-integer neighbours are exact doubles.
+inline constexpr double kWireRoundArithmeticLimit = 4e9;
 
 class Message {
  public:

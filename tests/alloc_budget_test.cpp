@@ -106,31 +106,30 @@ double allocationsPerMessage(Replay run) {
 // roundBoundary and three release, endPhase) come from the engine's frame
 // pool and its ten completions from the completion pool. What remains is
 // per job, and a job sends five messages (Inform, three Releases,
-// Complete). Counted on the session replay, about 15 allocations per job:
+// Complete). Counted on the session replay, about 8 allocations per job:
 //  * the Session, its liveness flag (a shared_ptr) and its port's map node;
 //  * the arbiter's decisions, about one per two jobs, each taken twice (the
-//    online core and the oracle replay): the accessor list and the cost
-//    vector the DecisionRecord keeps, and two growth steps of each of the
-//    Queue and Interrupt terms vectors, six allocations per decision per
-//    core; copying both decision logs into the ReplayResult adds four more
-//    per decision per log, about 20 per decision in all;
+//    online core and the oracle replay): the accessor list, the cost vector
+//    and the Queue and Interrupt terms vectors (each reserved once at its
+//    final size) that the DecisionRecord keeps, four allocations per
+//    decision per core; the results move both logs out of their cores;
 //  * amortized growth of the capture log, the decision and grant logs, the
 //    queues and the pools (the pools stop growing at the peak number of
 //    concurrent tasks).
 // The cluster replay adds about 3.5 per job in its barrier exchange.
 
 TEST(AllocBudget, ReplayClusterPerMessage) {
-  // Pinned at 3.49 allocations per message (4,640 messages).
+  // Pinned at 2.29 allocations per message (4,640 messages).
   const double perMessage = allocationsPerMessage(
       [](const replay::ReplayConfig& c) { return replay::replayCluster(c); });
-  EXPECT_LE(perMessage, 3.84);
+  EXPECT_LE(perMessage, 2.52);
 }
 
 TEST(AllocBudget, ReplaySessionPerMessage) {
-  // Pinned at 2.93 allocations per message (4,640 messages).
+  // Pinned at 1.59 allocations per message (4,640 messages).
   const double perMessage = allocationsPerMessage(
       [](const replay::ReplayConfig& c) { return replay::replaySession(c); });
-  EXPECT_LE(perMessage, 3.22);
+  EXPECT_LE(perMessage, 1.76);
 }
 
 /// A self-rescheduling event: every firing schedules its successor, half

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <tuple>
 
 #include "calciom/descriptor.hpp"
 #include "calciom/metrics.hpp"
@@ -14,6 +16,7 @@
 namespace {
 
 using calciom::core::Action;
+using calciom::core::ActionCost;
 using calciom::core::AppCost;
 using calciom::core::CpuSecondsWasted;
 using calciom::core::DynamicPolicy;
@@ -232,6 +235,42 @@ TEST(DynamicPolicyTest, InterferenceOptionWinsWhenOverlapIsCheap) {
     }
   }
   EXPECT_TRUE(hasInterfere);
+}
+
+TEST(DynamicPolicyTest, InterfereWeighsEveryAccessorsCores) {
+  // Two accessors share the storage against one requester: the fluid model
+  // gives the accessors together the weight of all their cores (1000 +
+  // 3000), not just one accessor's.
+  DynamicPolicy::Options opts;
+  opts.considerInterference = true;
+  opts.overlapEfficiency = 1.0;
+  DynamicPolicy policy(std::make_shared<CpuSecondsWasted>(), opts);
+  PolicyContext ctx;
+  ctx.requester.appId = 3;
+  ctx.requester.cores = 4000;
+  ctx.requester.estAloneSeconds = 6.0;
+  for (const auto& [id, cores, remaining] :
+       {std::tuple{1u, 1000, 10.0}, std::tuple{2u, 3000, 4.0}}) {
+    PolicyContext::AccessorView a;
+    a.desc.appId = id;
+    a.desc.cores = cores;
+    a.desc.estAloneSeconds = remaining;
+    ctx.accessors.push_back(a);
+  }
+  const auto costs = policy.evaluate(ctx);
+  ASSERT_EQ(costs.size(), 3u);
+  const auto interfere =
+      std::find_if(costs.begin(), costs.end(), [](const ActionCost& c) {
+        return c.action == Action::Interfere;
+      });
+  ASSERT_NE(interfere, costs.end());
+  // Equal weights (4000 vs 4000) halve both rates. The requester's 6 s of
+  // work ends at 12 s; the busiest accessor has 6 of its 10 s done by then
+  // and finishes the other 4 s alone, at 16 s. Both accessors are charged
+  // 16 s: f = 4000*12 + 1000*16 + 3000*16. Weighing only the last accessor
+  // (3000 cores) gives 4000*10.5 + 4000*16 instead.
+  EXPECT_DOUBLE_EQ(interfere->metricCost,
+                   4000.0 * 12 + 1000.0 * 16 + 3000.0 * 16);
 }
 
 TEST(PolicyFactoryTest, MakesEveryKind) {

@@ -102,6 +102,20 @@ std::vector<double> wireInputs() {
       std::bit_cast<double>(0x000fffffffffffffull),  // largest subnormal
       std::bit_cast<double>(0x8000000000000abcull),  // negative subnormal
   };
+  // The cutoff where the arithmetic path hands over to the text, and its
+  // nextafter neighbours on either side.
+  for (const double edge : {calciom::core::kWireRoundArithmeticLimit,
+                            -calciom::core::kWireRoundArithmeticLimit}) {
+    in.push_back(edge);
+    double inward = edge;
+    double outward = edge;
+    for (int k = 0; k < 4; ++k) {
+      inward = std::nextafter(inward, 0.0);
+      outward = std::nextafter(outward, 2.0 * edge);
+      in.push_back(inward);
+      in.push_back(outward);
+    }
+  }
   calciom::sim::Xoshiro256 rng(20);
   for (int i = 0; i < 20000; ++i) {
     switch (i % 4) {
@@ -126,6 +140,14 @@ std::vector<double> wireInputs() {
         break;
     }
   }
+  // Exact ties of the sixth decimal: v·10^6 ends in exactly .5 only for the
+  // odd multiples of 2^-7, small ones and ones up to the cutoff.
+  for (int i = 0; i < 4000; ++i) {
+    const std::uint64_t odd =
+        2 * (rng() % ((i % 2 == 0) ? 1000 : 250'000'000'000)) + 1;
+    const double tie = std::ldexp(static_cast<double>(odd), -7);
+    in.push_back((rng() & 1) ? -tie : tie);
+  }
   return in;
 }
 
@@ -143,6 +165,10 @@ TEST(WireRound, RoundsToSixDecimalsAndIsIdempotent) {
   EXPECT_EQ(wireRound(2.0 / 3.0), 0.666667);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(wireRound(4.9e-7)), 0u);
   EXPECT_TRUE(std::signbit(wireRound(-4.9e-7)));
+  // Exact ties go to the even sixth decimal: 2^-7 = 0.0078125 and
+  // 3·2^-7 = 0.0234375.
+  EXPECT_EQ(wireRound(0.0078125), 0.007812);
+  EXPECT_EQ(wireRound(-0.0234375), -0.023438);
   for (const double v : wireInputs()) {
     const double once = wireRound(v);
     ASSERT_EQ(std::bit_cast<std::uint64_t>(wireRound(once)),
