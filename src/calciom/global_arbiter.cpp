@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
 #include <utility>
 
-#include "fault/injector.hpp"
 #include "platform/cluster.hpp"
 #include "sim/contracts.hpp"
 #include "sim/engine.hpp"
@@ -62,11 +60,6 @@ void GlobalArbiter::onApplicationTerminated(std::uint32_t appId) {
   pendingSchedulerEvents_.push_back({appId, /*termination=*/true});
 }
 
-void GlobalArbiter::setStubInjectors(std::vector<fault::Injector*> injectors) {
-  CALCIOM_EXPECTS(injectors.empty() || injectors.size() == stubs_.size());
-  injectors_ = std::move(injectors);
-}
-
 void GlobalArbiter::onApplicationLaunched(std::uint32_t appId) {
   pendingSchedulerEvents_.push_back({appId, /*termination=*/false});
 }
@@ -107,7 +100,7 @@ bool GlobalArbiter::onBarrier(sim::Time barrierTime) {
   ++rounds_;
   evictDead();
   if (host_.down()) {
-    // A dead arbiter: the shard-local relays cannot forward, so the
+    // A dead arbiter: the shard-local stubs cannot forward, so the
     // round's traffic is lost on the floor (sessions ride it out through
     // retries and heartbeats, or degrade). Scheduler events stay queued —
     // the scheduler re-delivers its view once the process is back.
@@ -125,7 +118,7 @@ bool GlobalArbiter::onBarrier(sim::Time barrierTime) {
   // (a stale Inform would otherwise re-register the dead job, grant it, and
   // deadlock the queue behind an accessor that never completes). The id
   // stays in `dead_` across barriers: a message in latency flight — or
-  // delayed further on a relay/forwarding hop — when the termination lands
+  // held back by an injected delay — when the termination lands
   // reaches its stub only in a later round, and must be discarded then too.
   // Only an explicit onApplicationLaunched (the scheduler reusing the id)
   // revives it.
@@ -148,9 +141,7 @@ bool GlobalArbiter::onBarrier(sim::Time barrierTime) {
     // An injected stub blackout loses the whole round for this shard —
     // everything the stub absorbed is discarded, never merged. Sessions
     // recover through retries / heartbeats like after any message loss.
-    const bool blackedOut = s < injectors_.size() &&
-                            injectors_[s] != nullptr &&
-                            injectors_[s]->stubBlackedOut(rounds_);
+    const bool blackedOut = cluster_.machine(s).ports().blackedOut(rounds_);
     stubs_[s]->drain(drained_);
     for (const ArbiterStub::Message& m : drained_) {
       if (blackedOut) {
@@ -192,15 +183,16 @@ sim::Time GlobalArbiter::nextBarrierNeededBy(sim::Time now) {
   // windows and round-numbered eviction), crash/recovery handling, the
   // lease sweep, the checkpoint cadence, and fault injection (blackout
   // draws hash the barrier round number, so the numbering itself must keep
-  // the fire-always cadence).
+  // the fire-always cadence; a shard's delivery filter is its injector).
   if (host_.down() || core().recovering() ||
       !pendingSchedulerEvents_.empty() || !dead_.empty() ||
-      !deadQueue_.empty() || !injectors_.empty() ||
-      core().leases().enabled() || host_.checkpointing()) {
+      !deadQueue_.empty() || core().leases().enabled() ||
+      host_.checkpointing()) {
     return now;
   }
-  for (const auto& stub : stubs_) {
-    if (!stub->outboxEmpty()) {
+  for (std::size_t s = 0; s < stubs_.size(); ++s) {
+    if (!stubs_[s]->outboxEmpty() ||
+        cluster_.machine(s).ports().hasDeliveryFilter()) {
       return now;
     }
   }
@@ -214,23 +206,14 @@ sim::Time GlobalArbiter::nextBarrierNeededBy(sim::Time now) {
 }
 
 bool GlobalArbiter::deliverCommands(sim::Time barrierTime) {
-  // Stable-group the commands by target shard. Stability is load-bearing
-  // twice: the per-shard relative order fixes both the engine seq order of
-  // the scheduled deliveries and the injector's per-shard message-index
-  // sequence, so grouped delivery is bit-identical to a per-command loop —
-  // the grouping only hoists route/engine/ports/blackout resolution and
-  // the delivery timestamp to once per shard, and coalesces command
-  // storage into one shared batch per shard instead of one closure-owned
-  // copy per command.
-  if (shardGroups_.size() < cluster_.shardCount()) {
-    shardGroups_.resize(cluster_.shardCount());
-  }
-  for (auto& group : shardGroups_) {
-    group.clear();
-  }
-  touchedShards_.clear();
-  for (std::size_t c = 0; c < scratch_.size(); ++c) {
-    const std::size_t* route = appShard_.find(scratch_[c].app);
+  // Scheduling happens on the barrier thread while no shard loop runs
+  // (Engine::current() is null), so planting events into foreign engines is
+  // race-free. Commands keep their decision order within each shard, which
+  // fixes both the engine's seq order for equal timestamps and the order in
+  // which the shard's filter sees them.
+  bool deliveredAny = false;
+  for (const core::ArbiterCommand& cmd : scratch_) {
+    const std::size_t* route = appShard_.find(cmd.app);
     if (route == nullptr) {
       // Only reachable after a restart: the app's route was learned inside
       // the lost tail and the restored table predates it. Heal passively —
@@ -238,77 +221,22 @@ bool GlobalArbiter::deliverCommands(sim::Time barrierTime) {
       // the window is open, elicits a fresh Recover.
       continue;
     }
-    if (shardGroups_[*route].empty()) {
-      touchedShards_.push_back(*route);
-    }
-    shardGroups_[*route].push_back(c);
-  }
-  bool deliveredAny = false;
-  // Deliver per shard. Scheduling happens on the barrier thread while no
-  // shard loop runs (Engine::current() is null), so planting events into
-  // foreign engines is race-free; commands keep their decision order
-  // because same-timestamp events dispatch in scheduling order. Shard
-  // visitation order is free — per-engine seq order depends only on the
-  // per-shard subsequence, and injector counters are per shard.
-  for (const std::size_t shard : touchedShards_) {
-    const std::vector<std::size_t>& group = shardGroups_[shard];
-    sim::Engine& eng = cluster_.engine(shard);
-    mpi::PortRegistry& ports = cluster_.machine(shard).ports();
-    // Delivery lands strictly after the barrier and pays the cross-shard
-    // hop; a shard that skipped rounds may trail the barrier, so clamp to
-    // its own clock.
-    const sim::Time baseAt = std::max(barrierTime, eng.now()) + latency_;
-    // Commands cross into the shard through the same faulty medium the
-    // shard's sessions send through: ask its injector. deliverNow bypasses
-    // the registry's DeliveryFilter by design (it is the barrier path), so
-    // the consultation happens here, where the scheduled time can absorb
-    // the injected delay. A stub blackout is a pure hash of the round
-    // number — one verdict covers the whole group.
-    fault::Injector* const injector =
-        shard < injectors_.size() ? injectors_[shard] : nullptr;
-    if (injector != nullptr && injector->stubBlackedOut(rounds_)) {
-      blackoutDiscarded_ += group.size();  // the shard is unreachable both ways
+    mpi::PortRegistry& ports = cluster_.machine(*route).ports();
+    // A blacked-out shard is unreachable both ways. Checked before the
+    // filter sees the command, so a blackout consumes no fault draw.
+    if (ports.blackedOut(rounds_)) {
+      ++blackoutDiscarded_;
       continue;
     }
-    auto batch = std::make_shared<std::vector<core::ArbiterCommand>>();
-    batch->reserve(group.size());
-    for (const std::size_t c : group) {
-      const core::ArbiterCommand& cmd = scratch_[c];
-      sim::Time at = baseAt;
-      if (injector != nullptr) {
-        const mpi::DeliveryFilter::Verdict v = injector->onSend(
-            core::msg::appPort(cmd.app), 0, core::encodeCommand(cmd));
-        if (v.duplicate) {
-          // The copy first (smaller seq), matching the filtered send path.
-          eng.scheduleAt(at + std::max(v.duplicateExtraDelaySeconds, 0.0),
-                         [&ports, cmd] {
-                           ports.deliverNow(core::msg::appPort(cmd.app),
-                                            /*fromApp=*/0,
-                                            core::encodeCommand(cmd));
-                         });
-        }
-        if (v.drop) {
-          continue;
-        }
-        at += std::max(v.extraDelaySeconds, 0.0);
-      }
-      const std::size_t idx = batch->size();
-      batch->push_back(cmd);
-      // One engine event per command, on purpose: event counts, queue
-      // depths, and same-instant seq interleaving are part of the
-      // deterministic observable surface, so a single merged event per
-      // shard is not an option — the coalescing lives in the shared batch
-      // storage and the registry's memoized resolution. The command is
-      // encoded, and its port named, only when it lands.
-      eng.scheduleAt(at, [&ports, batch, idx] {
-        const core::ArbiterCommand& entry = (*batch)[idx];
-        // The hop latency is already in the event's timestamp; deliverNow
-        // must not add a second one.
-        ports.deliverNow(core::msg::appPort(entry.app), /*fromApp=*/0,
-                         core::encodeCommand(entry));
-      });
-      deliveredAny = true;
-    }
+    // Delivery lands strictly after the barrier and pays the cross-shard
+    // hop; a shard that skipped rounds may trail the barrier, so clamp to
+    // its own clock. The command crosses into the shard through the same
+    // faulty medium the shard's sessions send through: its registry's
+    // filter.
+    const sim::Time at =
+        std::max(barrierTime, ports.engine().now()) + latency_;
+    deliveredAny |= ports.deliverAt(at, core::msg::appPort(cmd.app),
+                                    /*fromApp=*/0, core::encodeCommand(cmd));
   }
   scratch_.clear();
   return deliveredAny;

@@ -20,8 +20,8 @@
 ///                               ArbiterCore (one global decision state)
 ///                                       │ Grant/Pause/Resume commands
 ///                                       ▼
-///   target shard engine: scheduleAt(max(barrier, clock) + crossShardLatency)
-///                        --> ports.deliverNow(appPort) --> Session
+///   target shard: ports.deliverAt(max(barrier, clock) + crossShardLatency,
+///                                 appPort) --> Session
 ///
 /// Each shard's `ArbiterStub` owns msg::arbiterPort() in that shard's port
 /// registry, so sessions are completely unaware whether their arbiter is
@@ -53,10 +53,6 @@
 namespace calciom::platform {
 class Cluster;
 }  // namespace calciom::platform
-
-namespace calciom::fault {
-class Injector;
-}  // namespace calciom::fault
 
 namespace calciom {
 
@@ -125,9 +121,10 @@ class GlobalArbiter final : public sim::BarrierHook {
   /// whenever skipping one could be observable: any stub outbox holds
   /// traffic, scheduler events or dead-id bookkeeping are pending, the
   /// arbiter is down or recovering, or a feature that does per-round work
-  /// (leases, checkpointing, fault injection — blackout draws hash the
-  /// round number) is configured. Otherwise the arbiter is provably a
-  /// no-op at this instant and votes one sync horizon out. That never
+  /// (leases, checkpointing, a delivery filter on any shard's registry —
+  /// blackout draws hash the round number) is configured. Otherwise the
+  /// arbiter is provably a no-op at this instant and votes one sync horizon
+  /// out. That never
   /// *stretches* a round (the grid horizon `next + syncHorizon` is at
   /// least as late, since next >= now) — it only lets the cluster skip
   /// drain barriers that would merge nothing, keeping the exchange counter
@@ -139,7 +136,7 @@ class GlobalArbiter final : public sim::BarrierHook {
   /// barrier, ordered before that barrier's message traffic. From that
   /// barrier on the id is *dead*: traffic from it is discarded at every
   /// later barrier too, because a message may still be in latency flight
-  /// (or parked on a relay/forwarding hop) when the termination lands and
+  /// (or held back by an injected delay) when the termination lands and
   /// only reach a stub one or more rounds later — a stale Inform merged
   /// then would re-register the dead job, grant it, and deadlock the queue
   /// behind an accessor that never completes.
@@ -152,15 +149,6 @@ class GlobalArbiter final : public sim::BarrierHook {
   /// barrier in call order relative to terminations, so terminate+relaunch
   /// within one round revives the id (and launch+terminate kills it).
   void onApplicationLaunched(std::uint32_t appId);
-
-  /// Wires the per-shard fault injectors (fault/injector.hpp) into the
-  /// barrier exchange: `injectors[s]` decides shard s's stub blackouts and
-  /// the fate of commands delivered into shard s (the same drop / delay /
-  /// duplicate draws the message path uses). Non-owning; pass one pointer
-  /// per shard (nullptr = no faults on that shard), or an empty vector to
-  /// detach. The stubs themselves stay fault-free — faults happen on the
-  /// wire (PortRegistry) and at the barrier, never inside the outbox.
-  void setStubInjectors(std::vector<fault::Injector*> injectors);
 
   [[nodiscard]] const core::ArbiterCore& core() const noexcept {
     return host_.core();
@@ -196,7 +184,7 @@ class GlobalArbiter final : public sim::BarrierHook {
   // ---- Crash recovery -----------------------------------------------------
 
   /// Kills the arbiter process: from the next barrier on, stub traffic is
-  /// drained and discarded (the relays cannot reach a dead arbiter) and no
+  /// drained and discarded (the stubs cannot reach a dead arbiter) and no
   /// decision is taken, until restart(). Scheduler events queue up and are
   /// applied after the restart. Call from a barrier hook (or between runs)
   /// only — the same no-shard-running requirement as onBarrier itself.
@@ -287,15 +275,7 @@ class GlobalArbiter final : public sim::BarrierHook {
   std::deque<std::pair<std::uint64_t, std::uint32_t>> deadQueue_;
   std::size_t deadPeak_ = 0;
   std::uint64_t deadEvicted_ = 0;
-  /// Per-shard fault deciders (non-owning, may be empty / hold nullptrs).
-  std::vector<fault::Injector*> injectors_;
   core::ArbiterCore::Commands scratch_;
-  /// Delivery-grouping scratch (deliverCommands): command indices of
-  /// scratch_ stably grouped by target shard, plus the list of shards
-  /// touched this barrier. Reused across barriers to avoid per-round
-  /// allocation.
-  std::vector<std::vector<std::size_t>> shardGroups_;
-  std::vector<std::size_t> touchedShards_;
   std::uint64_t exchanges_ = 0;
   std::uint64_t merged_ = 0;
   /// Barrier exchanges seen so far (the blackout round number: 1-based).

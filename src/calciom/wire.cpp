@@ -82,14 +82,4 @@ Message Message::command(MessageType type) {
   return m;
 }
 
-namespace msg {
-AppPort::AppPort(std::uint32_t appId) noexcept {
-  constexpr std::string_view prefix = "calciom/app/";
-  prefix.copy(buf_, prefix.size());
-  const auto end =
-      std::to_chars(buf_ + prefix.size(), buf_ + sizeof buf_, appId).ptr;
-  len_ = static_cast<std::uint8_t>(end - buf_);
-}
-}  // namespace msg
-
 }  // namespace calciom::core

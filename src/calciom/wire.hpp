@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string_view>
 
 #include "calciom/descriptor.hpp"
 #include "sim/contracts.hpp"
@@ -193,30 +192,22 @@ class Message {
   IoDescriptor desc_;
 };
 
-/// Port names. An application's port is formatted into a fixed buffer
-/// ("calciom/app/" plus at most ten digits), so naming it never allocates;
-/// it converts to a `std::string_view` that lives as long as the name.
+/// Coordination endpoints, addressed by value: the arbiter, or one
+/// application by id. Naming a port is free; `mpi::PortRegistry` keys its
+/// handlers by it.
 namespace msg {
-[[nodiscard]] constexpr std::string_view arbiterPort() noexcept {
-  return "calciom/arbiter";
-}
-
-class AppPort {
- public:
-  explicit AppPort(std::uint32_t appId) noexcept;
-  [[nodiscard]] std::string_view view() const noexcept {
-    return {buf_, len_};
-  }
-  // NOLINTNEXTLINE(google-explicit-constructor)
-  operator std::string_view() const noexcept { return view(); }
-
- private:
-  char buf_[22];
-  std::uint8_t len_;
+struct PortId {
+  /// The application's id; 0 for the arbiter's port.
+  std::uint32_t app = 0;
+  bool arbiter = false;
+  friend constexpr bool operator==(PortId, PortId) noexcept = default;
 };
 
-[[nodiscard]] inline AppPort appPort(std::uint32_t appId) noexcept {
-  return AppPort(appId);
+[[nodiscard]] constexpr PortId arbiterPort() noexcept {
+  return {.app = 0, .arbiter = true};
+}
+[[nodiscard]] constexpr PortId appPort(std::uint32_t appId) noexcept {
+  return {.app = appId, .arbiter = false};
 }
 }  // namespace msg
 

@@ -338,10 +338,8 @@ ChaosResult runCluster(const ChaosConfig& cfg) {
   platform::Cluster cl(spec);
 
   std::vector<std::unique_ptr<Injector>> injectors;
-  std::vector<Injector*> injectorPtrs;
   for (std::size_t s = 0; s < cfg.shards; ++s) {
     injectors.push_back(std::make_unique<Injector>(cfg.plan, s));
-    injectorPtrs.push_back(injectors.back().get());
     if (cfg.installInjector) {
       cl.machine(s).ports().setDeliveryFilter(injectors.back().get());
     }
@@ -349,9 +347,6 @@ ChaosResult runCluster(const ChaosConfig& cfg) {
 
   GlobalArbiter& ga = GlobalArbiter::install(
       cl, core::makePolicy(cfg.policy), arbiterConfig(cfg));
-  if (cfg.installInjector) {
-    ga.setStubInjectors(injectorPtrs);
-  }
 
   ChaosResult out;
   out.apps.resize(static_cast<std::size_t>(cfg.apps));

@@ -35,13 +35,12 @@ double Injector::uniform(std::uint64_t index,
 }
 
 mpi::DeliveryFilter::Verdict Injector::onSend(
-    std::string_view port, std::uint32_t /*fromApp*/,
+    mpi::PortId /*port*/, std::uint32_t /*fromApp*/,
     const core::Message& /*payload*/) {
   Verdict v;
-  // Fault only the coordination layer. The data path (FlowNet, PFS) has its
-  // own failure model out of scope here, and a disabled plan must consume
-  // no indices at all so enabling faults later never shifts earlier draws.
-  if (!plan_.messageFaultsEnabled() || !port.starts_with("calciom/")) {
+  // A disabled plan must consume no indices at all, so enabling faults
+  // later never shifts earlier draws.
+  if (!plan_.messageFaultsEnabled()) {
     return v;
   }
   const std::uint64_t i = nextIndex_++;
@@ -73,7 +72,7 @@ mpi::DeliveryFilter::Verdict Injector::onSend(
   return v;
 }
 
-bool Injector::stubBlackedOut(std::uint64_t round) const noexcept {
+bool Injector::blackedOut(std::uint64_t round) const {
   if (plan_.blackoutProbability <= 0.0 || round == 0) {
     return false;
   }

@@ -17,16 +17,19 @@
 ///
 /// Fault classes:
 ///  * message drop / delay / duplicate / reorder, applied on the
-///    mpi::PortRegistry send path via the DeliveryFilter hook (only ports
-///    under "calciom/" are faulted — the coordination layer, never the data
-///    path). A delay IS a reorder: delivery order is timestamp order, so a
-///    delayed message overtakes nothing and is overtaken by later sends.
+///    mpi::PortRegistry delivery path via the DeliveryFilter hook: every
+///    port carries coordination traffic, so every message sent through a
+///    registry, and every arbiter command delivered into its shard at a
+///    barrier, is faulted (the data path, FlowNet and PFS, never passes a
+///    registry). A delay IS a reorder: delivery order is timestamp order,
+///    so a delayed message overtakes nothing and is overtaken by later
+///    sends.
 ///    `reorderProbability` exists for targeted small swaps (one
 ///    latency-scale bump) without the long tail of `maxDelaySeconds`.
 ///  * arbiter-stub blackouts: for K consecutive sync rounds a shard's
-///    ArbiterStub outbox is discarded at the barrier and commands to that
-///    shard are consulted through the same filter (GlobalArbiter asks
-///    stubBlackedOut()/onSend() directly).
+///    ArbiterStub outbox is discarded at the barrier and no command is
+///    delivered into the shard (GlobalArbiter asks the shard's registry,
+///    which answers with its filter's blackedOut()).
 ///  * application crashes (CrashSpec): consumed by the harness
 ///    (fault/chaos.hpp), which schedules Session::kill at the crash time and
 ///    optionally reports the death to the arbiter like a job scheduler
@@ -34,7 +37,6 @@
 ///    reclaims the dead app's access.
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "mpi/port.hpp"
@@ -101,25 +103,26 @@ struct Plan {
 };
 
 /// Per-shard fault decider; see file comment for the determinism contract.
-/// Install one per shard port registry (PortRegistry::setDeliveryFilter) and
-/// hand the same instances to GlobalArbiter::setStubInjectors for blackout
-/// and command-path faulting. Stateless apart from the per-shard message
-/// counter and fault statistics.
+/// Install one per shard port registry (PortRegistry::setDeliveryFilter);
+/// the global arbiter reaches it through that registry for blackouts and
+/// command delivery. Stateless apart from the per-shard message counter and
+/// fault statistics.
 class Injector final : public mpi::DeliveryFilter {
  public:
   explicit Injector(Plan plan, std::uint64_t shard = 0) noexcept
       : plan_(std::move(plan)), shard_(shard) {}
 
   /// mpi::DeliveryFilter: decides the fate of one coordination message.
-  /// Ports outside "calciom/" pass through untouched (and consume no hash
-  /// index), as does every message of a plan without message faults.
-  [[nodiscard]] Verdict onSend(std::string_view port, std::uint32_t fromApp,
+  /// Every message of a plan without message faults passes through
+  /// untouched and consumes no hash index.
+  [[nodiscard]] Verdict onSend(mpi::PortId port, std::uint32_t fromApp,
                                const core::Message& payload) override;
 
-  /// Whether this shard's arbiter stub is blacked out in sync round
-  /// `round` (1-based): true if any of the last `blackoutRounds` rounds
-  /// started a blackout. Pure hash of (seed, shard, round).
-  [[nodiscard]] bool stubBlackedOut(std::uint64_t round) const noexcept;
+  /// mpi::DeliveryFilter: whether this shard's arbiter stub is blacked out
+  /// in sync round `round` (1-based): true if any of the last
+  /// `blackoutRounds` rounds started a blackout. Pure hash of (seed, shard,
+  /// round).
+  [[nodiscard]] bool blackedOut(std::uint64_t round) const override;
 
   [[nodiscard]] const Plan& plan() const noexcept { return plan_; }
   [[nodiscard]] std::uint64_t messagesSeen() const noexcept { return seen_; }

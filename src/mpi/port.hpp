@@ -4,57 +4,51 @@
 /// Cross-application messaging. The paper connects applications with
 /// MPI_Comm_connect/MPI_Comm_accept (made non-blocking via a helper thread,
 /// or in the prototype, a shared MPI_COMM_WORLD). We model the result: a
-/// registry of named ports; sending to a port delivers a coordination
-/// message (`core::Message`, the typed wire of calciom/wire.hpp) to the
-/// owner's handler after a configurable latency. Coordinators and the
-/// arbiter communicate exclusively through this class, so coordination cost
-/// is accounted in simulated time.
+/// registry of ports; sending to a port delivers a coordination message
+/// (`core::Message`, the typed wire of calciom/wire.hpp) to the owner's
+/// handler after a configurable latency. Coordinators and the arbiter
+/// communicate exclusively through this class, so coordination cost is
+/// accounted in simulated time.
 ///
-/// Port names are `std::string_view`s looked up in a map with a
-/// transparent comparator, so addressing a port never builds a string: an
-/// application's port name is formatted on the stack (`core::msg::appPort`)
-/// and a parked in-flight message copies it into a slot string whose
-/// capacity is reused by later sends.
+/// A port is a value (`core::msg::PortId`): the arbiter's, or one
+/// application's by id. The registry keeps one arbiter slot and the
+/// application handlers in a table keyed by id, so addressing a port is a
+/// lookup by number. Every port carries coordination traffic, so a
+/// delivery filter sees every message.
 ///
 /// A registry is *shard-local*: it belongs to exactly one machine and
 /// schedules deliveries on that machine's engine, so in a sharded platform
 /// (platform::Cluster) a send can only ever reach ports of the same shard.
-/// Two escape hatches exist for cross-shard coordination, both designed
-/// around sync-horizon barriers where no shard loop is running:
-///  * a *relay*: sends to ports not open locally are handed (after the
-///    usual latency) to a registered relay handler together with the port
-///    name, instead of failing. This is the generic forwarding path for
-///    port names a shard does not host; note that arbiter traffic does NOT
-///    use it today — calciom::ArbiterStub claims msg::arbiterPort()
-///    directly, so the relay currently has no production wiring (covered
-///    by tests/mpi_test.cpp, available for future cross-shard services);
-///  * `deliverNow`: synchronous dispatch into a locally open port, used by
-///    barrier hooks (calciom::GlobalArbiter) to land a cross-shard message
-///    they have already timestamped and scheduled on this shard's engine
-///    (the hop latency was paid by the scheduler, so no second latency is
-///    added here).
+/// Cross-shard traffic enters through `deliverAt`, called by barrier hooks
+/// (calciom::GlobalArbiter) while no shard loop runs: it lands a message
+/// they have already timestamped (the hop latency is in the timestamp) and
+/// passes it through this registry's filter like any send.
+///
+/// This header includes calciom/wire.hpp for `core::Message`: the one
+/// `mpi → calciom` edge of the module graph.
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <string>
-#include <string_view>
 #include <vector>
 
+#include "calciom/flat_id_map.hpp"
 #include "calciom/wire.hpp"
 #include "sim/engine.hpp"
 #include "sim/shard_affinity.hpp"
 
 namespace calciom::mpi {
 
-/// Inspection point on the send path, consulted once per send() before the
-/// delivery event is scheduled. This is how fault injection
-/// (calciom::fault::Injector) perturbs the message layer without the layer
-/// knowing: a filter may drop the message, add delivery delay (which also
-/// reorders it relative to later sends — delivery order is timestamp order),
-/// or duplicate it. With no filter installed — or a filter returning the
-/// default Verdict — the send path is byte-for-byte the unfiltered one, which
-/// is what keeps zero-fault runs bit-identical to pre-filter builds.
+using core::msg::PortId;
+
+/// Inspection point on the delivery path, consulted once per send() or
+/// deliverAt() before the delivery event is scheduled. This is how fault
+/// injection (calciom::fault::Injector) perturbs the message layer without
+/// the layer knowing: a filter may drop the message, add delivery delay
+/// (which also reorders it relative to later sends — delivery order is
+/// timestamp order), or duplicate it. With no filter installed — or a
+/// filter returning the default Verdict — the delivery path is
+/// byte-for-byte the unfiltered one, which is what keeps zero-fault runs
+/// bit-identical to pre-filter builds.
 class DeliveryFilter {
  public:
   struct Verdict {
@@ -70,19 +64,20 @@ class DeliveryFilter {
   };
 
   virtual ~DeliveryFilter() = default;
-  [[nodiscard]] virtual Verdict onSend(std::string_view port,
-                                       std::uint32_t fromApp,
+  [[nodiscard]] virtual Verdict onSend(PortId port, std::uint32_t fromApp,
                                        const core::Message& payload) = 0;
+  /// Whether the shard behind this registry is cut off from the global
+  /// arbiter in sync round `round` (1-based): its stub's round traffic is
+  /// discarded and no command is delivered into it.
+  [[nodiscard]] virtual bool blackedOut(std::uint64_t /*round*/) const {
+    return false;
+  }
 };
 
 class PortRegistry {
  public:
   using Handler =
       std::function<void(std::uint32_t fromApp, core::Message payload)>;
-  /// Relay handler: receives messages addressed to ports that are not open
-  /// locally, together with the target port's name.
-  using RelayHandler = std::function<void(
-      const std::string& port, std::uint32_t fromApp, core::Message payload)>;
 
   PortRegistry(sim::Engine& engine, double latency)
       : engine_(engine), affinity_(&engine), latency_(latency) {
@@ -94,110 +89,95 @@ class PortRegistry {
   /// The engine (= shard) this registry schedules deliveries on.
   [[nodiscard]] sim::Engine& engine() const noexcept { return engine_; }
 
-  /// Opens a named port; messages sent to it invoke `handler` after the
-  /// registry latency. Reopening an existing name replaces the handler.
+  /// Opens `port`; messages sent to it invoke `handler` after the registry
+  /// latency. Reopening an open port replaces the handler. A handler may
+  /// open and close ports, its own included, while it runs.
   /// Shard-local (setup code or the owning engine's loop): a foreign shard
   /// mutating the registration set mid-round would race the owner and make
   /// in-flight routing depend on round interleaving (CALCIOM_SHARD_CHECKS
   /// builds trap it; see sim/shard_affinity.hpp).
-  void openPort(std::string_view name, Handler handler);
+  void openPort(PortId port, Handler handler);
 
-  void closePort(std::string_view name);
-  [[nodiscard]] bool hasPort(std::string_view name) const {
-    return ports_.contains(name);
+  void closePort(PortId port);
+  [[nodiscard]] bool hasPort(PortId port) const {
+    return port.arbiter ? arbiter_ != nullptr : apps_.contains(port.app);
   }
 
-  /// Installs (or, with nullptr, removes) the relay for locally unknown
-  /// ports. With a relay set, send() to a port that is not open locally
-  /// succeeds and delivers to the relay after the registry latency; the
-  /// relay sees the port name and decides where the message goes next.
-  void setRelay(RelayHandler relay) { relay_ = std::move(relay); }
-  [[nodiscard]] bool hasRelay() const noexcept { return relay_ != nullptr; }
-
   /// Installs (or, with nullptr, removes) the delivery filter consulted by
-  /// send(). Non-owning: the filter must outlive the registry's sends. Only
-  /// send() consults it — deliverNow() is the barrier-time path whose
-  /// faultiness the barrier hook models itself (calciom::GlobalArbiter asks
-  /// the injector directly when it schedules command deliveries).
+  /// send() and deliverAt(). Non-owning: the filter must outlive the
+  /// registry's sends.
   void setDeliveryFilter(DeliveryFilter* filter) noexcept {
     filter_ = filter;
   }
+  [[nodiscard]] bool hasDeliveryFilter() const noexcept {
+    return filter_ != nullptr;
+  }
+  /// The filter's blackout answer for `round`; false without a filter.
+  [[nodiscard]] bool blackedOut(std::uint64_t round) const {
+    return filter_ != nullptr && filter_->blackedOut(round);
+  }
 
-  /// Sends `payload` to `port`. Returns false if the port does not exist at
-  /// send time and no relay is installed. Delivery is skipped silently if
-  /// the port closes in flight (like a connection torn down while a message
-  /// is queued) — even when a relay is installed: routing is fixed at send
-  /// time, so a message addressed to a then-open port never falls back to
-  /// the relay, which would resurrect traffic for an endpoint that is gone
-  /// (e.g. an application terminated between barriers). Symmetrically, a
-  /// message relayed because the port was unknown at send time stays with
-  /// the relay even if the port opens in flight.
-  bool send(std::string_view port, std::uint32_t fromApp,
-            core::Message payload);
+  /// Sends `payload` to `port`, delivered after the registry latency.
+  /// Returns false, scheduling nothing, if the port is not open at send
+  /// time (the filter has seen the message by then). Delivery is skipped
+  /// silently if the port closes in flight, like a connection torn down
+  /// while a message is queued.
+  bool send(PortId port, std::uint32_t fromApp, core::Message payload);
 
-  /// Synchronously invokes `port`'s handler (no latency, no scheduling).
-  /// For barrier-time relays only: the caller has already scheduled this
-  /// delivery on the owning engine at a timestamp that includes the hop
-  /// latency. Returns false if the port is not open. Never consults the
-  /// relay: barrier hooks address concrete endpoints, and a closed port
-  /// means the endpoint died in flight — the message must drop, not detour
-  /// (a forwarded Grant re-entering the system could re-register a dead
-  /// application).
-  bool deliverNow(std::string_view port, std::uint32_t fromApp,
-                  core::Message payload);
+  /// Barrier-time delivery of a message the caller has already timestamped:
+  /// lands at `at` plus the filter's extra delay, with no registry latency
+  /// added (the hop latency is in `at`). Unlike send(), it schedules even
+  /// when the port is closed now and resolves the port when the message
+  /// lands, dropping it if the port is not open then. Returns whether the
+  /// original message (not just a duplicate) was scheduled.
+  bool deliverAt(sim::Time at, PortId port, std::uint32_t fromApp,
+                 core::Message payload);
 
   [[nodiscard]] double latency() const noexcept { return latency_; }
   [[nodiscard]] std::uint64_t messagesDelivered() const noexcept {
     return delivered_;
   }
-  [[nodiscard]] std::uint64_t messagesRelayed() const noexcept {
-    return relayed_;
-  }
 
  private:
-  /// The unfiltered send path: schedules one delivery after `delaySeconds`
-  /// (routing fixed at send time, as documented on send()).
-  bool scheduleDelivery(std::string_view port, std::uint32_t fromApp,
-                        core::Message payload, double delaySeconds);
+  [[nodiscard]] DeliveryFilter::Verdict verdict(PortId port,
+                                                std::uint32_t fromApp,
+                                                const core::Message& payload);
+  /// Schedules the filtered delivery: a duplicate first (with equal extra
+  /// delays it lands before the original, the adversarial case for
+  /// idempotency), then the original unless dropped, each at
+  /// `base + (hop + extra delay)`. That grouping keeps both callers'
+  /// timestamps bit for bit: a send lands at `now + (latency + extra)`, a
+  /// barrier delivery at `at + extra`. Returns whether the original was
+  /// scheduled.
+  bool schedule(sim::Time base, double hop, const DeliveryFilter::Verdict& v,
+                PortId port, std::uint32_t fromApp, core::Message payload);
+  /// Parks `payload` in a free slot and schedules its delivery event at
+  /// `at`; the event captures only {registry, slot, port, sender}, which
+  /// fits EventFn's inline buffer.
+  void park(sim::Time at, PortId port, std::uint32_t fromApp,
+            core::Message payload);
   /// The delivery event of a parked message: frees its slot, then hands the
-  /// payload to the port's handler (or to the relay it was routed to).
-  void deliverParked(std::uint32_t slot);
-  /// Epoch-validated port lookup: nullptr when the port is not open. The
-  /// cached (key, handler) node pointers are stable for the life of the map
-  /// node, and every openPort/closePort bumps epoch_, so a matching epoch
-  /// proves the node was neither erased nor is the cache observing a stale
-  /// registration set.
-  Handler* resolve(std::string_view port);
-
-  /// A message in flight, parked until its delivery event runs. The event
-  /// captures only {registry, slot}, which fits EventFn's inline buffer; a
-  /// freed slot keeps its port string's capacity for the next send.
-  struct InFlight {
-    std::string port;
-    std::uint32_t fromApp = 0;
-    /// Routed to the relay at send time (the port was not open locally).
-    bool relayed = false;
-    core::Message payload;
-  };
+  /// payload to the port's handler if the port is open.
+  void deliverParked(std::uint32_t slot, PortId port, std::uint32_t fromApp);
+  /// The handler open on `port`, or nullptr. Valid until the next
+  /// openPort/closePort.
+  Handler* find(PortId port);
 
   sim::Engine& engine_;
   /// Rule-1 guard: sends and registration changes must come from this
   /// registry's own shard (or setup/barrier context).
   sim::ShardAffinity affinity_;
   double latency_;
-  /// Transparent comparator: lookups take the name as a string_view.
-  std::map<std::string, Handler, std::less<>> ports_;
-  RelayHandler relay_;
+  /// The arbiter's handler (empty when its port is closed) and every open
+  /// application port's.
+  Handler arbiter_;
+  core::FlatIdMap<Handler> apps_;
   DeliveryFilter* filter_ = nullptr;
-  std::vector<InFlight> inFlight_;
+  /// Messages in flight, parked until their delivery events run; a freed
+  /// slot is reused by a later send.
+  std::vector<core::Message> inFlight_;
   std::vector<std::uint32_t> freeSlots_;
   std::uint64_t delivered_ = 0;
-  std::uint64_t relayed_ = 0;
-  /// Registration epoch: bumped on every openPort/closePort.
-  std::uint64_t epoch_ = 0;
-  std::uint64_t cacheEpoch_ = ~std::uint64_t{0};
-  const std::string* cacheName_ = nullptr;
-  Handler* cacheHandler_ = nullptr;
 };
 
 }  // namespace calciom::mpi

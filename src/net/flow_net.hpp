@@ -260,7 +260,7 @@ class FlowNet {
     }
   };
 
-  /// Bytes below which a flow counts as complete (guards FP drift).
+  /// Bytes at or below which a flow counts as complete (guards FP drift).
   static constexpr double kByteEpsilon = 1e-6;
 
   /// The live slot of `f`, or nullptr once it has finished.

@@ -101,13 +101,15 @@ double allocationsPerMessage(Replay run) {
 
 // The messages themselves do not allocate: a typed wire message is a fixed
 // record (short application names stay in the small-string buffer), and
-// port names are formatted on the stack. Nor do the job's coroutines once
+// a port is addressed by value. Nor do the job's coroutines once
 // the engine is warm: its ten frames (the job, beginPhase, wait, three
 // roundBoundary and three release, endPhase) come from the engine's frame
 // pool and its ten completions from the completion pool. What remains is
 // per job, and a job sends five messages (Inform, three Releases,
-// Complete). Counted on the session replay, about 8 allocations per job:
-//  * the Session, its liveness flag (a shared_ptr) and its port's map node;
+// Complete). Counted on the session replay, about 7 allocations per job:
+//  * the Session and its liveness flag (a shared_ptr); its port is an entry
+//    in the registry's id table, which only grows to the peak number of
+//    open ports;
 //  * the arbiter's decisions, about one per two jobs, each taken twice (the
 //    online core and the oracle replay): the accessor list, the cost vector
 //    and the Queue and Interrupt terms vectors (each reserved once at its
@@ -116,20 +118,20 @@ double allocationsPerMessage(Replay run) {
 //  * amortized growth of the capture log, the decision and grant logs, the
 //    queues and the pools (the pools stop growing at the peak number of
 //    concurrent tasks).
-// The cluster replay adds about 3.5 per job in its barrier exchange.
+// The cluster replay adds about 1 per job in its barrier exchange.
 
 TEST(AllocBudget, ReplayClusterPerMessage) {
-  // Pinned at 2.29 allocations per message (4,640 messages).
+  // Pinned at 1.59 allocations per message (4,640 messages).
   const double perMessage = allocationsPerMessage(
       [](const replay::ReplayConfig& c) { return replay::replayCluster(c); });
-  EXPECT_LE(perMessage, 2.52);
+  EXPECT_LE(perMessage, 1.76);
 }
 
 TEST(AllocBudget, ReplaySessionPerMessage) {
-  // Pinned at 1.59 allocations per message (4,640 messages).
+  // Pinned at 1.39 allocations per message (4,640 messages).
   const double perMessage = allocationsPerMessage(
       [](const replay::ReplayConfig& c) { return replay::replaySession(c); });
-  EXPECT_LE(perMessage, 1.76);
+  EXPECT_LE(perMessage, 1.54);
 }
 
 /// A self-rescheduling event: every firing schedules its successor, half

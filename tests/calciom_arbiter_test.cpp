@@ -646,6 +646,52 @@ TEST(ArbiterLeaseEdgeTest, ReclamationRacesADelayedRelease) {
   EXPECT_LE(core.maxConcurrentAccessors(), 1u);
 }
 
+TEST(ArbiterFenceTest, OlderIncarnationIsIgnoredWhateverItsSeq) {
+  // A record at incarnation 2 receives its dead predecessor's Complete
+  // (incarnation 1). Only the incarnation fence can drop it: seq 0 skips
+  // the seq dedup, and a seq above the record's lastSeq passes it. Applied,
+  // the Complete would end the successor's access and admit the waiter.
+  for (const std::uint64_t staleSeq : {std::uint64_t{0}, std::uint64_t{100}}) {
+    SCOPED_TRACE(staleSeq);
+    ArbiterCore core(makePolicy(PolicyKind::Fcfs));
+    ArbiterCore::Commands out;
+    Message inform = coreInformWire(1);
+    inform.setSeq(1);
+    inform.setEpoch(1);
+    inform.setIncarnation(2);
+    core.onMessage(0.0, 1, inform, out);             // granted
+    core.onMessage(0.1, 2, coreInformWire(2), out);  // queued
+    const std::size_t grants = core.grantLog().size();
+    Message stale = Message::complete();
+    stale.setSeq(staleSeq);
+    stale.setEpoch(1);
+    stale.setIncarnation(1);
+    core.onMessage(1.0, 1, stale, out);
+    EXPECT_EQ(core.currentAccessors(), std::vector<std::uint32_t>{1});
+    EXPECT_EQ(core.waitQueue(), std::vector<std::uint32_t>{2});
+    EXPECT_EQ(core.grantLog().size(), grants);
+  }
+}
+
+TEST(ArbiterRepairTest, SameEpochIdleHeartbeatClosesALostCompletePhase) {
+  // The accessor's Complete was lost; its next heartbeat, still in the
+  // phase's epoch, reports Idle. That report is as good as the Complete:
+  // the phase closes and the waiter is admitted.
+  ArbiterCore core(makePolicy(PolicyKind::Fcfs));
+  ArbiterCore::Commands out;
+  Message inform = coreInformWire(1);
+  inform.setEpoch(1);
+  core.onMessage(0.0, 1, inform, out);             // granted
+  core.onMessage(0.1, 2, coreInformWire(2), out);  // queued
+  Message idle = Message::heartbeat(std::nullopt, SessionState::Idle);
+  idle.setEpoch(1);
+  core.onMessage(1.0, 1, idle, out);
+  EXPECT_EQ(core.currentAccessors(), std::vector<std::uint32_t>{2});
+  EXPECT_TRUE(core.waitQueue().empty());
+  ASSERT_FALSE(core.grantLog().empty());
+  EXPECT_EQ(core.grantLog().back().app, 2u);
+}
+
 // ---------------------------------------------------------------------------
 // encodeCommand: the one wire encoder of both transports. Golden messages.
 

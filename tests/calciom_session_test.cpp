@@ -175,6 +175,25 @@ TEST(SessionTest, PausedFlagAndAccountingDuringInterruption) {
   EXPECT_NEAR(endA, 4.0 + 2.0, 0.1);
 }
 
+TEST(SessionTest, DegradesAtTheRetryThatReachesTheDeadline) {
+  // No arbiter listens, so the phase's Inform goes unanswered. Retries
+  // fire every 0.5 s; the one at exactly degradeAfterSeconds (1.0 s after
+  // the Inform, exact in binary) degrades the session instead of sending
+  // again, and the waiter proceeds uncoordinated from then on.
+  Engine eng;
+  PortRegistry ports(eng, 1e-3);
+  Session s(eng, ports,
+            SessionConfig{.appId = 1,
+                          .cores = 8,
+                          .informRetrySeconds = 0.5,
+                          .degradeAfterSeconds = 1.0});
+  Time proceeded = -1.0;
+  eng.spawn(informAndWait(eng, s, simplePhase(1, 1.0), &proceeded));
+  eng.run();
+  EXPECT_TRUE(s.degraded());
+  EXPECT_EQ(proceeded, 1.0);
+}
+
 TEST(SessionTest, PrepareCompleteStackSemantics) {
   Rig rig(PolicyKind::Fcfs);
   Session s(rig.eng, rig.ports, SessionConfig{.appId = 1, .cores = 8});

@@ -45,7 +45,6 @@ using calciom::fault::ChaosResult;
 using calciom::fault::ChaosTransport;
 using calciom::fault::runChaos;
 using calciom::fault::withArbiterCrash;
-namespace msg = calciom::core::msg;
 namespace replay = calciom::analysis::replay;
 
 constexpr PolicyKind kPolicies[] = {PolicyKind::Fcfs, PolicyKind::Interrupt,
@@ -228,13 +227,6 @@ TEST(WireMessage, InformCarriesAWireRoundedDescriptor) {
   IoDescriptor text = d;
   text.estAloneSeconds = textRoundTrip(d.estAloneSeconds);
   EXPECT_EQ(m.descriptor(), text);
-}
-
-TEST(WirePorts, AppPortNamesAreFormattedInPlace) {
-  EXPECT_EQ(msg::appPort(0).view(), "calciom/app/0");
-  EXPECT_EQ(msg::appPort(12345).view(), "calciom/app/12345");
-  EXPECT_EQ(msg::appPort(4294967295u).view(), "calciom/app/4294967295");
-  EXPECT_EQ(msg::arbiterPort(), "calciom/arbiter");
 }
 
 // ---------------------------------------------------------------------------

@@ -211,8 +211,9 @@ TEST(ClusterHorizonTest, GlobalArbiterVoteAnswers) {
   }
   {  // A stub holding traffic must be merged at the next barrier.
     Rig r(s);
-    r.cl.machine(1).ports().deliverNow(calciom::core::msg::arbiterPort(),
-                                       /*fromApp=*/1, calciom::core::Message{});
+    r.cl.machine(1).ports().send(calciom::core::msg::arbiterPort(),
+                                 /*fromApp=*/1, calciom::core::Message{});
+    r.cl.engine(1).run();
     EXPECT_EQ(r.ga.nextBarrierNeededBy(now), now);
   }
   {  // Leases: every barrier is a lease sweep.
@@ -227,13 +228,13 @@ TEST(ClusterHorizonTest, GlobalArbiterVoteAnswers) {
     Rig r(s, cfg);
     EXPECT_EQ(r.ga.nextBarrierNeededBy(now), now);
   }
-  {  // Stub injectors: blackout draws hash the barrier round number.
+  {  // A delivery filter on any shard: blackout draws hash the barrier
+     // round number.
     Rig r(s);
     calciom::fault::Plan plan;
     plan.blackoutProbability = 0.5;
-    Injector i0(plan, 0);
     Injector i1(plan, 1);
-    r.ga.setStubInjectors({&i0, &i1});
+    r.cl.machine(1).ports().setDeliveryFilter(&i1);
     EXPECT_EQ(r.ga.nextBarrierNeededBy(now), now);
   }
   {  // A crashed arbiter.

@@ -23,6 +23,9 @@
 #include "net/flow_net.hpp"
 #include "platform/cluster.hpp"
 #include "platform/shared_storage.hpp"
+#include "sim/barrier_hook.hpp"
+#include "sim/engine.hpp"
+#include "sim/task.hpp"
 
 namespace {
 
@@ -170,6 +173,58 @@ TEST(SharedStorageModelTest, RemoteWritePaysBarrierAndHop) {
   EXPECT_GT(offStorage.spanSeconds, onStorage.spanSeconds);
   // 8 rounds x (horizon + 2 hops) is the worst case on top of the transfer.
   EXPECT_LT(offStorage.spanSeconds, onStorage.spanSeconds * 1.5);
+}
+
+/// Records every barrier time; never asks for a barrier of its own.
+class BarrierLog final : public calciom::sim::BarrierHook {
+ public:
+  bool onBarrier(calciom::sim::Time barrierTime) override {
+    times.push_back(barrierTime);
+    return false;
+  }
+  calciom::sim::Time nextBarrierNeededBy(calciom::sim::Time) override {
+    return calciom::sim::kNever;
+  }
+  std::vector<calciom::sim::Time> times;
+};
+
+calciom::sim::Task writeOnce(calciom::sim::Engine& eng,
+                             calciom::pfs::PfsClient& client,
+                             calciom::sim::Time* firedAt) {
+  co_await *client.writeRange("f", 0, 4ull << 20, 4.0);
+  *firedAt = eng.now();
+}
+
+TEST(SharedStorageModelTest, CompletionLandsOneHopAfterItsBarrier) {
+  // A reduced storage tier: one remote write. Its completion is forwarded
+  // at the first barrier after the storage shard finished it and lands on
+  // the origin shard at max(barrier, origin clock) + latency. The origin
+  // shard sits idle meanwhile, so its clock trails the barrier.
+  ClusterSpec spec;
+  spec.shard = ioMachine();
+  spec.shards = 2;  // shard 1 is storage
+  spec.syncHorizonSeconds = 0.01;
+  spec.crossShardLatencySeconds = 0.003;
+  Cluster cl(spec);
+  SharedStorageModel& model = SharedStorageModel::install(cl);
+  auto owned = std::make_unique<BarrierLog>();
+  BarrierLog& log = *owned;
+  cl.adoptBarrierHook(std::move(owned));
+  calciom::platform::ProvisionedApp app = model.provisionApp(0, 1, "w", 32);
+  const auto client = model.makeClient(0, std::move(app.clientContext));
+  calciom::sim::Time firedAt = -1.0;
+  cl.engine(0).spawn(writeOnce(cl.engine(0), *client, &firedAt));
+  cl.run();
+
+  ASSERT_EQ(model.requestLog().size(), 1u);
+  const calciom::sim::Time done = model.requestLog()[0].completeTime;
+  ASSERT_GT(done, 0.0);
+  const auto barrier =
+      std::find_if(log.times.begin(), log.times.end(),
+                   [&](calciom::sim::Time t) { return t > done; });
+  ASSERT_NE(barrier, log.times.end());
+  EXPECT_EQ(model.stats().completionsForwarded, 1u);
+  EXPECT_EQ(firedAt, *barrier + spec.crossShardLatencySeconds);
 }
 
 // ---------------------------------------------------------------------------

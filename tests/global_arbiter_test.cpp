@@ -560,10 +560,10 @@ TEST(GlobalArbiterTest, IdReuseRacesDelayedPredecessorInform) {
   // then; the incarnation fence must drop the stale Inform instead, or the
   // dead predecessor's request re-registers and wedges the queue forever.
   struct DelayFirstCoordMessage final : calciom::mpi::DeliveryFilter {
-    Verdict onSend(std::string_view port, std::uint32_t,
+    Verdict onSend(calciom::mpi::PortId, std::uint32_t,
                    const calciom::core::Message&) override {
       Verdict v;
-      if (!done_ && port.starts_with("calciom/")) {
+      if (!done_) {
         done_ = true;
         v.extraDelaySeconds = 2.0;
       }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -203,6 +204,22 @@ TEST(FlowNetTest, ZeroByteFlowCompletesImmediately) {
   const FlowId f = net.start(FlowSpec{.bytes = 0.0, .path = {r}});
   EXPECT_TRUE(net.finished(f));
   EXPECT_EQ(net.activeFlowCount(), 0u);
+}
+
+TEST(FlowNetTest, FlowAtTheByteEpsilonCompletesOnArrival) {
+  // Flows at or below FlowNet's byte epsilon (1e-6 bytes) count as
+  // complete when they start; the next representable size above it gets a
+  // slot and runs.
+  Engine eng;
+  FlowNet net(eng);
+  const ResourceId r = net.addResource(100.0);
+  const FlowId atEpsilon = net.start(FlowSpec{.bytes = 1e-6, .path = {r}});
+  EXPECT_TRUE(net.finished(atEpsilon));
+  EXPECT_EQ(net.activeFlowCount(), 0u);
+  const FlowId above =
+      net.start(FlowSpec{.bytes = std::nextafter(1e-6, 1.0), .path = {r}});
+  EXPECT_FALSE(net.finished(above));
+  EXPECT_EQ(net.activeFlowCount(), 1u);
 }
 
 TEST(FlowNetTest, UnconstrainedFlowIsInstantaneous) {

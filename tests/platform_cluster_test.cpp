@@ -181,6 +181,34 @@ TEST(ClusterTest, RunUntilAlignsEveryShardClock) {
   EXPECT_TRUE(cl.empty());
 }
 
+TEST(ClusterTest, ARoundRunsEveryEventAtItsHorizonBeforeTheBarrier) {
+  // Shard 0's event at t=0 sets the first horizon to 0 + 1.0; shard 1's
+  // event sits exactly on it. A round runs every shard's events at or
+  // before the horizon (Engine::runUntil is inclusive), so the barrier at
+  // 1.0 already sees it.
+  struct Probe final : calciom::sim::BarrierHook {
+    const bool* ran = nullptr;
+    std::vector<bool> seen;
+    bool onBarrier(Time) override {
+      seen.push_back(*ran);
+      return false;
+    }
+  };
+  ClusterSpec spec;
+  spec.shards = 2;
+  spec.syncHorizonSeconds = 1.0;
+  Cluster cl(spec);
+  bool ran = false;
+  Probe probe;
+  probe.ran = &ran;
+  cl.addBarrierHook(&probe);
+  cl.engine(0).scheduleAt(0.0, [] {});
+  cl.engine(1).scheduleAt(1.0, [&ran] { ran = true; });
+  cl.run();
+  ASSERT_FALSE(probe.seen.empty());
+  EXPECT_TRUE(probe.seen.front());
+}
+
 TEST(ClusterTest, StatsAggregateAcrossShards) {
   Cluster cl(smallSpec(4));
   auto harness = buildCampaign(cl);

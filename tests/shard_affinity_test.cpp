@@ -96,14 +96,15 @@ TEST(ShardChecks, PortRegistryTrapsForeignMutation) {
   Engine foreign(2);
   calciom::mpi::PortRegistry ports(owner, 0.0);
   // Setup context and the owning loop stay legal.
-  ports.openPort("setup", [](std::uint32_t, const calciom::core::Message&) {});
+  ports.openPort(calciom::core::msg::appPort(1),
+                 [](std::uint32_t, const calciom::core::Message&) {});
   owner.scheduleAt(0.0, [&] {
-    ports.openPort("own-loop",
+    ports.openPort(calciom::core::msg::appPort(2),
                    [](std::uint32_t, const calciom::core::Message&) {});
   });
   owner.run();
   foreign.scheduleAt(0.0, [&] {
-    ports.openPort("foreign-loop",
+    ports.openPort(calciom::core::msg::appPort(3),
                    [](std::uint32_t, const calciom::core::Message&) {});
   });
   EXPECT_THROW(foreign.run(), ShardAffinityError);
@@ -114,9 +115,11 @@ TEST(ShardChecks, PortRegistryTrapsForeignSend) {
   Engine owner(1);
   Engine foreign(2);
   calciom::mpi::PortRegistry ports(owner, 0.0);
-  ports.openPort("sink", [](std::uint32_t, const calciom::core::Message&) {});
+  ports.openPort(calciom::core::msg::appPort(1),
+                 [](std::uint32_t, const calciom::core::Message&) {});
   foreign.scheduleAt(0.0, [&] {
-    (void)ports.send("sink", 7, calciom::core::Message{});
+    (void)ports.send(calciom::core::msg::appPort(1), 7,
+                     calciom::core::Message{});
   });
   EXPECT_THROW(foreign.run(), ShardAffinityError);
 }

@@ -173,6 +173,48 @@ TEST(RngTest, LogNormalIsPositive) {
   }
 }
 
+/// The exact bits of `d`, so a pin fails on a one-ulp change.
+std::uint64_t bitsOf(double d) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &d, sizeof b);
+  return b;
+}
+
+// The draws below go through libm (std::log, std::cos, std::sqrt,
+// std::exp), whose results are not correctly rounded by contract. Every
+// pinned fingerprint in the repository rests on them, so these pins make a
+// libm that rounds differently fail here, by name, instead of silently
+// moving fingerprints. The generator itself is pinned above.
+TEST(RngLibmPins, ExponentialDrawsAreBitExact) {
+  Xoshiro256 rng(20140519);
+  EXPECT_EQ(bitsOf(rng.exponential(2.0)), 0x4006adf31293c292ULL);
+  EXPECT_EQ(bitsOf(rng.exponential(2.0)), 0x4004c622f41162e4ULL);
+  EXPECT_EQ(bitsOf(rng.exponential(2.0)), 0x400ed01bf3aa8f54ULL);
+}
+
+TEST(RngLibmPins, NormalDrawsAreBitExact) {
+  Xoshiro256 rng(20140519);
+  for (int i = 0; i < 3; ++i) {
+    (void)rng.exponential(2.0);  // the same stream as the case above
+  }
+  EXPECT_EQ(bitsOf(rng.normal(0.0, 1.0)), 0xbfe2c07ed7f5db5dULL);
+  EXPECT_EQ(bitsOf(rng.normal(0.0, 1.0)), 0x3fdecbcc3cc9f400ULL);
+  EXPECT_EQ(bitsOf(rng.normal(0.0, 1.0)), 0x4002be5442966dd6ULL);
+}
+
+TEST(RngLibmPins, LogNormalDrawsAreBitExact) {
+  Xoshiro256 rng(20140519);
+  for (int i = 0; i < 3; ++i) {
+    (void)rng.exponential(2.0);
+  }
+  for (int i = 0; i < 3; ++i) {
+    (void)rng.normal(0.0, 1.0);
+  }
+  EXPECT_EQ(bitsOf(rng.logNormal(1.0, 0.5)), 0x400cd99a9f8a2f18ULL);
+  EXPECT_EQ(bitsOf(rng.logNormal(1.0, 0.5)), 0x400ed96cf0a684adULL);
+  EXPECT_EQ(bitsOf(rng.logNormal(1.0, 0.5)), 0x40111da1f211ec7dULL);
+}
+
 TEST(RngTest, WorksWithStdDistributions) {
   // UniformRandomBitGenerator conformance: usable with std::shuffle.
   Xoshiro256 rng(43);
