@@ -28,12 +28,12 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(os.path.dirname(HERE))
+TEST_TIMEOUT_S = 300  # per ctest test: a mutant that loops forever is killed
 
 
-def run(cmd, cwd=None, timeout=None):
+def run(cmd, cwd=None):
     return subprocess.run(cmd, cwd=cwd, stdout=subprocess.PIPE,
-                          stderr=subprocess.STDOUT, text=True,
-                          timeout=timeout)
+                          stderr=subprocess.STDOUT, text=True)
 
 
 def copy_tree(src_root, dst_root):
@@ -60,10 +60,10 @@ def build(build_dir, jobs):
     return run(["cmake", "--build", build_dir, "-j", str(jobs)])
 
 
-def failed_tests(build_dir, jobs, timeout):
+def failed_tests(build_dir, jobs):
     """Names of the ctest tests that fail, or None if all pass."""
     res = run(["ctest", "--test-dir", build_dir, "-j", str(jobs),
-               "--timeout", str(timeout)])
+               "--timeout", str(TEST_TIMEOUT_S)])
     if res.returncode == 0:
         return None
     names = re.findall(r"^\s*\d+ - (\S+) \(", res.stdout, re.MULTILINE)
@@ -74,15 +74,12 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--work", required=True,
                     help="scratch directory for the copy and its build")
-    ap.add_argument("--list", default=os.path.join(HERE, "mutants.json"))
     ap.add_argument("--only", default="",
                     help="comma-separated mutant ids to run")
     ap.add_argument("-j", "--jobs", type=int, default=os.cpu_count() or 2)
-    ap.add_argument("--timeout", type=int, default=300,
-                    help="per-test ctest timeout in seconds")
     args = ap.parse_args()
 
-    mutants = json.load(open(args.list))
+    mutants = json.load(open(os.path.join(HERE, "mutants.json")))
     if args.only:
         wanted = set(args.only.split(","))
         mutants = [m for m in mutants if m["id"] in wanted]
@@ -95,7 +92,7 @@ def main():
     base = build(build_dir, args.jobs)
     if base.returncode != 0:
         sys.exit("the unmutated copy does not build:\n" + base.stdout[-4000:])
-    if failed_tests(build_dir, args.jobs, args.timeout) is not None:
+    if failed_tests(build_dir, args.jobs) is not None:
         sys.exit("the unmutated copy fails ctest; fix that first")
 
     rows = []
@@ -113,7 +110,7 @@ def main():
                 if build(build_dir, args.jobs).returncode != 0:
                     status, detail = "error", "does not compile"
                 else:
-                    failed = failed_tests(build_dir, args.jobs, args.timeout)
+                    failed = failed_tests(build_dir, args.jobs)
                     status = "survived" if failed is None else "killed"
                     detail = ", ".join(failed or [])
             finally:
